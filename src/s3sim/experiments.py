@@ -53,6 +53,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
         if self.seed is None:
             raise ConfigError("seed is mandatory (no wall-clock default)")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.model not in pearle.MODES:
             raise ConfigError(f"unknown model {self.model!r}; choose from {pearle.MODES}")
         if self.n_per_point < 1:
@@ -106,6 +108,12 @@ def parse_config_file(path) -> dict:
     return out
 
 
+def _pool_size(workers: int, tasks: int) -> int:
+    """Worker processes to start: never more than the tasks or the CPUs."""
+    import os  # loaded at interpreter start; kept local so module import stays unchanged
+    return min(workers, tasks, os.cpu_count() or 1)
+
+
 def _require_finite(values, what: str) -> None:
     arr = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -125,8 +133,9 @@ def run_curve(config: ExperimentConfig) -> CorrelationCurve:
     grid = config.grid_degrees()
     tasks = [(config.model, float(deg), config.n_per_point, config.seed, i, config.kappa)
              for i, deg in enumerate(grid)]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = _pool_size(config.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_curve_point_task, tasks))
     else:
         points = [_curve_point_task(t) for t in tasks]
@@ -207,8 +216,9 @@ def run_probabilities(config: ExperimentConfig) -> dict:
     grid = config.grid_degrees()
     tasks = [(config.model, float(deg), config.n_per_point, config.seed, i, config.kappa)
              for i, deg in enumerate(grid)]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = _pool_size(config.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             tables = list(pool.map(_probability_task, tasks))
     else:
         tables = [_probability_task(t) for t in tasks]

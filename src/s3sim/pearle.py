@@ -39,6 +39,9 @@ from .singlet import CorrelationEstimate
 
 MODES = ("s3", "pearle-reject", "flat")
 
+# candidates per s3 draw: small enough that a chunk's arrays stay in cache
+CHUNK = 1 << 14
+
 _DENOM_TOL = 1e-12
 
 
@@ -48,25 +51,26 @@ def _check_kappa(kappa: int) -> int:
     return int(kappa)
 
 
+def _scaled_eta(eta, kappa: int):
+    """3*eta/(kappa*pi) for eta in the mapping domain [0, kappa*pi]."""
+    kappa = _check_kappa(kappa)
+    eta = np.asarray(eta, dtype=float)
+    if np.any(eta < -1e-12) or np.any(eta > kappa * np.pi + 1e-12):
+        raise ValueError("eta outside the mapping domain [0, kappa*pi]")
+    return 3.0 * np.clip(eta, 0.0, kappa * np.pi) / (kappa * np.pi)
+
+
 def pearle_f(eta, kappa: int = 1):
     """Threshold f(eta) = -1 + 2/sqrt(1 + 3*eta/(kappa*pi)).
 
     Strictly decreasing from f(0) = 1 to f(kappa*pi) = 0.
     """
-    kappa = _check_kappa(kappa)
-    eta = np.asarray(eta, dtype=float)
-    if np.any(eta < -1e-12) or np.any(eta > kappa * np.pi + 1e-12):
-        raise ValueError("eta outside the mapping domain [0, kappa*pi]")
-    return -1.0 + 2.0 / np.sqrt(1.0 + 3.0 * np.clip(eta, 0.0, kappa * np.pi) / (kappa * np.pi))
+    return -1.0 + 2.0 / np.sqrt(1.0 + _scaled_eta(eta, kappa))
 
 
 def pearle_f_complement(eta, kappa: int = 1):
     """Mirror branch f(kappa*pi - eta) = -1 + 2/sqrt(4 - 3*eta/(kappa*pi))."""
-    kappa = _check_kappa(kappa)
-    eta = np.asarray(eta, dtype=float)
-    if np.any(eta < -1e-12) or np.any(eta > kappa * np.pi + 1e-12):
-        raise ValueError("eta outside the mapping domain [0, kappa*pi]")
-    return -1.0 + 2.0 / np.sqrt(4.0 - 3.0 * np.clip(eta, 0.0, kappa * np.pi) / (kappa * np.pi))
+    return -1.0 + 2.0 / np.sqrt(4.0 - _scaled_eta(eta, kappa))
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,11 @@ class PairRecord:
 @dataclass(frozen=True)
 class EnsembleRun:
     """Array view of one simulated setting pair: outcomes (0 = no detection),
-    emitted/admitted counts, and the settings."""
+    emitted/admitted counts, and the settings.
+
+    n_candidates counts the candidate states drawn: in s3 mode every draw up
+    to and including the n-th admitted one, in the other modes n.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -168,6 +176,7 @@ class EnsembleRun:
     n_admitted: int
     mode: str
     kappa: int
+    n_candidates: int
 
     @property
     def n_detected_pairs(self) -> int:
@@ -236,6 +245,24 @@ def ensemble_sample(n: int, seed: int, *, a, b, kappa: int = 1,
                        f"within {max_batches} batches")
 
 
+def _projections(rng, size: int, cos_ab: float, sin_ab: float):
+    """(e.a, e.b) for `size` directions e uniform on S^2.
+
+    With a at the pole, e.a = z ~ U(-1, 1) (Archimedes' theorem) and
+    e.b = z*cos(eta_ab) + sqrt(1 - z^2)*sin(eta_ab)*cos(phi); the azimuth
+    enters only through cos(phi), so phi ~ U(0, pi) suffices.
+    """
+    z = rng.uniform(-1.0, 1.0, size)
+    cos_phi = np.cos(rng.uniform(0.0, np.pi, size))
+    return z, z * cos_ab + np.sqrt(1.0 - z * z) * (sin_ab * cos_phi)
+
+
+def _thresholds(rng, size: int) -> np.ndarray:
+    """Thresholds f = pearle_f(eta_z_so, kappa) for eta_z_so uniform on
+    [0, kappa*pi]: u = eta_z_so/(kappa*pi) ~ U(0, 1) for every kappa."""
+    return -1.0 + 2.0 / np.sqrt(1.0 + 3.0 * rng.random(size))
+
+
 def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
              max_batches: int = 1000) -> EnsembleRun:
     """Simulate one setting pair and return outcome arrays.
@@ -244,6 +271,10 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
     pearle-reject: n emitted states, per-wing rejection (0 = undetected).
     flat: n states, no threshold.
     rng_or_seed: an integer seed (root substream) or a Generator.
+
+    Outcomes depend on a state only through (e.a, e.b, f) and the coin, so
+    only those are drawn; kappa changes no outcome. In s3 mode candidates
+    come in chunks of CHUNK, at most max_batches * max(1024, n) in all.
     """
     a = _require_unit(a, "a", 3)
     b = _require_unit(b, "b", 3)
@@ -253,45 +284,49 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
         raise ValueError(f"unknown model mode {mode!r}; choose from {MODES}")
     kappa = _check_kappa(kappa)
     rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) else substream(rng_or_seed)
+    cos_ab = float(np.clip(a @ b, -1.0, 1.0))
+    sin_ab = float(np.sqrt(1.0 - cos_ab * cos_ab))
 
     if mode == "flat":
-        e_o = uniform_sphere(rng, n)
+        ea, eb = _projections(rng, n, cos_ab, sin_ab)
         lam = fair_coin(rng, n)
-        A = lam * _sign(e_o @ a)
-        B = -lam * _sign(e_o @ b)
-        return EnsembleRun(a=a, b=b, A=A, B=B, n_emitted=n, n_admitted=n,
-                           mode=mode, kappa=kappa)
+        return EnsembleRun(a=a, b=b, A=lam * _sign(ea), B=-lam * _sign(eb),
+                           n_emitted=n, n_admitted=n, mode=mode, kappa=kappa,
+                           n_candidates=n)
 
     if mode == "pearle-reject":
-        e_o, _, f, _ = _draw_states(rng, n, kappa)
+        ea, eb = _projections(rng, n, cos_ab, sin_ab)
+        f = _thresholds(rng, n)
         lam = fair_coin(rng, n)
-        det1 = np.abs(e_o @ a) >= f
-        det2 = np.abs(e_o @ b) >= f
-        A = np.where(det1, lam * _sign(e_o @ a), 0)
-        B = np.where(det2, -lam * _sign(e_o @ b), 0)
+        det1 = np.abs(ea) >= f
+        det2 = np.abs(eb) >= f
+        A = np.where(det1, lam * _sign(ea), 0)
+        B = np.where(det2, -lam * _sign(eb), 0)
         return EnsembleRun(a=a, b=b, A=A, B=B, n_emitted=n,
-                           n_admitted=int(np.sum(det1 & det2)), mode=mode, kappa=kappa)
+                           n_admitted=int(np.sum(det1 & det2)), mode=mode, kappa=kappa,
+                           n_candidates=n)
 
-    # s3: accumulate admitted states until n reached, all detected
-    As: list[np.ndarray] = []
-    Bs: list[np.ndarray] = []
-    got = 0
-    batch = max(1024, n)
-    for _ in range(max_batches):
-        e_o, _, f, _ = _draw_states(rng, batch, kappa)
-        lam = fair_coin(rng, batch)
-        keep = admissible(e_o, f, a, b)
-        A = (lam * _sign(e_o @ a))[keep]
-        B = (-lam * _sign(e_o @ b))[keep]
-        take = min(n - got, A.size)
-        As.append(A[:take])
-        Bs.append(B[:take])
-        got += take
-        if got == n:
-            return EnsembleRun(a=a, b=b, A=np.concatenate(As), B=np.concatenate(Bs),
-                               n_emitted=n, n_admitted=n, mode=mode, kappa=kappa)
-    raise RuntimeError(f"rejection sampling did not yield {n} admissible states "
-                       f"within {max_batches} batches")
+    # s3: admit candidates chunk by chunk until n are in, all detected
+    A = np.empty(n, dtype=np.int64)
+    B = np.empty(n, dtype=np.int64)
+    got = drawn = 0
+    budget = max_batches * max(1024, n)
+    while got < n:
+        size = min(CHUNK, budget - drawn)
+        if size <= 0:
+            raise RuntimeError(f"rejection sampling did not yield {n} admissible states "
+                               f"within {max_batches} batches")
+        ea, eb = _projections(rng, size, cos_ab, sin_ab)
+        f = _thresholds(rng, size)
+        keep = np.flatnonzero((np.abs(ea) >= f) & (np.abs(eb) >= f))[:n - got]
+        lam = fair_coin(rng, keep.size)
+        A[got:got + keep.size] = lam * _sign(ea[keep])
+        B[got:got + keep.size] = -lam * _sign(eb[keep])
+        got += keep.size
+        drawn += size
+    n_candidates = drawn - size + int(keep[-1]) + 1
+    return EnsembleRun(a=a, b=b, A=A, B=B, n_emitted=n, n_admitted=n, mode=mode,
+                       kappa=kappa, n_candidates=n_candidates)
 
 
 def pair_records(a, b, n: int, seed: int, kappa: int = 1) -> list[PairRecord]:

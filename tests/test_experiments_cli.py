@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 from s3sim.bounds import TSIRELSON, canonical_quad
 from s3sim.curves import (CorrelationCurve, CurvePoint, parse_grid, read_curve_csv,
                           read_curve_json, write_curve_csv, write_curve_json)
-from s3sim.experiments import (ConfigError, ExperimentConfig, chsh_monte_carlo,
+from s3sim.experiments import (ConfigError, ExperimentConfig, _pool_size, chsh_monte_carlo,
                                compare_models, parse_config_file, read_rows_csv, run,
                                run_bounds, run_chsh, run_curve, run_geodesic,
                                run_probabilities)
@@ -47,7 +48,23 @@ def test_config_validation():
         cfg(format="xml").validated()
     with pytest.raises(ConfigError):
         cfg(seed=None).validated()
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError):
+            cfg(seed=seed).validated()
     assert cfg().validated().seed == 42
+    assert cfg(seed=0).validated().seed == 0
+    assert cfg(seed=2**64 - 1).validated().seed == 2**64 - 1
+
+
+def test_pool_size_never_exceeds_tasks_or_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _pool_size(1, 37) == 1
+    assert _pool_size(100_000, 37) == 2
+    assert _pool_size(8, 1) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert _pool_size(100_000, 37) == 37
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _pool_size(4, 37) == 1
 
 
 def test_parse_config_file(tmp_path):
@@ -189,6 +206,19 @@ def test_cli_missing_seed_is_usage_error(tmp_path, run_cli):
     res = run_cli("curve", "--n", "100", "--out", str(tmp_path / "x.csv"))
     assert res.returncode == 2
     assert "seed" in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("curve", "--seed", "-1", "--n", "100", "--grid", "0:90:90"),
+    ("bounds", "--seed", "-1"),
+    ("curve", "--seed", str(2**64), "--n", "100", "--grid", "0:90:90"),
+])
+def test_cli_seed_outside_64_bits_is_usage_error(tmp_path, run_cli, args):
+    out = tmp_path / "x.csv"
+    res = run_cli(*args, "--out", str(out))
+    assert res.returncode == 2
+    assert "usage error" in res.stderr
+    assert not out.exists()
 
 
 def test_cli_unknown_experiment_is_usage_error(run_cli):

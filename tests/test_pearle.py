@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from s3sim.algebra import X_AXIS, Y_AXIS
-from s3sim.pearle import (InitialState, PearleMapping, admissible,
+from s3sim.pearle import (CHUNK, MODES, InitialState, PearleMapping, admissible,
                           correlation_from_probabilities, detection_fraction,
                           detection_fraction_branches, ensemble_sample, estimate_pair,
                           flat_mode_curve, pair_records, pearle_f, pearle_f_complement,
@@ -174,7 +174,9 @@ def test_detection_fraction_is_one_in_s3_mode():
         stderr = np.sqrt(t.p_pm * (1 - t.p_pm) / t.n) / (0.5 * np.cos(rad / 2) ** 2)
         assert abs(g - 1.0) <= 4.0 * stderr
         g_pm, g_pp = detection_fraction_branches(rad, t)
-        assert abs(g_pm - g_pp) < 8.0 * stderr
+        # the branches are two estimates, each with its own sampling error
+        se_pp = np.sqrt(t.p_pp * (1 - t.p_pp) / t.n) / (0.5 * np.sin(rad / 2) ** 2)
+        assert abs(g_pm - g_pp) < 4.0 * np.hypot(stderr, se_pp)
 
 
 def test_detection_fraction_uses_well_conditioned_branch():
@@ -269,6 +271,40 @@ def test_flat_mode_landmarks():
     assert by_deg[0.0].e_hat == -1.0
     assert abs(by_deg[45.0].e_hat - (-0.5)) <= 4.0 * by_deg[45.0].stderr
     assert abs(by_deg[90.0].e_hat) <= 4.0 * by_deg[90.0].stderr
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_s3_returns_exactly_n_definite_outcomes(n):
+    run = run_pair(planar(0.0), planar(90.0), n, 69, mode="s3")
+    assert run.A.shape == run.B.shape == (n,)
+    assert set(np.unique(run.A)) <= {-1, 1} and set(np.unique(run.B)) <= {-1, 1}
+    assert run.n_admitted == run.n_detected_pairs == n
+    assert run.n_candidates >= n
+
+
+def test_s3_candidate_budget_runs_out():
+    # one batch allows max(1024, n) candidates; about half are admitted at 90 degrees
+    with pytest.raises(RuntimeError):
+        run_pair(planar(0.0), planar(90.0), 10_000, 70, mode="s3", max_batches=1)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_kappa_changes_no_outcome(mode):
+    one = run_pair(planar(0.0), planar(45.0), 20_000, 71, mode=mode, kappa=1)
+    three = run_pair(planar(0.0), planar(45.0), 20_000, 71, mode=mode, kappa=3)
+    assert np.array_equal(one.A, three.A) and np.array_equal(one.B, three.B)
+
+
+def test_s3_acceptance_matches_closed_form():
+    # at eta = 0 and pi a state is admitted iff f <= |e.a|, with |e.a| ~ U(0, 1):
+    # P(admit) = int_0^1 (4/3)(1 - (1+m)^-2) dm = 2/3
+    p = 2.0 / 3.0
+    for i, deg in enumerate((0.0, 180.0)):
+        run = run_pair(planar(0.0), planar(deg), 100_000, substream(72, i), mode="s3")
+        acceptance = run.A.size / run.n_candidates
+        assert abs(acceptance - p) <= 4.0 * np.sqrt(p * (1 - p) / run.n_candidates)
+    for mode in ("pearle-reject", "flat"):
+        assert run_pair(planar(0.0), planar(90.0), 1_000, 72, mode=mode).n_candidates == 1_000
 
 
 def test_mode_validation():
