@@ -35,7 +35,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", help="angle grid start:stop:step in degrees")
         p.add_argument("--kappa", type=int, help="winding index (default 1)")
         p.add_argument("--steps", type=int, help="geodesic sweep steps (default 180)")
-        p.add_argument("--workers", type=int, help="parallel point workers (default 1)")
+        p.add_argument("--workers", type=int,
+                       help="worker processes for the grid points or CHSH setting pairs "
+                            "(default 1)")
         p.add_argument("--out", help="output path (default <experiment>.<format>)")
         p.add_argument("--format", choices=FORMATS, help="artifact format (default csv)")
     return parser

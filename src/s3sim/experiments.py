@@ -114,6 +114,18 @@ def _pool_size(workers: int, tasks: int) -> int:
     return min(workers, tasks, os.cpu_count() or 1)
 
 
+def _map_tasks(fn, tasks: list, workers: int) -> list:
+    """[fn(t) for t in tasks], on a process pool of _pool_size(workers, len(tasks)).
+
+    Every task carries its own substream index, so the results do not
+    depend on the pool size."""
+    workers = _pool_size(workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 def _require_finite(values, what: str) -> None:
     arr = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -133,12 +145,7 @@ def run_curve(config: ExperimentConfig) -> CorrelationCurve:
     grid = config.grid_degrees()
     tasks = [(config.model, float(deg), config.n_per_point, config.seed, i, config.kappa)
              for i, deg in enumerate(grid)]
-    workers = _pool_size(config.workers, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_curve_point_task, tasks))
-    else:
-        points = [_curve_point_task(t) for t in tasks]
+    points = _map_tasks(_curve_point_task, tasks, config.workers)
     curve = CorrelationCurve(points=tuple(points), meta=config.meta())
     _require_finite([[p.e_hat, p.e_analytic, p.stderr, p.g] for p in curve.points], "curve")
     return curve
@@ -147,13 +154,19 @@ def run_curve(config: ExperimentConfig) -> CorrelationCurve:
 # ---------------------------------------------------------------------------
 # chsh
 
+def _chsh_pair_task(args):
+    x, y, n, seed, index, mode, kappa = args
+    return pearle.estimate_pair(x, y, n, substream(seed, index), mode, kappa)
+
+
 def chsh_monte_carlo(quad: SettingsQuad, n: int, seed: int, mode: str = "s3",
-                     kappa: int = 1) -> CHSHResult:
-    """CHSH from per-pair Monte Carlo estimates on substreams (seed, pair)."""
+                     kappa: int = 1, workers: int = 1) -> CHSHResult:
+    """CHSH from per-pair Monte Carlo estimates on substreams (seed, pair);
+    the four pairs run on up to `workers` processes."""
     pairs = ((quad.a, quad.b), (quad.a, quad.b_prime),
              (quad.a_prime, quad.b), (quad.a_prime, quad.b_prime))
-    ests = [pearle.estimate_pair(x, y, n, substream(seed, i), mode, kappa)
-            for i, (x, y) in enumerate(pairs)]
+    tasks = [(x, y, n, seed, i, mode, kappa) for i, (x, y) in enumerate(pairs)]
+    ests = _map_tasks(_chsh_pair_task, tasks, workers)
     s = ests[0].e_hat + ests[1].e_hat + ests[2].e_hat - ests[3].e_hat
     stderr = float(np.sqrt(sum(e.stderr ** 2 for e in ests)))
     return CHSHResult(e_ab=ests[0].e_hat, e_abp=ests[1].e_hat, e_apb=ests[2].e_hat,
@@ -166,7 +179,8 @@ def run_chsh(config: ExperimentConfig) -> dict:
     quad = canonical_quad()
     analytic_eval = sawtooth_correlation if config.model == "flat" else cosine_correlation
     analytic = chsh(analytic_eval, quad)
-    mc = chsh_monte_carlo(quad, config.n_per_point, config.seed, config.model, config.kappa)
+    mc = chsh_monte_carlo(quad, config.n_per_point, config.seed, config.model, config.kappa,
+                          config.workers)
     payload = {
         "meta": config.meta(),
         "quad_degrees": list(CANONICAL_QUAD_DEGREES),
@@ -203,12 +217,9 @@ def run_bounds(config: ExperimentConfig) -> dict:
 
 def _probability_task(args) -> dict:
     mode, deg, n, seed, index, kappa = args
-    a = np.array([1.0, 0.0, 0.0])
-    rad = np.radians(deg)
-    b = np.array([np.cos(rad), np.sin(rad), 0.0])
-    run = pearle.run_pair(a, b, n, substream(seed, index), mode, kappa)
-    table = pearle.probabilities_from_outcomes(rad, run.A, run.B)
-    return table.to_dict()
+    counts = pearle.outcome_counts(pearle._planar_setting(0.0), pearle._planar_setting(deg),
+                                   n, substream(seed, index), mode, kappa)
+    return pearle._table_from_counts(np.radians(deg), counts).to_dict()
 
 
 def run_probabilities(config: ExperimentConfig) -> dict:
@@ -216,12 +227,7 @@ def run_probabilities(config: ExperimentConfig) -> dict:
     grid = config.grid_degrees()
     tasks = [(config.model, float(deg), config.n_per_point, config.seed, i, config.kappa)
              for i, deg in enumerate(grid)]
-    workers = _pool_size(config.workers, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            tables = list(pool.map(_probability_task, tasks))
-    else:
-        tables = [_probability_task(t) for t in tasks]
+    tables = _map_tasks(_probability_task, tasks, config.workers)
     _require_finite([list(t.values()) for t in tables], "probability tables")
     return {"meta": config.meta(), "tables": tables}
 
@@ -237,8 +243,9 @@ def compare_models(config: ExperimentConfig) -> dict:
     curve_s3 = run_curve(s3_cfg)
     curve_flat = run_curve(flat_cfg)
     chsh_s3 = chsh_monte_carlo(canonical_quad(), config.n_per_point, config.seed,
-                               "s3", config.kappa)
-    chsh_flat = chsh_monte_carlo(canonical_quad(), config.n_per_point, config.seed, "flat")
+                               "s3", config.kappa, config.workers)
+    chsh_flat = chsh_monte_carlo(canonical_quad(), config.n_per_point, config.seed, "flat",
+                                 workers=config.workers)
     summary = [
         f"s3: |S| = {abs(chsh_s3.s):.6f} -> {chsh_s3.regime}",
         f"flat: |S| = {abs(chsh_flat.s):.6f} -> {chsh_flat.regime}",

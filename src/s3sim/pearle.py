@@ -28,6 +28,7 @@ Three modes:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,6 +264,62 @@ def _thresholds(rng, size: int) -> np.ndarray:
     return -1.0 + 2.0 / np.sqrt(1.0 + 3.0 * rng.random(size))
 
 
+def _pair_setup(a, b, n: int, rng_or_seed, mode: str, kappa: int):
+    """Validated (a, b, kappa, rng) for one setting pair's run."""
+    a = _require_unit(a, "a", 3)
+    b = _require_unit(b, "b", 3)
+    if n < 1:
+        raise ValueError("ensemble size n must be >= 1")
+    if mode not in MODES:
+        raise ValueError(f"unknown model mode {mode!r}; choose from {MODES}")
+    kappa = _check_kappa(kappa)
+    rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) else substream(rng_or_seed)
+    return a, b, kappa, rng
+
+
+def _one_draw(rng, n: int, cos_ab: float, sin_ab: float, mode: str):
+    """(A, B) of n emitted states in the flat or pearle-reject mode."""
+    ea, eb = _projections(rng, n, cos_ab, sin_ab)
+    if mode == "flat":
+        lam = fair_coin(rng, n)
+        return lam * _sign(ea), -lam * _sign(eb)
+    f = _thresholds(rng, n)
+    lam = fair_coin(rng, n)
+    return (np.where(np.abs(ea) >= f, lam * _sign(ea), 0),
+            np.where(np.abs(eb) >= f, -lam * _sign(eb), 0))
+
+
+def _outcome_chunks(a, b, n: int, rng, mode: str, max_batches: int = 1000):
+    """Yield (A, B, candidates) chunk by chunk for one setting pair.
+
+    s3 draws chunks of CHUNK candidates until n are admitted; candidates
+    counts the draws a chunk used, up to its last admitted state in the
+    final chunk. flat and pearle-reject are one chunk: a single draw of n.
+    """
+    cos_ab = float(np.clip(a @ b, -1.0, 1.0))
+    sin_ab = float(np.sqrt(1.0 - cos_ab * cos_ab))
+    if mode != "s3":
+        yield *_one_draw(rng, n, cos_ab, sin_ab, mode), n
+        return
+
+    # s3: admit candidates chunk by chunk until n are in, all detected
+    got = drawn = 0
+    budget = max_batches * max(1024, n)
+    while got < n:
+        size = min(CHUNK, budget - drawn)
+        if size <= 0:
+            raise RuntimeError(f"rejection sampling did not yield {n} admissible states "
+                               f"within {max_batches} batches")
+        ea, eb = _projections(rng, size, cos_ab, sin_ab)
+        f = _thresholds(rng, size)
+        keep = np.flatnonzero((np.abs(ea) >= f) & (np.abs(eb) >= f))[:n - got]
+        lam = fair_coin(rng, keep.size)
+        got += keep.size
+        drawn += size
+        yield (lam * _sign(ea[keep]), -lam * _sign(eb[keep]),
+               size if got < n else int(keep[-1]) + 1)
+
+
 def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
              max_batches: int = 1000) -> EnsembleRun:
     """Simulate one setting pair and return outcome arrays.
@@ -276,57 +333,40 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
     only those are drawn; kappa changes no outcome. In s3 mode candidates
     come in chunks of CHUNK, at most max_batches * max(1024, n) in all.
     """
-    a = _require_unit(a, "a", 3)
-    b = _require_unit(b, "b", 3)
-    if n < 1:
-        raise ValueError("ensemble size n must be >= 1")
-    if mode not in MODES:
-        raise ValueError(f"unknown model mode {mode!r}; choose from {MODES}")
-    kappa = _check_kappa(kappa)
-    rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) else substream(rng_or_seed)
-    cos_ab = float(np.clip(a @ b, -1.0, 1.0))
-    sin_ab = float(np.sqrt(1.0 - cos_ab * cos_ab))
-
-    if mode == "flat":
-        ea, eb = _projections(rng, n, cos_ab, sin_ab)
-        lam = fair_coin(rng, n)
-        return EnsembleRun(a=a, b=b, A=lam * _sign(ea), B=-lam * _sign(eb),
-                           n_emitted=n, n_admitted=n, mode=mode, kappa=kappa,
-                           n_candidates=n)
-
-    if mode == "pearle-reject":
-        ea, eb = _projections(rng, n, cos_ab, sin_ab)
-        f = _thresholds(rng, n)
-        lam = fair_coin(rng, n)
-        det1 = np.abs(ea) >= f
-        det2 = np.abs(eb) >= f
-        A = np.where(det1, lam * _sign(ea), 0)
-        B = np.where(det2, -lam * _sign(eb), 0)
-        return EnsembleRun(a=a, b=b, A=A, B=B, n_emitted=n,
-                           n_admitted=int(np.sum(det1 & det2)), mode=mode, kappa=kappa,
-                           n_candidates=n)
-
-    # s3: admit candidates chunk by chunk until n are in, all detected
-    A = np.empty(n, dtype=np.int64)
-    B = np.empty(n, dtype=np.int64)
-    got = drawn = 0
-    budget = max_batches * max(1024, n)
-    while got < n:
-        size = min(CHUNK, budget - drawn)
-        if size <= 0:
-            raise RuntimeError(f"rejection sampling did not yield {n} admissible states "
-                               f"within {max_batches} batches")
-        ea, eb = _projections(rng, size, cos_ab, sin_ab)
-        f = _thresholds(rng, size)
-        keep = np.flatnonzero((np.abs(ea) >= f) & (np.abs(eb) >= f))[:n - got]
-        lam = fair_coin(rng, keep.size)
-        A[got:got + keep.size] = lam * _sign(ea[keep])
-        B[got:got + keep.size] = -lam * _sign(eb[keep])
-        got += keep.size
-        drawn += size
-    n_candidates = drawn - size + int(keep[-1]) + 1
-    return EnsembleRun(a=a, b=b, A=A, B=B, n_emitted=n, n_admitted=n, mode=mode,
+    a, b, kappa, rng = _pair_setup(a, b, n, rng_or_seed, mode, kappa)
+    A = B = None
+    got = n_admitted = n_candidates = 0
+    for chunk_A, chunk_B, used in _outcome_chunks(a, b, n, rng, mode, max_batches):
+        if A is None:  # allocated once the first draw's temporaries are freed
+            A, B = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        A[got:got + chunk_A.size] = chunk_A
+        B[got:got + chunk_B.size] = chunk_B
+        got += chunk_A.size
+        n_admitted += int(np.count_nonzero((chunk_A != 0) & (chunk_B != 0)))
+        n_candidates += used
+    return EnsembleRun(a=a, b=b, A=A, B=B, n_emitted=n, n_admitted=n_admitted, mode=mode,
                        kappa=kappa, n_candidates=n_candidates)
+
+
+def _count(A, B) -> np.ndarray:
+    """3x3 int64 table: entry [i, j] counts the pairs with A = i - 1, B = j - 1."""
+    return np.bincount((A + 1) * 3 + (B + 1), minlength=9).reshape(3, 3)
+
+
+def outcome_counts(a, b, n: int, rng_or_seed, mode: str = "s3",
+                   kappa: int = 1) -> np.ndarray:
+    """The outcome-count table of run_pair(a, b, n, rng_or_seed, mode, kappa),
+    summed chunk by chunk, so s3 mode holds O(CHUNK) memory for any n.
+
+    Entry [i, j] counts the pairs with A = i - 1 and B = j - 1, over
+    (A, B) in {-1, 0, +1}^2. Every estimate, table and fraction of a
+    setting pair is a function of this table.
+    """
+    a, b, kappa, rng = _pair_setup(a, b, n, rng_or_seed, mode, kappa)
+    counts = np.zeros((3, 3), dtype=np.int64)
+    for A, B, _ in _outcome_chunks(a, b, n, rng, mode):
+        counts += _count(A, B)
+    return counts
 
 
 def pair_records(a, b, n: int, seed: int, kappa: int = 1) -> list[PairRecord]:
@@ -348,19 +388,24 @@ def probabilities_from_outcomes(eta: float, A, B) -> ProbabilityTable:
     B = np.asarray(B)
     if A.size == 0 or A.shape != B.shape:
         raise ValueError("outcome arrays must be nonempty and congruent")
-    n = A.size
-    frac = lambda mask: float(np.sum(mask) / n)
-    both = (A != 0) & (B != 0)
+    if not (np.isin(A, (-1, 0, 1)).all() and np.isin(B, (-1, 0, 1)).all()):
+        raise ValueError("outcomes must be -1, 0 or +1")
+    A, B = (x.ravel().astype(np.int64, copy=False) for x in (A, B))
+    return _table_from_counts(eta, _count(A, B))
+
+
+def _table_from_counts(eta: float, counts) -> ProbabilityTable:
+    """Probability table from an outcome-count table: every cell is its
+    count over the number of emitted pairs."""
+    (mm, m0, mp), (zm, z0, zp), (pm, p0, pp) = counts.tolist()
+    n = mm + m0 + mp + zm + z0 + zp + pm + p0 + pp
     return ProbabilityTable(
-        eta=float(eta), n=int(n),
-        p_pp=frac((A == 1) & (B == 1)), p_mm=frac((A == -1) & (B == -1)),
-        p_pm=frac((A == 1) & (B == -1)), p_mp=frac((A == -1) & (B == 1)),
-        p_single_plus_1=frac(A == 1), p_single_minus_1=frac(A == -1),
-        p_single_plus_2=frac(B == 1), p_single_minus_2=frac(B == -1),
-        p_00=frac((A == 0) & (B == 0)),
-        p_p0=frac((A == 1) & (B == 0)), p_m0=frac((A == -1) & (B == 0)),
-        p_0p=frac((A == 0) & (B == 1)), p_0m=frac((A == 0) & (B == -1)),
-        g=frac(both),
+        eta=float(eta), n=n,
+        p_pp=pp / n, p_mm=mm / n, p_pm=pm / n, p_mp=mp / n,
+        p_single_plus_1=(pm + p0 + pp) / n, p_single_minus_1=(mm + m0 + mp) / n,
+        p_single_plus_2=(mp + zp + pp) / n, p_single_minus_2=(mm + zm + pm) / n,
+        p_00=z0 / n, p_p0=p0 / n, p_m0=m0 / n, p_0p=zp / n, p_0m=zm / n,
+        g=(pp + mm + pm + mp) / n,
     )
 
 
@@ -404,6 +449,23 @@ def correlation_from_probabilities(table: ProbabilityTable) -> float:
     return (table.p_pp + table.p_mm - table.p_pm - table.p_mp) / total
 
 
+def _estimate(counts, eta: float, mode: str) -> CorrelationEstimate:
+    """Mean of A*B over the detected pairs of a count table, its standard
+    error, and the analytic curve at eta (-cos for the sphere modes, the
+    saw-tooth for flat). N = same + diff pairs with product +1 and -1:
+    e_hat = (same - diff)/N, and the sample variance N(1 - e^2)/(N - 1)
+    is 4*same*diff/(N(N - 1)), so stderr = 2*sqrt(same*diff/(N - 1))/N.
+    e_hat is nan when no pair was detected."""
+    same = int(counts[0, 0] + counts[2, 2])
+    diff = int(counts[0, 2] + counts[2, 0])
+    n = same + diff
+    analytic = (-1.0 + 2.0 * eta / np.pi) if mode == "flat" else -np.cos(eta)
+    return CorrelationEstimate(
+        e_hat=(same - diff) / n if n else float("nan"),
+        stderr=2.0 * math.sqrt(same * diff / (n - 1)) / n if n > 1 else 0.0,
+        n=n, e_analytic=float(analytic))
+
+
 def estimate_pair(a, b, n: int, rng_or_seed, mode: str = "s3",
                   kappa: int = 1) -> CorrelationEstimate:
     """Monte Carlo correlation for one setting pair in the given mode.
@@ -411,17 +473,12 @@ def estimate_pair(a, b, n: int, rng_or_seed, mode: str = "s3",
     The estimate averages A*B over detected pairs; e_analytic is -cos for
     the sphere modes and the saw-tooth for flat.
     """
-    run = run_pair(a, b, n, rng_or_seed, mode, kappa)
-    both = (run.A != 0) & (run.B != 0)
-    prod = (run.A[both] * run.B[both]).astype(float)
-    if prod.size == 0:
+    counts = outcome_counts(a, b, n, rng_or_seed, mode, kappa)
+    eta = float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
+    est = _estimate(counts, eta, mode)
+    if est.n == 0:
         raise ValueError("no coincident detections; increase n")
-    eta = float(np.arccos(np.clip(np.dot(run.a, run.b), -1.0, 1.0)))
-    analytic = (-1.0 + 2.0 * eta / np.pi) if mode == "flat" else -np.cos(eta)
-    return CorrelationEstimate(
-        e_hat=float(prod.mean()),
-        stderr=float(prod.std(ddof=1) / np.sqrt(prod.size)) if prod.size > 1 else 0.0,
-        n=int(prod.size), e_analytic=float(analytic))
+    return est
 
 
 def _planar_setting(deg: float) -> np.ndarray:
@@ -449,26 +506,15 @@ def correlation_curve(mode: str, grid_deg, n_per_angle: int, seed: int,
 
 def curve_point(mode: str, deg: float, n: int, seed: int, index: int,
                 kappa: int = 1) -> CurvePoint:
-    """One grid point of a correlation sweep, on the (seed, index) substream."""
-    a = _planar_setting(0.0)
-    b = _planar_setting(deg)
-    run = run_pair(a, b, n, substream(seed, index), mode, kappa)
-    both = (run.A != 0) & (run.B != 0)
-    prod = (run.A[both] * run.B[both]).astype(float)
-    eta = np.radians(deg)
-    analytic = (-1.0 + 2.0 * eta / np.pi) if mode == "flat" else -np.cos(eta)
-    if mode == "s3":
-        g = run.n_detected_pairs / run.n_admitted
-    elif mode == "flat":
-        g = 1.0
-    else:
-        g = run.n_admitted / run.n_emitted
-    return CurvePoint(
-        eta_deg=float(deg),
-        e_hat=float(prod.mean()) if prod.size else float("nan"),
-        e_analytic=float(analytic),
-        stderr=float(prod.std(ddof=1) / np.sqrt(prod.size)) if prod.size > 1 else 0.0,
-        g=float(g), n=int(prod.size))
+    """One grid point of a correlation sweep, on the (seed, index) substream.
+
+    g is the detected fraction of the emitted (s3: admitted) pairs.
+    """
+    counts = outcome_counts(_planar_setting(0.0), _planar_setting(deg), n,
+                            substream(seed, index), mode, kappa)
+    est = _estimate(counts, np.radians(deg), mode)
+    return CurvePoint(eta_deg=float(deg), e_hat=est.e_hat, e_analytic=est.e_analytic,
+                      stderr=est.stderr, g=est.n / n, n=est.n)
 
 
 def flat_mode_curve(n_per_angle: int, grid_deg, seed: int) -> CorrelationCurve:

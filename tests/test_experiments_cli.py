@@ -300,12 +300,16 @@ def test_cli_flat_vs_s3_csv(tmp_path, run_cli):
     assert "classical" in meta["flat_regime"]
 
 
-def test_cli_reproducible_across_worker_counts(tmp_path, run_cli):
+@pytest.mark.parametrize("args", [
+    ("curve", "--n", "2000", "--grid", "0:180:45"),
+    ("chsh", "--n", "2000", "--format", "json"),
+    ("flat-vs-s3", "--n", "2000", "--grid", "0:180:45"),
+], ids=lambda args: args[0])
+def test_cli_reproducible_across_worker_counts(tmp_path, run_cli, args):
     outputs = []
     for workers in (1, 4, 8):
-        out = tmp_path / f"curve_w{workers}.csv"
-        res = run_cli("curve", "--n", "2000", "--seed", "77", "--grid", "0:180:45",
-                      "--workers", str(workers), "--out", str(out))
+        out = tmp_path / f"{args[0]}_w{workers}.out"
+        res = run_cli(*args, "--seed", "77", "--workers", str(workers), "--out", str(out))
         assert res.returncode == 0, res.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +8,13 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from s3sim.algebra import X_AXIS, Y_AXIS
+from s3sim.experiments import _probability_task
 from s3sim.pearle import (CHUNK, MODES, InitialState, PearleMapping, admissible,
-                          correlation_from_probabilities, detection_fraction,
+                          correlation_from_probabilities, curve_point, detection_fraction,
                           detection_fraction_branches, ensemble_sample, estimate_pair,
-                          flat_mode_curve, pair_records, pearle_f, pearle_f_complement,
-                          probabilities, probabilities_from_outcomes, run_pair)
+                          flat_mode_curve, outcome_counts, pair_records, pearle_f,
+                          pearle_f_complement, probabilities, probabilities_from_outcomes,
+                          run_pair)
 from s3sim.rng import substream
 
 
@@ -273,13 +278,87 @@ def test_flat_mode_landmarks():
     assert abs(by_deg[90.0].e_hat) <= 4.0 * by_deg[90.0].stderr
 
 
-@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+# ensemble sizes around the s3 chunk boundaries
+CHUNK_SIZES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
 def test_s3_returns_exactly_n_definite_outcomes(n):
     run = run_pair(planar(0.0), planar(90.0), n, 69, mode="s3")
     assert run.A.shape == run.B.shape == (n,)
     assert set(np.unique(run.A)) <= {-1, 1} and set(np.unique(run.B)) <= {-1, 1}
     assert run.n_admitted == run.n_detected_pairs == n
     assert run.n_candidates >= n
+
+
+def _reference_table(eta, A, B):
+    """Probability cells from one boolean mask per cell (0 = no detection)."""
+    frac = lambda mask: float(np.sum(mask) / A.size)
+    return {
+        "eta_deg": float(np.degrees(eta)), "n": A.size,
+        "p_pp": frac((A == 1) & (B == 1)), "p_mm": frac((A == -1) & (B == -1)),
+        "p_pm": frac((A == 1) & (B == -1)), "p_mp": frac((A == -1) & (B == 1)),
+        "p_single_plus_1": frac(A == 1), "p_single_minus_1": frac(A == -1),
+        "p_single_plus_2": frac(B == 1), "p_single_minus_2": frac(B == -1),
+        "p_00": frac((A == 0) & (B == 0)),
+        "p_p0": frac((A == 1) & (B == 0)), "p_m0": frac((A == -1) & (B == 0)),
+        "p_0p": frac((A == 0) & (B == 1)), "p_0m": frac((A == 0) & (B == -1)),
+        "g": frac((A != 0) & (B != 0)),
+    }
+
+
+def _same(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+@pytest.mark.parametrize("deg", [0.0, 90.0, 180.0])
+@pytest.mark.parametrize("mode", MODES)
+def test_count_table_reductions_match_outcome_arrays(mode, deg, n):
+    seed, index = 73, 2
+    run = run_pair(planar(0.0), planar(deg), n, substream(seed, index), mode)
+    A, B = run.A, run.B
+    expected = [[int(np.sum((A == i) & (B == j))) for j in (-1, 0, 1)] for i in (-1, 0, 1)]
+    counts = outcome_counts(planar(0.0), planar(deg), n, substream(seed, index), mode)
+    assert counts.tolist() == expected
+
+    # the mean, stderr and g of A*B over detected pairs, from the arrays
+    both = (A != 0) & (B != 0)
+    prod = (A[both] * B[both]).astype(float)
+    e_hat = float(prod.mean()) if prod.size else float("nan")
+    stderr = float(prod.std(ddof=1) / np.sqrt(prod.size)) if prod.size > 1 else 0.0
+    point = curve_point(mode, deg, n, seed, index)
+    assert point.n == prod.size and _same(point.e_hat, e_hat)
+    assert point.stderr == pytest.approx(stderr, rel=1e-15, abs=0.0)
+    assert point.g == np.count_nonzero(both) / n
+    if prod.size == 0:
+        with pytest.raises(ValueError):
+            estimate_pair(planar(0.0), planar(deg), n, substream(seed, index), mode)
+    else:
+        est = estimate_pair(planar(0.0), planar(deg), n, substream(seed, index), mode)
+        assert (est.n, est.e_hat, est.stderr) == (point.n, point.e_hat, point.stderr)
+
+    eta = np.radians(deg)
+    reference = _reference_table(eta, A, B)
+    assert probabilities_from_outcomes(eta, A, B).to_dict() == reference
+    assert _probability_task((mode, deg, n, seed, index, 1)) == reference
+
+
+def test_estimate_pair_memory_is_bounded_by_the_chunk():
+    tracemalloc.start()
+    try:
+        estimate_pair(planar(0.0), planar(90.0), 1_000_000, substream(23, 0), "s3")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_probabilities_from_outcomes_rejects_other_values():
+    with pytest.raises(ValueError):
+        probabilities_from_outcomes(0.0, [2, 1], [-4, 1])
+    with pytest.raises(ValueError):
+        probabilities_from_outcomes(0.0, [0.5, 1.0], [1.0, 1.0])
 
 
 def test_s3_candidate_budget_runs_out():
