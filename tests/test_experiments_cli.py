@@ -300,18 +300,28 @@ def test_cli_flat_vs_s3_csv(tmp_path, run_cli):
     assert "classical" in meta["flat_regime"]
 
 
-@pytest.mark.parametrize("args", [
-    ("curve", "--n", "2000", "--grid", "0:180:45"),
-    ("chsh", "--n", "2000", "--format", "json"),
-    ("flat-vs-s3", "--n", "2000", "--grid", "0:180:45"),
-], ids=lambda args: args[0])
-def test_cli_reproducible_across_worker_counts(tmp_path, run_cli, args):
+def _outputs_across_worker_counts(tmp_path, run_cli, args):
     outputs = []
     for workers in (1, 4, 8):
         out = tmp_path / f"{args[0]}_w{workers}.out"
         res = run_cli(*args, "--seed", "77", "--workers", str(workers), "--out", str(out))
         assert res.returncode == 0, res.stderr
         outputs.append(out.read_bytes())
+    return outputs
+
+
+def test_cli_reproducible_across_worker_counts(tmp_path, run_cli):
+    outputs = _outputs_across_worker_counts(
+        tmp_path, run_cli, ("curve", "--n", "2000", "--grid", "0:180:45"))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("args", [
+    ("chsh", "--n", "2000", "--format", "json"),
+    ("flat-vs-s3", "--n", "2000", "--grid", "0:180:45"),
+], ids=lambda args: args[0])
+def test_cli_pooled_experiments_reproducible_across_worker_counts(tmp_path, run_cli, args):
+    outputs = _outputs_across_worker_counts(tmp_path, run_cli, args)
     assert outputs[0] == outputs[1] == outputs[2]
 
 
