@@ -104,7 +104,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"s3sim: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NumericError, ValueError, ArithmeticError, RuntimeError) as exc:
+    except (NumericError, ArithmeticError, RuntimeError) as exc:
         print(f"s3sim: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     print(out)

@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown model {self.model!r}; choose from {pearle.MODES}")
         if self.n_per_point < 1:
             raise ConfigError("n must be >= 1")
+        if self.n_per_point >= 2**63:  # numpy sizes are int64
+            raise ConfigError(f"n must be < 2**63, got {self.n_per_point}")
         if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}; choose from {FORMATS}")
         if self.kappa < 1:
@@ -146,9 +148,9 @@ def run_curve(config: ExperimentConfig) -> CorrelationCurve:
     tasks = [(config.model, float(deg), config.n_per_point, config.seed, i, config.kappa)
              for i, deg in enumerate(grid)]
     points = _map_tasks(_curve_point_task, tasks, config.workers)
-    curve = CorrelationCurve(points=tuple(points), meta=config.meta())
-    _require_finite([[p.e_hat, p.e_analytic, p.stderr, p.g] for p in curve.points], "curve")
-    return curve
+    # a point with no coincidences has e_hat = nan; CorrelationCurve rejects it
+    _require_finite([[p.e_hat, p.e_analytic, p.stderr, p.g] for p in points], "curve")
+    return CorrelationCurve(points=tuple(points), meta=config.meta())
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +158,7 @@ def run_curve(config: ExperimentConfig) -> CorrelationCurve:
 
 def _chsh_pair_task(args):
     x, y, n, seed, index, mode, kappa = args
-    return pearle.estimate_pair(x, y, n, substream(seed, index), mode, kappa)
+    return pearle._pair_estimate(x, y, n, substream(seed, index), mode, kappa)
 
 
 def chsh_monte_carlo(quad: SettingsQuad, n: int, seed: int, mode: str = "s3",
@@ -167,6 +169,9 @@ def chsh_monte_carlo(quad: SettingsQuad, n: int, seed: int, mode: str = "s3",
              (quad.a_prime, quad.b), (quad.a_prime, quad.b_prime))
     tasks = [(x, y, n, seed, i, mode, kappa) for i, (x, y) in enumerate(pairs)]
     ests = _map_tasks(_chsh_pair_task, tasks, workers)
+    for i, est in enumerate(ests):
+        if est.n == 0:
+            raise NumericError(f"no coincident detections in CHSH setting pair {i}; increase n")
     s = ests[0].e_hat + ests[1].e_hat + ests[2].e_hat - ests[3].e_hat
     stderr = float(np.sqrt(sum(e.stderr ** 2 for e in ests)))
     return CHSHResult(e_ab=ests[0].e_hat, e_abp=ests[1].e_hat, e_apb=ests[2].e_hat,

@@ -246,24 +246,6 @@ def ensemble_sample(n: int, seed: int, *, a, b, kappa: int = 1,
                        f"within {max_batches} batches")
 
 
-def _projections(rng, size: int, cos_ab: float, sin_ab: float):
-    """(e.a, e.b) for `size` directions e uniform on S^2.
-
-    With a at the pole, e.a = z ~ U(-1, 1) (Archimedes' theorem) and
-    e.b = z*cos(eta_ab) + sqrt(1 - z^2)*sin(eta_ab)*cos(phi); the azimuth
-    enters only through cos(phi), so phi ~ U(0, pi) suffices.
-    """
-    z = rng.uniform(-1.0, 1.0, size)
-    cos_phi = np.cos(rng.uniform(0.0, np.pi, size))
-    return z, z * cos_ab + np.sqrt(1.0 - z * z) * (sin_ab * cos_phi)
-
-
-def _thresholds(rng, size: int) -> np.ndarray:
-    """Thresholds f = pearle_f(eta_z_so, kappa) for eta_z_so uniform on
-    [0, kappa*pi]: u = eta_z_so/(kappa*pi) ~ U(0, 1) for every kappa."""
-    return -1.0 + 2.0 / np.sqrt(1.0 + 3.0 * rng.random(size))
-
-
 def _pair_setup(a, b, n: int, rng_or_seed, mode: str, kappa: int):
     """Validated (a, b, kappa, rng) for one setting pair's run."""
     a = _require_unit(a, "a", 3)
@@ -277,32 +259,88 @@ def _pair_setup(a, b, n: int, rng_or_seed, mode: str, kappa: int):
     return a, b, kappa, rng
 
 
-def _one_draw(rng, n: int, cos_ab: float, sin_ab: float, mode: str):
-    """(A, B) of n emitted states in the flat or pearle-reject mode."""
-    ea, eb = _projections(rng, n, cos_ab, sin_ab)
-    if mode == "flat":
-        lam = fair_coin(rng, n)
-        return lam * _sign(ea), -lam * _sign(eb)
-    f = _thresholds(rng, n)
-    lam = fair_coin(rng, n)
-    return (np.where(np.abs(ea) >= f, lam * _sign(ea), 0),
-            np.where(np.abs(eb) >= f, -lam * _sign(eb), 0))
+def _fill_draws(rng, z, phi, f=None) -> None:
+    """Fill z ~ U(-1, 1), phi ~ U(0, pi) and, if given, the thresholds f, in
+    that order and in place, from rng.random's doubles r.
 
-
-def _outcome_chunks(a, b, n: int, rng, mode: str, max_batches: int = 1000):
-    """Yield (A, B, candidates) chunk by chunk for one setting pair.
-
-    s3 draws chunks of CHUNK candidates until n are admitted; candidates
-    counts the draws a chunk used, up to its last admitted state in the
-    final chunk. flat and pearle-reject are one chunk: a single draw of n.
+    z = 2r - 1 and phi = pi*r are the IEEE operations of Generator.uniform
+    (low + (high - low)*r), so they equal uniform(-1, 1) and uniform(0, pi)
+    bit for bit. f = pearle_f(eta_z_so, kappa) for eta_z_so uniform on
+    [0, kappa*pi]: u = eta_z_so/(kappa*pi) ~ U(0, 1) for every kappa, and
+    f = -1 + 2/sqrt(1 + 3u).
     """
-    cos_ab = float(np.clip(a @ b, -1.0, 1.0))
-    sin_ab = float(np.sqrt(1.0 - cos_ab * cos_ab))
-    if mode != "s3":
-        yield *_one_draw(rng, n, cos_ab, sin_ab, mode), n
-        return
+    rng.random(out=z)
+    z *= 2.0
+    z -= 1.0
+    rng.random(out=phi)
+    phi *= np.pi
+    if f is not None:
+        rng.random(out=f)
+        f *= 3.0
+        f += 1.0
+        np.sqrt(f, out=f)
+        np.divide(2.0, f, out=f)
+        f -= 1.0
 
-    # s3: admit candidates chunk by chunk until n are in, all detected
+
+def _project_b(z, cos_phi, cos_ab: float, sin_ab: float, tmp):
+    """e.b for directions with e.a = z and azimuth phi, in place in cos_phi.
+
+    With a at the pole, e.a = z ~ U(-1, 1) (Archimedes' theorem) and
+    e.b = z*cos(eta_ab) + sqrt(1 - z^2)*sin(eta_ab)*cos(phi); the azimuth
+    enters only through cos(phi), so phi ~ U(0, pi) suffices. tmp is
+    scratch of the same size.
+    """
+    cos_phi *= sin_ab
+    np.multiply(z, z, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    cos_phi *= tmp
+    np.multiply(z, cos_ab, out=tmp)
+    cos_phi += tmp
+    return cos_phi
+
+
+def _outcomes(rng, a_up, b_up):
+    """int8 (A, B) from the signs of e.a and e.b (True where >= 0) and one
+    fair coin lam = +/-1 per state: A = lam*sign(e.a), B = -lam*sign(e.b),
+    with sign(0) := +1 (a measure-zero tie-break)."""
+    heads = rng.integers(0, 2, size=a_up.size).astype(bool)  # lam = +1
+    A = np.equal(heads, a_up).view(np.int8)
+    B = np.not_equal(heads, b_up).view(np.int8)
+    for x in (A, B):  # {0, 1} -> {-1, +1}
+        x += x
+        x -= 1
+    return A, B
+
+
+def _one_draw(rng, n: int, cos_ab: float, sin_ab: float, mode: str):
+    """int8 (A, B) of n emitted states in the flat or pearle-reject mode."""
+    z, phi, tmp = np.empty(n), np.empty(n), np.empty(n)
+    f = None if mode == "flat" else np.empty(n)
+    _fill_draws(rng, z, phi, f)
+    eb = _project_b(z, np.cos(phi, out=phi), cos_ab, sin_ab, tmp)
+    a_up, b_up = z >= 0.0, eb >= 0.0
+    if f is not None:  # a wing detects where |e.n| >= f
+        a_seen = (np.abs(z, out=tmp) >= f).view(np.int8)
+        b_seen = (np.abs(eb, out=tmp) >= f).view(np.int8)
+    del z, phi, eb, tmp  # free the n-sized float draws before the coin
+    A, B = _outcomes(rng, a_up, b_up)
+    if f is not None:
+        A *= a_seen
+        B *= b_seen
+    return A, B
+
+
+def _s3_chunks(rng, n: int, cos_ab: float, sin_ab: float, max_batches: int):
+    """Yield int8 (A, B, candidates) per chunk of CHUNK candidates until n
+    are admitted; every admitted state is detected at both wings.
+
+    The a-wing cut |e.a| >= f runs first, and cos(phi) and e.b are computed
+    only for the candidates that pass it. The draws fill buffers reused
+    from chunk to chunk.
+    """
+    z, phi, f, tmp, z_a, f_a, eb = (np.empty(CHUNK) for _ in range(7))
     got = drawn = 0
     budget = max_batches * max(1024, n)
     while got < n:
@@ -310,14 +348,35 @@ def _outcome_chunks(a, b, n: int, rng, mode: str, max_batches: int = 1000):
         if size <= 0:
             raise RuntimeError(f"rejection sampling did not yield {n} admissible states "
                                f"within {max_batches} batches")
-        ea, eb = _projections(rng, size, cos_ab, sin_ab)
-        f = _thresholds(rng, size)
-        keep = np.flatnonzero((np.abs(ea) >= f) & (np.abs(eb) >= f))[:n - got]
-        lam = fair_coin(rng, keep.size)
+        _fill_draws(rng, z[:size], phi[:size], f[:size])
+        idx = np.flatnonzero(np.abs(z[:size], out=tmp[:size]) >= f[:size])
+        k = idx.size
+        # idx is in range; mode="clip" lets take write to out without a buffer
+        np.take(z, idx, out=z_a[:k], mode="clip")
+        np.take(f, idx, out=f_a[:k], mode="clip")
+        np.take(phi, idx, out=eb[:k], mode="clip")
+        np.cos(eb[:k], out=eb[:k])
+        _project_b(z_a[:k], eb[:k], cos_ab, sin_ab, tmp[:k])
+        keep = np.flatnonzero(np.abs(eb[:k], out=tmp[:k]) >= f_a[:k])[:n - got]
+        A, B = _outcomes(rng, z_a[keep] >= 0.0, eb[keep] >= 0.0)
         got += keep.size
         drawn += size
-        yield (lam * _sign(ea[keep]), -lam * _sign(eb[keep]),
-               size if got < n else int(keep[-1]) + 1)
+        yield A, B, size if got < n else int(idx[keep[-1]]) + 1
+
+
+def _outcome_chunks(a, b, n: int, rng, mode: str, max_batches: int = 1000):
+    """Yield int8 (A, B, candidates) chunk by chunk for one setting pair.
+
+    s3 draws chunks of CHUNK candidates until n are admitted; candidates
+    counts the draws a chunk used, up to its last admitted state in the
+    final chunk. flat and pearle-reject are one chunk: a single draw of n.
+    """
+    cos_ab = float(np.clip(a @ b, -1.0, 1.0))
+    sin_ab = float(np.sqrt(1.0 - cos_ab * cos_ab))
+    if mode == "s3":
+        yield from _s3_chunks(rng, n, cos_ab, sin_ab, max_batches)
+    else:
+        yield *_one_draw(rng, n, cos_ab, sin_ab, mode), n
 
 
 def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
@@ -349,8 +408,14 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
 
 
 def _count(A, B) -> np.ndarray:
-    """3x3 int64 table: entry [i, j] counts the pairs with A = i - 1, B = j - 1."""
-    return np.bincount((A + 1) * 3 + (B + 1), minlength=9).reshape(3, 3)
+    """3x3 int64 table: entry [i, j] counts the pairs with A = i - 1, B = j - 1.
+
+    A and B are integer arrays (int8 chunks or int64 outcomes); the cell
+    index 3A + B + 4 stays in their dtype."""
+    cell = A * 3
+    cell += B
+    cell += 4
+    return np.bincount(cell, minlength=9).reshape(3, 3)
 
 
 def outcome_counts(a, b, n: int, rng_or_seed, mode: str = "s3",
@@ -473,12 +538,17 @@ def estimate_pair(a, b, n: int, rng_or_seed, mode: str = "s3",
     The estimate averages A*B over detected pairs; e_analytic is -cos for
     the sphere modes and the saw-tooth for flat.
     """
-    counts = outcome_counts(a, b, n, rng_or_seed, mode, kappa)
-    eta = float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
-    est = _estimate(counts, eta, mode)
+    est = _pair_estimate(a, b, n, rng_or_seed, mode, kappa)
     if est.n == 0:
         raise ValueError("no coincident detections; increase n")
     return est
+
+
+def _pair_estimate(a, b, n: int, rng_or_seed, mode: str, kappa: int) -> CorrelationEstimate:
+    """estimate_pair without its check: e_hat is nan when no pair was detected."""
+    counts = outcome_counts(a, b, n, rng_or_seed, mode, kappa)
+    eta = float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
+    return _estimate(counts, eta, mode)
 
 
 def _planar_setting(deg: float) -> np.ndarray:

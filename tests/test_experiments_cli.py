@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from s3sim import cli
 from s3sim.bounds import TSIRELSON, canonical_quad
 from s3sim.curves import (CorrelationCurve, CurvePoint, parse_grid, read_curve_csv,
                           read_curve_json, write_curve_csv, write_curve_json)
@@ -221,6 +222,15 @@ def test_cli_seed_outside_64_bits_is_usage_error(tmp_path, run_cli, args):
     assert not out.exists()
 
 
+def test_cli_n_outside_64_bits_is_usage_error(tmp_path, run_cli):
+    out = tmp_path / "x.csv"
+    res = run_cli("probabilities", "--model", "pearle-reject", "--n", str(2**63),
+                  "--seed", "1", "--grid", "0:0:5", "--out", str(out))
+    assert res.returncode == 2
+    assert "usage error" in res.stderr
+    assert not out.exists()
+
+
 def test_cli_unknown_experiment_is_usage_error(run_cli):
     res = run_cli("frobnicate", "--seed", "1")
     assert res.returncode == 2
@@ -245,6 +255,27 @@ def test_cli_numeric_failure_exit_code(tmp_path, run_cli):
                   "--grid", "0:180:90", "--out", str(tmp_path / "x.csv"))
     assert res.returncode == 4
     assert "numeric failure" in res.stderr
+
+
+def test_cli_chsh_without_coincidences_is_numeric_failure(tmp_path, run_cli):
+    # one emitted pair per setting pair in rejection mode leaves some pair
+    # with no coincidences, so its correlation is undefined
+    out = tmp_path / "x.csv"
+    res = run_cli("chsh", "--model", "pearle-reject", "--n", "1", "--seed", "1",
+                  "--out", str(out))
+    assert res.returncode == 4
+    assert "numeric failure" in res.stderr and "coincident" in res.stderr
+    assert not out.exists()
+
+
+def test_cli_value_error_is_not_a_numeric_failure(tmp_path, monkeypatch, capsys):
+    def broken(config):
+        raise ValueError("a bug, not a number")
+
+    monkeypatch.setattr(cli, "run", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        cli.main(["bounds", "--seed", "1", "--out", str(tmp_path / "x.csv")])
+    assert "numeric failure" not in capsys.readouterr().err
 
 
 def test_cli_config_file_with_flag_override(tmp_path, run_cli):

@@ -15,6 +15,7 @@ from s3sim.pearle import (CHUNK, MODES, InitialState, PearleMapping, admissible,
                           flat_mode_curve, outcome_counts, pair_records, pearle_f,
                           pearle_f_complement, probabilities, probabilities_from_outcomes,
                           run_pair)
+from s3sim.pearle import _fill_draws
 from s3sim.rng import substream
 
 
@@ -342,6 +343,84 @@ def test_count_table_reductions_match_outcome_arrays(mode, deg, n):
     reference = _reference_table(eta, A, B)
     assert probabilities_from_outcomes(eta, A, B).to_dict() == reference
     assert _probability_task((mode, deg, n, seed, index, 1)) == reference
+
+
+# run_pair's outcome-count table, n_candidates and n_admitted on substream
+# (2022, 5), for a at 0 degrees and b at eta: a stream pin. Any change to the
+# draws, their order or the outcome rule changes some of these numbers.
+PINNED_RUNS = {
+    ("s3", 0, 1): ([[0, 0, 1], [0, 0, 0], [0, 0, 0]], 3, 1),
+    ("s3", 0, 16385): ([[0, 0, 8159], [0, 0, 0], [8226, 0, 0]], 24528, 16385),
+    ("s3", 0, 49157): ([[0, 0, 24447], [0, 0, 0], [24710, 0, 0]], 74089, 49157),
+    ("s3", 45, 1): ([[1, 0, 0], [0, 0, 0], [0, 0, 0]], 3, 1),
+    ("s3", 45, 16385): ([[1245, 0, 6888], [0, 0, 0], [7047, 0, 1205]], 31294, 16385),
+    ("s3", 45, 49157): ([[3616, 0, 20772], [0, 0, 0], [21099, 0, 3670]], 94380, 49157),
+    ("s3", 90, 1): ([[1, 0, 0], [0, 0, 0], [0, 0, 0]], 3, 1),
+    ("s3", 90, 16385): ([[4125, 0, 3992], [0, 0, 0], [4209, 0, 4059]], 33830, 16385),
+    ("s3", 90, 49157): ([[12332, 0, 12166], [0, 0, 0], [12270, 0, 12389]], 101810, 49157),
+    ("s3", 180, 1): ([[1, 0, 0], [0, 0, 0], [0, 0, 0]], 3, 1),
+    ("s3", 180, 16385): ([[8159, 0, 0], [0, 0, 0], [0, 0, 8226]], 24528, 16385),
+    ("s3", 180, 49157): ([[24447, 0, 0], [0, 0, 0], [0, 0, 24710]], 74089, 49157),
+    ("pearle-reject", 0, 1): ([[0, 0, 0], [0, 0, 0], [1, 0, 0]], 1, 1),
+    ("pearle-reject", 0, 16385): ([[0, 0, 5491], [0, 5417, 0], [5477, 0, 0]], 16385, 10968),
+    ("pearle-reject", 0, 49157): ([[0, 0, 16216], [0, 16504, 0], [16437, 0, 0]], 49157, 32653),
+    ("pearle-reject", 45, 1): ([[0, 0, 0], [0, 0, 0], [1, 0, 0]], 1, 1),
+    ("pearle-reject", 45, 16385): ([[604, 1202, 3685], [1161, 3101, 1155], [3687, 1161, 629]], 16385, 8605),
+    ("pearle-reject", 45, 49157): ([[1933, 3464, 10819], [3505, 9404, 3595], [11035, 3541, 1861]], 49157, 25648),
+    ("pearle-reject", 90, 1): ([[0, 0, 0], [0, 0, 0], [1, 0, 0]], 1, 1),
+    ("pearle-reject", 90, 16385): ([[2015, 1508, 1968], [1489, 2443, 1485], [2007, 1520, 1950]], 16385, 7940),
+    ("pearle-reject", 90, 49157): ([[5938, 4382, 5896], [4519, 7441, 4544], [5951, 4634, 5852]], 49157, 23637),
+    ("pearle-reject", 180, 1): ([[0, 0, 0], [0, 0, 0], [0, 0, 1]], 1, 1),
+    ("pearle-reject", 180, 16385): ([[5491, 0, 0], [0, 5417, 0], [0, 0, 5477]], 16385, 10968),
+    ("pearle-reject", 180, 49157): ([[16216, 0, 0], [0, 16504, 0], [0, 0, 16437]], 49157, 32653),
+    ("flat", 0, 1): ([[0, 0, 0], [0, 0, 0], [1, 0, 0]], 1, 1),
+    ("flat", 0, 16385): ([[0, 0, 8131], [0, 0, 0], [8254, 0, 0]], 16385, 16385),
+    ("flat", 0, 49157): ([[0, 0, 24592], [0, 0, 0], [24565, 0, 0]], 49157, 49157),
+    ("flat", 45, 1): ([[0, 0, 0], [0, 0, 0], [1, 0, 0]], 1, 1),
+    ("flat", 45, 16385): ([[2037, 0, 6094], [0, 0, 0], [6257, 0, 1997]], 16385, 16385),
+    ("flat", 45, 49157): ([[6096, 0, 18496], [0, 0, 0], [18389, 0, 6176]], 49157, 49157),
+    ("flat", 90, 1): ([[0, 0, 0], [0, 0, 0], [1, 0, 0]], 1, 1),
+    ("flat", 90, 16385): ([[4044, 0, 4087], [0, 0, 0], [4186, 0, 4068]], 16385, 16385),
+    ("flat", 90, 49157): ([[12281, 0, 12311], [0, 0, 0], [12341, 0, 12224]], 49157, 49157),
+    ("flat", 180, 1): ([[0, 0, 0], [0, 0, 0], [0, 0, 1]], 1, 1),
+    ("flat", 180, 16385): ([[8131, 0, 0], [0, 0, 0], [0, 0, 8254]], 16385, 16385),
+    ("flat", 180, 49157): ([[24592, 0, 0], [0, 0, 0], [0, 0, 24565]], 49157, 49157),
+}
+
+
+@pytest.mark.parametrize("mode, deg, n", sorted(PINNED_RUNS))
+def test_run_pair_stream_is_pinned(mode, deg, n):
+    table, n_candidates, n_admitted = PINNED_RUNS[mode, deg, n]
+    run = run_pair(planar(0.0), planar(deg), n, substream(2022, 5), mode)
+    assert run.A.dtype == run.B.dtype == np.int64
+    counts = [[int(np.sum((run.A == i) & (run.B == j))) for j in (-1, 0, 1)] for i in (-1, 0, 1)]
+    assert (counts, run.n_candidates, run.n_admitted) == (table, n_candidates, n_admitted)
+
+
+def test_fill_draws_match_generator_uniform():
+    size = 1023  # not a multiple of the SIMD width
+    z, phi, f = np.empty(size), np.empty(size), np.empty(size)
+    _fill_draws(substream(29, 3), z, phi, f)
+    ref = substream(29, 3)
+    assert np.array_equal(z, ref.uniform(-1.0, 1.0, size))
+    assert np.array_equal(phi, ref.uniform(0.0, np.pi, size))
+    assert np.array_equal(f, -1.0 + 2.0 / np.sqrt(1.0 + 3.0 * ref.random(size)))
+    # without thresholds only z and phi are drawn
+    g, ref = substream(29, 4), substream(29, 4)
+    _fill_draws(g, z, phi)
+    ref.random(2 * size)
+    assert g.random() == ref.random()
+
+
+@pytest.mark.parametrize("mode", ["pearle-reject", "flat"])
+def test_one_draw_memory_is_bounded(mode):
+    tracemalloc.start()
+    try:
+        estimate_pair(planar(0.0), planar(90.0), 1_000_000, substream(23, 0), mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_estimate_pair_memory_is_bounded_by_the_chunk():
