@@ -15,6 +15,10 @@ import numpy as np
 
 CSV_COLUMNS = ("eta_deg", "e_hat", "e_analytic", "stderr", "g", "n")
 
+# most points a grid range may give, and most steps a geodesic run may take:
+# a 1e5-step geodesic run peaks near 90 MiB, and memory grows linearly beyond
+MAX_POINTS = 100_000
+
 
 def fmt9(x: float) -> str:
     """Format a float with 9 significant digits (locale-independent)."""
@@ -109,7 +113,8 @@ def read_curve_json(path) -> CorrelationCurve:
 
 def parse_grid(spec) -> np.ndarray:
     """Angle grid in degrees from 'start:stop:step', a (start, stop, step)
-    triple, or an explicit sequence; must lie within [0, 180]."""
+    triple, or an explicit sequence; must lie within [0, 180]. A range may
+    give at most MAX_POINTS points, checked before the grid is built."""
     if isinstance(spec, str):
         parts = spec.split(":")
         if len(parts) != 3:
@@ -120,7 +125,11 @@ def parse_grid(spec) -> np.ndarray:
         start, stop, step = spec
         if step <= 0:
             raise ValueError("grid step must be positive")
-        grid = np.arange(start, stop + 0.5 * step, step, dtype=float)
+        stop += 0.5 * step
+        # the unrounded arange length; "not <=" also rejects nan and inf
+        if not (stop - start) / step <= MAX_POINTS:
+            raise ValueError(f"grid must have at most {MAX_POINTS} points")
+        grid = np.arange(start, stop, step, dtype=float)
     else:
         grid = np.asarray(list(spec), dtype=float)
     if grid.size == 0:

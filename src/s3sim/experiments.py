@@ -19,8 +19,8 @@ from .algebra import geodesic_sweep
 from .bounds import (CANONICAL_QUAD_DEGREES, CHSHResult, SettingsQuad, bound_report,
                      canonical_quad, chsh, classify_regime, cosine_correlation,
                      sawtooth_correlation)
-from .curves import (CorrelationCurve, CurvePoint, curve_to_dict, fmt9, parse_grid,
-                     write_curve_csv, write_curve_json)
+from .curves import (MAX_POINTS, CorrelationCurve, CurvePoint, curve_to_dict, fmt9,
+                     parse_grid, write_curve_csv, write_curve_json)
 from .rng import substream
 
 EXPERIMENTS = ("curve", "chsh", "geodesic", "bounds", "probabilities", "flat-vs-s3")
@@ -65,8 +65,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown format {self.format!r}; choose from {FORMATS}")
         if self.kappa < 1:
             raise ConfigError("kappa must be >= 1")
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
+        if not 1 <= self.steps <= MAX_POINTS:
+            raise ConfigError(f"steps must be in [1, {MAX_POINTS}], got {self.steps}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         try:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .algebra import _require_unit
 from .curves import CorrelationCurve, CurvePoint
-from .rng import fair_coin, substream, uniform_sphere
+from .rng import substream
 from .singlet import CorrelationEstimate
 
 MODES = ("s3", "pearle-reject", "flat")
@@ -184,26 +184,6 @@ class EnsembleRun:
         return int(np.sum((self.A != 0) & (self.B != 0)))
 
 
-def _sign(x) -> np.ndarray:
-    # sign(0) := +1 (deterministic tie-break; measure-zero event)
-    return np.where(np.asarray(x) >= 0.0, 1, -1)
-
-
-def _draw_states(rng, n: int, kappa: int):
-    """Candidate states: e_o uniform on S^2; eta_z_so uniform on [0, kappa*pi]
-    (the validated density, see module docstring); s_o at that polar angle
-    from z with uniform azimuth."""
-    e_o = uniform_sphere(rng, n)
-    eta = rng.uniform(0.0, kappa * np.pi, size=n)
-    f = pearle_f(eta, kappa)
-    polar = np.mod(eta, 2.0 * np.pi)
-    polar = np.where(polar > np.pi, 2.0 * np.pi - polar, polar)
-    az = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    s_o = np.stack([np.sin(polar) * np.cos(az), np.sin(polar) * np.sin(az),
-                    np.cos(polar)], axis=-1)
-    return e_o, eta, f, s_o
-
-
 def admissible(e_o, f, *settings) -> np.ndarray:
     """Membership condition of the pre-selected ensemble: |n.e_o| >= f for
     every realized setting n. At f = 1 the admissibility cone collapses to
@@ -224,26 +204,10 @@ def ensemble_sample(n: int, seed: int, *, a, b, kappa: int = 1,
     Admission is checked against the run's realized measurement context;
     every admitted state yields a definite +/-1 outcome at both wings, so
     downstream detection never discards (one-to-one correspondence between
-    admitted and detected states).
+    admitted and detected states). These are the states of
+    pair_records(a, b, n, seed, kappa).
     """
-    if n < 1:
-        raise ValueError("ensemble size n must be >= 1")
-    a = _require_unit(a, "a", 3)
-    b = _require_unit(b, "b", 3)
-    kappa = _check_kappa(kappa)
-    rng = substream(seed)
-    out: list[InitialState] = []
-    batch = max(1024, n)
-    for _ in range(max_batches):
-        e_o, eta, f, s_o = _draw_states(rng, batch, kappa)
-        keep = np.flatnonzero(admissible(e_o, f, a, b))
-        for i in keep:
-            out.append(InitialState(e_o=e_o[i], s_o=s_o[i],
-                                    eta_z_so=float(eta[i]), threshold=float(f[i])))
-            if len(out) == n:
-                return out
-    raise RuntimeError(f"rejection sampling did not yield {n} admissible states "
-                       f"within {max_batches} batches")
+    return _admitted_states(a, b, n, seed, kappa, max_batches)[0]
 
 
 def _pair_setup(a, b, n: int, rng_or_seed, mode: str, kappa: int):
@@ -333,12 +297,14 @@ def _one_draw(rng, n: int, cos_ab: float, sin_ab: float, mode: str):
 
 
 def _s3_chunks(rng, n: int, cos_ab: float, sin_ab: float, max_batches: int):
-    """Yield int8 (A, B, candidates) per chunk of CHUNK candidates until n
-    are admitted; every admitted state is detected at both wings.
+    """Yield int8 (A, B, candidates, draws) per chunk of CHUNK candidates
+    until n are admitted; every admitted state is detected at both wings.
 
     The a-wing cut |e.a| >= f runs first, and cos(phi) and e.b are computed
     only for the candidates that pass it. The draws fill buffers reused
-    from chunk to chunk.
+    from chunk to chunk. draws = (z, phi, f, idx, keep) holds those buffers
+    themselves, not copies, so it is valid only until the next chunk: the
+    chunk's admitted states sit at positions idx[keep], in outcome order.
     """
     z, phi, f, tmp, z_a, f_a, eb = (np.empty(CHUNK) for _ in range(7))
     got = drawn = 0
@@ -361,22 +327,24 @@ def _s3_chunks(rng, n: int, cos_ab: float, sin_ab: float, max_batches: int):
         A, B = _outcomes(rng, z_a[keep] >= 0.0, eb[keep] >= 0.0)
         got += keep.size
         drawn += size
-        yield A, B, size if got < n else int(idx[keep[-1]]) + 1
+        yield A, B, size if got < n else int(idx[keep[-1]]) + 1, (z, phi, f, idx, keep)
 
 
 def _outcome_chunks(a, b, n: int, rng, mode: str, max_batches: int = 1000):
-    """Yield int8 (A, B, candidates) chunk by chunk for one setting pair.
+    """Yield int8 (A, B, candidates, draws) chunk by chunk for one setting pair.
 
     s3 draws chunks of CHUNK candidates until n are admitted; candidates
     counts the draws a chunk used, up to its last admitted state in the
-    final chunk. flat and pearle-reject are one chunk: a single draw of n.
+    final chunk, and draws exposes the chunk's admitted states (see
+    _s3_chunks). flat and pearle-reject are one chunk: a single draw of n,
+    with draws None.
     """
     cos_ab = float(np.clip(a @ b, -1.0, 1.0))
     sin_ab = float(np.sqrt(1.0 - cos_ab * cos_ab))
     if mode == "s3":
         yield from _s3_chunks(rng, n, cos_ab, sin_ab, max_batches)
     else:
-        yield *_one_draw(rng, n, cos_ab, sin_ab, mode), n
+        yield *_one_draw(rng, n, cos_ab, sin_ab, mode), n, None
 
 
 def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
@@ -395,7 +363,7 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
     a, b, kappa, rng = _pair_setup(a, b, n, rng_or_seed, mode, kappa)
     A = B = None
     got = n_admitted = n_candidates = 0
-    for chunk_A, chunk_B, used in _outcome_chunks(a, b, n, rng, mode, max_batches):
+    for chunk_A, chunk_B, used, _ in _outcome_chunks(a, b, n, rng, mode, max_batches):
         if A is None:  # allocated once the first draw's temporaries are freed
             A, B = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
         A[got:got + chunk_A.size] = chunk_A
@@ -429,22 +397,57 @@ def outcome_counts(a, b, n: int, rng_or_seed, mode: str = "s3",
     """
     a, b, kappa, rng = _pair_setup(a, b, n, rng_or_seed, mode, kappa)
     counts = np.zeros((3, 3), dtype=np.int64)
-    for A, B, _ in _outcome_chunks(a, b, n, rng, mode):
+    for A, B, _, _ in _outcome_chunks(a, b, n, rng, mode):
         counts += _count(A, B)
     return counts
 
 
+def _frame(a, b):
+    """Unit (u1, u2) with u1 along b - (a.b)a and u2 = a x u1; when a is
+    parallel to b, u1 is any unit vector orthogonal to a."""
+    w = np.cross(a, b)  # along u2, |w| = sin(eta_ab)
+    if np.linalg.norm(w) < 1e-12:  # no direction to trust: take any normal of a
+        w = np.cross(a, np.eye(3)[np.argmin(np.abs(a))])
+    u1 = np.cross(w, a)  # u1 = unit(w x a) is orthogonal to a even when w is not
+    u1 /= np.linalg.norm(u1)
+    return u1, np.cross(a, u1)
+
+
+def _admitted_states(a, b, n: int, seed: int, kappa: int, max_batches: int = 1000):
+    """(states, A, B) of the n admitted states of run_pair(a, b, n, seed, "s3").
+
+    The kernel gives z = e.a, phi, f and the outcomes. e_o = z a +
+    sqrt(1 - z^2)(cos(phi) u1 + sign sin(phi) u2) in _frame(a, b), so e_o.b
+    is the kernel's projection, and eta_z_so inverts pearle_f.
+    substream(seed, 1) draws what no outcome depends on: s_o's azimuth, then
+    the sign."""
+    a, b, kappa, rng = _pair_setup(a, b, n, seed, "s3", kappa)
+    chunks = []
+    for A, B, _, (z, phi, f, idx, keep) in _outcome_chunks(a, b, n, rng, "s3", max_batches):
+        rows = idx[keep]
+        chunks.append((z[rows], phi[rows], f[rows], A, B))
+    z, phi, f, A, B = (np.concatenate(c) for c in zip(*chunks))
+    extra = substream(seed, 1)
+    az = extra.uniform(0.0, 2.0 * np.pi, size=n)
+    sign = 2 * extra.integers(0, 2, size=n) - 1
+    r = np.sqrt(1.0 - z * z)
+    basis = np.array([a, *_frame(a, b)])
+    e_o = np.stack([z, r * np.cos(phi), sign * r * np.sin(phi)], axis=-1) @ basis
+    eta = np.clip(kappa * np.pi * ((2.0 / (1.0 + f)) ** 2 - 1.0) / 3.0, 0.0, kappa * np.pi)
+    # s_o at angle eta_z_so from z, folded into [0, pi]: sin of the fold is |sin(eta)|
+    sin_polar = np.abs(np.sin(eta))
+    s_o = np.stack([sin_polar * np.cos(az), sin_polar * np.sin(az), np.cos(eta)], axis=-1)
+    states = [InitialState(e_o=e, s_o=s, eta_z_so=x, threshold=t)
+              for e, s, x, t in zip(e_o, s_o, eta.tolist(), f.tolist())]
+    return states, A, B
+
+
 def pair_records(a, b, n: int, seed: int, kappa: int = 1) -> list[PairRecord]:
-    """Admitted states with their outcomes, for the s3 ensemble."""
-    states = ensemble_sample(n, seed, a=a, b=b, kappa=kappa)
-    rng = substream(seed, 1)
-    lam = fair_coin(rng, n)
-    out = []
-    for state, l in zip(states, lam):
-        A = int(l * _sign(np.dot(state.e_o, a)))
-        B = int(-l * _sign(np.dot(state.e_o, b)))
-        out.append(PairRecord(state=state, A=A, B=B))
-    return out
+    """Admitted states with their outcomes, for the s3 ensemble. A and B
+    are the outcomes of run_pair(a, b, n, seed, "s3", kappa)."""
+    states, A, B = _admitted_states(a, b, n, seed, kappa)
+    return [PairRecord(state=state, A=x, B=y)
+            for state, x, y in zip(states, A.tolist(), B.tolist())]
 
 
 def probabilities_from_outcomes(eta: float, A, B) -> ProbabilityTable:
@@ -476,12 +479,8 @@ def _table_from_counts(eta: float, counts) -> ProbabilityTable:
 
 def probabilities(eta: float, records) -> ProbabilityTable:
     """Empirical probability table from a stream of records with A/B fields."""
-    records = list(records)
-    if not records:
-        raise ValueError("empty record stream")
-    A = np.array([r.A for r in records])
-    B = np.array([r.B for r in records])
-    return probabilities_from_outcomes(eta, A, B)
+    outcomes = np.array([(r.A, r.B) for r in records]).reshape(-1, 2)
+    return probabilities_from_outcomes(eta, outcomes[:, 0], outcomes[:, 1])
 
 
 def detection_fraction(eta: float, table: ProbabilityTable) -> float:

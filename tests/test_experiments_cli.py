@@ -8,8 +8,8 @@ import pytest
 
 from s3sim import cli
 from s3sim.bounds import TSIRELSON, canonical_quad
-from s3sim.curves import (CorrelationCurve, CurvePoint, parse_grid, read_curve_csv,
-                          read_curve_json, write_curve_csv, write_curve_json)
+from s3sim.curves import (MAX_POINTS, CorrelationCurve, CurvePoint, parse_grid,
+                          read_curve_csv, read_curve_json, write_curve_csv, write_curve_json)
 from s3sim.experiments import (ConfigError, ExperimentConfig, _pool_size, chsh_monte_carlo,
                                compare_models, parse_config_file, read_rows_csv, run,
                                run_bounds, run_chsh, run_curve, run_geodesic,
@@ -55,6 +55,16 @@ def test_config_validation():
     assert cfg().validated().seed == 42
     assert cfg(seed=0).validated().seed == 0
     assert cfg(seed=2**64 - 1).validated().seed == 2**64 - 1
+
+
+def test_point_limit_applies_to_grids_and_steps():
+    assert parse_grid((0.0, 180.0, 180.0 / (MAX_POINTS - 1))).size == MAX_POINTS
+    with pytest.raises(ValueError):
+        parse_grid((0.0, 180.0, 180.0 / MAX_POINTS))  # MAX_POINTS + 1 points
+    assert cfg(experiment="geodesic", steps=MAX_POINTS).validated().steps == MAX_POINTS
+    for steps in (0, MAX_POINTS + 1):
+        with pytest.raises(ConfigError):
+            cfg(experiment="geodesic", steps=steps).validated()
 
 
 def test_pool_size_never_exceeds_tasks_or_cpus(monkeypatch):
@@ -226,6 +236,19 @@ def test_cli_n_outside_64_bits_is_usage_error(tmp_path, run_cli):
     out = tmp_path / "x.csv"
     res = run_cli("probabilities", "--model", "pearle-reject", "--n", str(2**63),
                   "--seed", "1", "--grid", "0:0:5", "--out", str(out))
+    assert res.returncode == 2
+    assert "usage error" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("curve", "--n", "10", "--grid", "0:180:1e-9"),
+    ("geodesic", "--steps", "100000000000"),
+], ids=lambda args: args[0])
+def test_cli_oversized_grid_or_steps_is_usage_error(tmp_path, run_cli, args):
+    # both used to end in a numpy allocation error and exit 1
+    out = tmp_path / "x.csv"
+    res = run_cli(*args, "--seed", "1", "--out", str(out))
     assert res.returncode == 2
     assert "usage error" in res.stderr
     assert not out.exists()

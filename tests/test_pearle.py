@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from s3sim.algebra import X_AXIS, Y_AXIS
+from s3sim.algebra import X_AXIS, Y_AXIS, Z_AXIS
 from s3sim.experiments import _probability_task
 from s3sim.pearle import (CHUNK, MODES, InitialState, PearleMapping, admissible,
                           correlation_from_probabilities, curve_point, detection_fraction,
@@ -15,7 +15,7 @@ from s3sim.pearle import (CHUNK, MODES, InitialState, PearleMapping, admissible,
                           flat_mode_curve, outcome_counts, pair_records, pearle_f,
                           pearle_f_complement, probabilities, probabilities_from_outcomes,
                           run_pair)
-from s3sim.pearle import _fill_draws
+from s3sim.pearle import _fill_draws, _table_from_counts
 from s3sim.rng import substream
 
 
@@ -124,6 +124,40 @@ def test_ensemble_sampler_cap():
         # settings 90 degrees apart and threshold pinned near 1 by a tiny
         # batch budget: cannot fill the request
         ensemble_sample(10**6, seed=53, a=planar(0.0), b=planar(90.0), max_batches=1)
+
+
+@pytest.mark.parametrize("deg", [0.0, 90.0, 180.0])
+def test_pair_records_match_run_pair(deg):
+    # the records come from run_pair's own kernel, across a chunk boundary
+    a, b, n, eta = planar(0.0), planar(deg), CHUNK + 1, np.radians(deg)
+    records = pair_records(a, b, n, seed=74)
+    run = run_pair(a, b, n, 74, "s3")
+    assert np.array_equal([r.A for r in records], run.A)
+    assert np.array_equal([r.B for r in records], run.B)
+    expected = _table_from_counts(eta, outcome_counts(a, b, n, 74, "s3"))
+    assert probabilities(eta, records).to_dict() == expected.to_dict()
+
+
+@pytest.mark.parametrize("deg", [0.0, 90.0, 180.0])
+def test_rebuilt_states_are_admissible_unit_and_symmetric_about_a(deg):
+    # 0 and 180 degrees have a parallel to b, where the frame picks any normal
+    a, b, n = planar(0.0), planar(deg), 10_000
+    for kappa in (1, 3):
+        states = ensemble_sample(n, seed=75, a=a, b=b, kappa=kappa)
+        e_o = np.array([s.e_o for s in states])
+        s_o = np.array([s.s_o for s in states])
+        eta = np.array([s.eta_z_so for s in states])
+        f = np.array([s.threshold for s in states])
+        assert admissible(e_o, f, a, b).all()
+        assert np.max(np.abs(np.linalg.norm(e_o, axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.linalg.norm(s_o, axis=1) - 1.0)) < 1e-12
+        assert np.all((eta >= 0.0) & (eta <= kappa * np.pi))
+        assert np.max(np.abs(pearle_f(eta, kappa) - f)) < 1e-12
+        # e_o's azimuth about a covers the whole circle: a missing sign
+        # bit would leave e_o.u2 >= 0, and u2 is Y or Z for a = X
+        for normal in (Y_AXIS, Z_AXIS):
+            proj = e_o @ normal
+            assert abs(proj.mean()) <= 4.0 * proj.std() / np.sqrt(n)
 
 
 # ---------------------------------------------------------------------------
