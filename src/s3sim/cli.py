@@ -3,7 +3,8 @@
 Subcommands: curve, chsh, geodesic, bounds, probabilities, flat-vs-s3.
 Flags may also come from a flat key=value config file (--config); explicit
 flags override file values. Seeds are mandatory. Exit codes: 0 success,
-2 usage error, 3 I/O error, 4 numeric failure.
+2 usage error (including an --n too large to allocate), 3 I/O error, 4 numeric
+failure.
 """
 from __future__ import annotations
 
@@ -104,6 +105,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"s3sim: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        # the flat and pearle-reject models draw all n states of a pair at once
+        print(f"s3sim: usage error: --n {config.n_per_point} is too large for the "
+              f"{config.model} model ({exc})", file=sys.stderr)
+        return EXIT_USAGE
     except (NumericError, ArithmeticError, RuntimeError) as exc:
         print(f"s3sim: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -43,6 +43,10 @@ MODES = ("s3", "pearle-reject", "flat")
 # candidates per s3 draw: small enough that a chunk's arrays stay in cache
 CHUNK = 1 << 14
 
+# half-width of the band around a sign or cut decision in which e.b is
+# redone with the float64 cos (see _screened_eb)
+_SCREEN = 1e-6
+
 _DENOM_TOL = 1e-12
 
 
@@ -278,21 +282,49 @@ def _outcomes(rng, a_up, b_up):
     return A, B
 
 
+def _screened_eb(z, phi, f, cos_ab: float, sin_ab: float, eb, tmp):
+    """e.b of _project_b into eb, from a float32 cos of phi, redone with the
+    float64 cos where a decision is within _SCREEN: the sign, |e.b| < _SCREEN,
+    and, given thresholds f, the cut, ||e.b| - f| < _SCREEN.
+
+    float32(phi) and its float32 cos are within 1.6e-7 of cos(phi) on
+    [0, pi), and e.b moves by that times |sin(eta_ab) sqrt(1 - z^2)| <= 1,
+    so every sign and cut equals the one of the float64 e.b."""
+    np.cos(phi, out=eb, dtype=np.float32)
+    _project_b(z, eb, cos_ab, sin_ab, tmp)
+    near = np.abs(eb, out=tmp) < _SCREEN
+    if f is not None:
+        tmp -= f
+        near |= np.abs(tmp, out=tmp) < _SCREEN
+    redo = np.flatnonzero(near)
+    if redo.size:
+        eb[redo] = _project_b(z[redo], np.cos(phi[redo]), cos_ab, sin_ab, np.empty(redo.size))
+    return eb
+
+
 def _one_draw(rng, n: int, cos_ab: float, sin_ab: float, mode: str):
-    """int8 (A, B) of n emitted states in the flat or pearle-reject mode."""
-    z, phi, tmp = np.empty(n), np.empty(n), np.empty(n)
+    """int8 (A, B) of n emitted states in the flat or pearle-reject mode: one
+    draw of n, then e.b and its signs and cuts CHUNK by CHUNK."""
+    z, phi = np.empty(n), np.empty(n)
     f = None if mode == "flat" else np.empty(n)
     _fill_draws(rng, z, phi, f)
-    eb = _project_b(z, np.cos(phi, out=phi), cos_ab, sin_ab, tmp)
-    a_up, b_up = z >= 0.0, eb >= 0.0
-    if f is not None:  # a wing detects where |e.n| >= f
-        a_seen = (np.abs(z, out=tmp) >= f).view(np.int8)
-        b_seen = (np.abs(eb, out=tmp) >= f).view(np.int8)
-    del z, phi, eb, tmp  # free the n-sized float draws before the coin
-    A, B = _outcomes(rng, a_up, b_up)
-    if f is not None:
-        A *= a_seen
-        B *= b_seen
+    # rows a_up, b_up (True where e.n >= 0) and, with thresholds, a_seen, b_seen
+    bits = np.empty((2 if f is None else 4, n), dtype=bool)
+    eb, tmp = np.empty(min(n, CHUNK)), np.empty(min(n, CHUNK))
+    for lo in range(0, n, CHUNK):
+        c, k = slice(lo, lo + CHUNK), min(CHUNK, n - lo)
+        f_c = None if f is None else f[c]
+        e = _screened_eb(z[c], phi[c], f_c, cos_ab, sin_ab, eb[:k], tmp[:k])
+        np.greater_equal(z[c], 0.0, out=bits[0, c])
+        np.greater_equal(e, 0.0, out=bits[1, c])
+        if f is not None:  # a wing detects where |e.n| >= f
+            np.greater_equal(np.abs(z[c], out=tmp[:k]), f_c, out=bits[2, c])
+            np.greater_equal(np.abs(e, out=tmp[:k]), f_c, out=bits[3, c])
+    del z, phi, f  # free the n-sized float draws before the coin
+    A, B = _outcomes(rng, bits[0], bits[1])
+    if mode != "flat":
+        A *= bits[2].view(np.int8)
+        B *= bits[3].view(np.int8)
     return A, B
 
 
@@ -306,7 +338,7 @@ def _s3_chunks(rng, n: int, cos_ab: float, sin_ab: float, max_batches: int):
     themselves, not copies, so it is valid only until the next chunk: the
     chunk's admitted states sit at positions idx[keep], in outcome order.
     """
-    z, phi, f, tmp, z_a, f_a, eb = (np.empty(CHUNK) for _ in range(7))
+    z, phi, f, tmp, z_a, f_a, phi_a, eb = (np.empty(CHUNK) for _ in range(8))
     got = drawn = 0
     budget = max_batches * max(1024, n)
     while got < n:
@@ -320,9 +352,8 @@ def _s3_chunks(rng, n: int, cos_ab: float, sin_ab: float, max_batches: int):
         # idx is in range; mode="clip" lets take write to out without a buffer
         np.take(z, idx, out=z_a[:k], mode="clip")
         np.take(f, idx, out=f_a[:k], mode="clip")
-        np.take(phi, idx, out=eb[:k], mode="clip")
-        np.cos(eb[:k], out=eb[:k])
-        _project_b(z_a[:k], eb[:k], cos_ab, sin_ab, tmp[:k])
+        np.take(phi, idx, out=phi_a[:k], mode="clip")
+        _screened_eb(z_a[:k], phi_a[:k], f_a[:k], cos_ab, sin_ab, eb[:k], tmp[:k])
         keep = np.flatnonzero(np.abs(eb[:k], out=tmp[:k]) >= f_a[:k])[:n - got]
         A, B = _outcomes(rng, z_a[keep] >= 0.0, eb[keep] >= 0.0)
         got += keep.size

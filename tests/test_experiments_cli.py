@@ -242,6 +242,20 @@ def test_cli_n_outside_64_bits_is_usage_error(tmp_path, run_cli):
 
 
 @pytest.mark.parametrize("args", [
+    ("probabilities", "--model", "pearle-reject", "--grid", "0:0:5"),
+    ("curve", "--model", "flat"),
+], ids=lambda args: args[0])
+def test_cli_huge_n_in_one_draw_modes_is_usage_error(tmp_path, run_cli, args):
+    # these modes draw all n states of a pair at once; 10**12 cannot be allocated
+    out = tmp_path / "x.csv"
+    res = run_cli(*args, "--n", str(10**12), "--seed", "1", "--out", str(out))
+    assert res.returncode == 2
+    assert "usage error" in res.stderr and "--n" in res.stderr and args[2] in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
     ("curve", "--n", "10", "--grid", "0:180:1e-9"),
     ("geodesic", "--steps", "100000000000"),
 ], ids=lambda args: args[0])

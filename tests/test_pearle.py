@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from s3sim import pearle
 from s3sim.algebra import X_AXIS, Y_AXIS, Z_AXIS
 from s3sim.experiments import _probability_task
 from s3sim.pearle import (CHUNK, MODES, InitialState, PearleMapping, admissible,
@@ -15,7 +16,8 @@ from s3sim.pearle import (CHUNK, MODES, InitialState, PearleMapping, admissible,
                           flat_mode_curve, outcome_counts, pair_records, pearle_f,
                           pearle_f_complement, probabilities, probabilities_from_outcomes,
                           run_pair)
-from s3sim.pearle import _fill_draws, _table_from_counts
+from s3sim.pearle import (_SCREEN, _fill_draws, _outcomes, _project_b, _screened_eb,
+                          _table_from_counts)
 from s3sim.rng import substream
 
 
@@ -465,6 +467,108 @@ def test_estimate_pair_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("mode, limit_mib", [("pearle-reject", 30), ("flat", 20)])
+def test_one_draw_scratch_is_chunk_sized(mode, limit_mib):
+    # only z, phi and f are n-sized floats; e.b and its scratch are CHUNK-sized
+    tracemalloc.start()
+    try:
+        estimate_pair(planar(0.0), planar(90.0), 1_000_000, substream(23, 0), mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the float32 screen of e.b
+
+def _eb64(z, phi, eta):
+    """The float64 e.b: float64 cos, then _project_b."""
+    return _project_b(z, np.cos(phi), np.cos(eta), np.sin(eta), np.empty(z.size))
+
+
+def _screened(z, phi, f, eta):
+    return _screened_eb(z, phi, f, np.cos(eta), np.sin(eta), np.empty(z.size), np.empty(z.size))
+
+
+@pytest.mark.parametrize("deg", [1.0, 45.0, 90.0, 135.0])
+def test_screen_error_bound_holds(monkeypatch, deg):
+    # with an empty band nothing is redone, so this is the float32 e.b itself;
+    # a float32 cos worse than assumed fails here, before any outcome drifts
+    n, eta = 1_000_000, np.radians(deg)
+    rng = substream(76, int(deg))
+    z, phi = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, np.pi, n)
+    monkeypatch.setattr(pearle, "_SCREEN", -1.0)
+    gap = np.max(np.abs(_screened(z, phi, None, eta) - _eb64(z, phi, eta)))
+    assert 0.0 < gap < _SCREEN / 4
+
+
+@pytest.mark.parametrize("deg", [1.0, 45.0, 90.0, 135.0])
+def test_screen_redoes_decisions_at_the_boundaries(monkeypatch, deg):
+    # (z, phi, f) whose float64 e.b lies within 1e-9 of 0, +f and -f
+    n, eta = 3_000, np.radians(deg)
+    rng = substream(78, int(deg))
+    f = rng.uniform(0.0, 1.0, n)
+    target = np.concatenate([np.zeros(n // 3), f[n // 3:2 * n // 3], -f[2 * n // 3:]])
+    # with z = cos(theta), e.b spans [cos(theta + eta), cos(theta - eta)]; it
+    # holds cos(alpha) for theta between |alpha - eta| and min(alpha + eta,
+    # 2 pi - alpha - eta, pi)
+    alpha = np.arccos(target)
+    lo, hi = np.abs(alpha - eta), np.minimum(np.minimum(alpha + eta, 2 * np.pi - alpha - eta), np.pi)
+    z = np.cos(lo + (hi - lo) * rng.uniform(0.05, 0.95, n))
+    target += rng.uniform(-1e-9, 1e-9, n)
+    cos_phi = (target - z * np.cos(eta)) / (np.sqrt(1.0 - z * z) * np.sin(eta))
+    phi = np.arccos(np.clip(cos_phi, -1.0, 1.0))
+    ref = _eb64(z, phi, eta)
+    assert np.max(np.abs(ref - target)) < 1e-8
+    eb = _screened(z, phi, f, eta)
+    assert np.array_equal(eb >= 0.0, ref >= 0.0)
+    assert np.array_equal(np.abs(eb) >= f, np.abs(ref) >= f)
+    # every entry is in the band, so every one was redone in float64
+    assert np.array_equal(eb, ref)
+    monkeypatch.setattr(pearle, "_SCREEN", -1.0)
+    assert not np.array_equal(_screened(z, phi, f, eta), ref)
+
+
+def _float64_reference(deg, n, seed, mode):
+    """(A, B, n_candidates, n_admitted) of run_pair with a float64 cos for
+    every candidate: cos -> _project_b -> cuts -> _outcomes."""
+    cos_ab = float(np.clip(planar(0.0) @ planar(deg), -1.0, 1.0))
+    sin_ab = float(np.sqrt(1.0 - cos_ab * cos_ab))
+    rng = substream(seed)
+    if mode != "s3":
+        z, phi, f = np.empty(n), np.empty(n), np.empty(n)
+        _fill_draws(rng, z, phi, None if mode == "flat" else f)
+        eb = _project_b(z, np.cos(phi), cos_ab, sin_ab, np.empty(n))
+        A, B = _outcomes(rng, z >= 0.0, eb >= 0.0)
+        if mode == "pearle-reject":
+            A, B = A * (np.abs(z) >= f), B * (np.abs(eb) >= f)
+        return A, B, n, int(np.count_nonzero((A != 0) & (B != 0)))
+    As, Bs, got, used = [], [], 0, 0
+    while got < n:
+        z, phi, f = np.empty(CHUNK), np.empty(CHUNK), np.empty(CHUNK)
+        _fill_draws(rng, z, phi, f)
+        idx = np.flatnonzero(np.abs(z) >= f)
+        eb = _project_b(z[idx], np.cos(phi[idx]), cos_ab, sin_ab, np.empty(idx.size))
+        keep = np.flatnonzero(np.abs(eb) >= f[idx])[:n - got]
+        A, B = _outcomes(rng, z[idx][keep] >= 0.0, eb[keep] >= 0.0)
+        As.append(A)
+        Bs.append(B)
+        got += keep.size
+        used += CHUNK if got < n else int(idx[keep[-1]]) + 1
+    return np.concatenate(As), np.concatenate(Bs), used, n
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("deg", [0.0, 1e-3, 90.0, 179.999, 180.0])
+def test_run_pair_equals_the_float64_reference(mode, deg):
+    n, seed = 3 * CHUNK + 5, 79
+    run = run_pair(planar(0.0), planar(deg), n, seed, mode)
+    A, B, n_candidates, n_admitted = _float64_reference(deg, n, seed, mode)
+    assert np.array_equal(run.A, A) and np.array_equal(run.B, B)
+    assert (run.n_candidates, run.n_admitted) == (n_candidates, n_admitted)
 
 
 def test_probabilities_from_outcomes_rejects_other_values():
