@@ -287,7 +287,7 @@ def _screened_eb(z, phi, f, cos_ab: float, sin_ab: float, eb, tmp):
     float64 cos where a decision is within _SCREEN: the sign, |e.b| < _SCREEN,
     and, given thresholds f, the cut, ||e.b| - f| < _SCREEN.
 
-    float32(phi) and its float32 cos are within 1.6e-7 of cos(phi) on
+    float32(phi) and its float32 cos are within about 1.5e-7 of cos(phi) on
     [0, pi), and e.b moves by that times |sin(eta_ab) sqrt(1 - z^2)| <= 1,
     so every sign and cut equals the one of the float64 e.b."""
     np.cos(phi, out=eb, dtype=np.float32)
