@@ -52,6 +52,12 @@ def _require_unit(v, name: str, dim: int) -> np.ndarray:
     return v
 
 
+def planar(deg: float) -> np.ndarray:
+    """Unit vector in the x-y plane at `deg` degrees from the x axis."""
+    rad = np.radians(deg)
+    return np.array([np.cos(rad), np.sin(rad), 0.0])
+
+
 def _safe_arccos(x, what: str = "arccos argument"):
     x = np.asarray(x, dtype=float)
     if np.any(x > 1.0 + ARC_CLAMP) or np.any(x < -1.0 - ARC_CLAMP):

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import _require_unit, _safe_arccos
+from .algebra import _require_unit, _safe_arccos, planar
 from .singlet import CorrelationEstimate
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -38,10 +38,12 @@ class SettingsQuad:
 
     @classmethod
     def from_planar_degrees(cls, a: float, a_prime: float, b: float, b_prime: float):
-        def vec(deg):
-            rad = np.radians(deg)
-            return np.array([np.cos(rad), np.sin(rad), 0.0])
-        return cls(vec(a), vec(a_prime), vec(b), vec(b_prime))
+        return cls(planar(a), planar(a_prime), planar(b), planar(b_prime))
+
+    def pairs(self) -> tuple:
+        """The setting pairs of S = E(a,b) + E(a,b') + E(a',b) - E(a',b'), in order."""
+        return ((self.a, self.b), (self.a, self.b_prime),
+                (self.a_prime, self.b), (self.a_prime, self.b_prime))
 
 
 def canonical_quad() -> SettingsQuad:
@@ -205,19 +207,17 @@ def classify_regime(abs_s: float, stderr: float = 0.0) -> str:
 def chsh(curve_source: Callable, quad: SettingsQuad) -> CHSHResult:
     """S = E(a,b) + E(a,b') + E(a',b) - E(a',b') from any correlation
     evaluator; evaluators may return a float or a CorrelationEstimate."""
-    es = []
-    errs = []
-    for x, y in ((quad.a, quad.b), (quad.a, quad.b_prime),
-                 (quad.a_prime, quad.b), (quad.a_prime, quad.b_prime)):
-        out = curve_source(x, y)
-        if isinstance(out, CorrelationEstimate):
-            es.append(out.e_hat)
-            errs.append(out.stderr)
-        else:
-            es.append(float(out))
-            errs.append(0.0)
+    return chsh_from_estimates([curve_source(x, y) for x, y in quad.pairs()])
+
+
+def chsh_from_estimates(estimates) -> CHSHResult:
+    """S, its standard error (the four added in quadrature) and its regime
+    from the correlations at the four SettingsQuad.pairs(), each a float or
+    a CorrelationEstimate."""
+    es = [e.e_hat if isinstance(e, CorrelationEstimate) else float(e) for e in estimates]
+    errs = [e.stderr if isinstance(e, CorrelationEstimate) else 0.0 for e in estimates]
     s = es[0] + es[1] + es[2] - es[3]
-    stderr = float(np.sqrt(np.sum(np.square(errs))))
+    stderr = float(np.sqrt(sum(e ** 2 for e in errs)))
     return CHSHResult(e_ab=es[0], e_abp=es[1], e_apb=es[2], e_apbp=es[3],
                       s=float(s), regime=classify_regime(abs(s), stderr),
                       s_stderr=stderr)

@@ -71,18 +71,10 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             values[key] = flag
     if "seed" not in values:
         raise ConfigError("--seed is mandatory (no wall-clock default)")
-    return ExperimentConfig(
-        experiment=args.experiment,
-        seed=values["seed"],
-        model=values.get("model", "s3"),
-        n_per_point=values.get("n", 100_000),
-        grid=values.get("grid", (0.0, 180.0, 5.0)),
-        kappa=values.get("kappa", 1),
-        steps=values.get("steps", 180),
-        workers=values.get("workers", 1),
-        out=values.get("out"),
-        format=values.get("format", "csv"),
-    ).validated()
+    if "n" in values:
+        values["n_per_point"] = values.pop("n")
+    # absent keys take the ExperimentConfig defaults
+    return ExperimentConfig(experiment=args.experiment, **values).validated()
 
 
 def main(argv=None) -> int:

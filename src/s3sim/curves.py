@@ -1,9 +1,10 @@
-"""Correlation-curve container and its CSV/JSON wire formats.
+"""Correlation-curve container and the one artifact wire format.
 
-CSV layout: '# key=value' metadata lines carrying the resolved run
-configuration, one header row, then one row per grid angle with 9
-significant digits, dot decimal. Files written here parse back through
-read_curve_csv / read_curve_json byte-losslessly at that precision.
+CSV: sorted '# key=value' metadata lines carrying the resolved run
+configuration, one header row, then one row per record; floats with 9
+significant digits, dot decimal. write_rows_csv, read_rows_csv and
+write_json serve every artifact; a curve parses back through
+read_curve_csv at that precision and through read_curve_json exactly.
 """
 from __future__ import annotations
 
@@ -53,41 +54,47 @@ class CorrelationCurve:
         return max(abs(p.e_hat - p.e_analytic) for p in self.points)
 
 
-def write_curve_csv(curve: CorrelationCurve, path) -> None:
-    lines = [f"# {k}={v}" for k, v in sorted(curve.meta.items())]
-    lines.append(",".join(CSV_COLUMNS))
-    for p in curve.points:
-        lines.append(",".join([
-            fmt9(p.eta_deg), fmt9(p.e_hat), fmt9(p.e_analytic),
-            fmt9(p.stderr), fmt9(p.g), str(int(p.n)),
-        ]))
+def write_rows_csv(meta: dict, columns, rows, path) -> None:
+    """Write meta, a header of `columns` and one line per row mapping."""
+    lines = [f"# {k}={v}" for k, v in sorted(meta.items())]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(str(v) if isinstance(v, (int, str)) else fmt9(v)
+                              for v in (row[c] for c in columns)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_curve_csv(path) -> CorrelationCurve:
+def _parse_csv(path) -> tuple[dict, list[str], list[dict]]:
     meta: dict = {}
-    points = []
-    header_seen = False
-    for line in Path(path).read_text().splitlines():
+    rows: list[dict] = []
+    columns: list[str] | None = None
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         if line.startswith("#"):
             key, _, value = line[1:].strip().partition("=")
             meta[key.strip()] = value.strip()
             continue
-        if not header_seen:
-            if tuple(line.split(",")) != CSV_COLUMNS:
-                raise ValueError(f"unexpected curve CSV header: {line!r}")
-            header_seen = True
-            continue
         cells = line.split(",")
-        points.append(CurvePoint(
-            eta_deg=float(cells[0]), e_hat=float(cells[1]), e_analytic=float(cells[2]),
-            stderr=float(cells[3]), g=float(cells[4]), n=int(cells[5]),
-        ))
-    if not header_seen:
-        raise ValueError("curve CSV has no header row")
-    return CorrelationCurve(points=tuple(points), meta=meta)
+        if columns is None:
+            columns = cells
+        elif len(cells) != len(columns):
+            raise ValueError(f"CSV line {number}: {len(cells)} cells, {len(columns)} columns")
+        else:
+            rows.append(dict(zip(columns, cells)))
+    if columns is None:
+        raise ValueError("CSV has no header row")
+    return meta, columns, rows
+
+
+def read_rows_csv(path) -> tuple[dict, list[dict]]:
+    """Parse a write_rows_csv file back into meta and rows of string cells."""
+    meta, _, rows = _parse_csv(path)
+    return meta, rows
+
+
+def write_json(payload: dict, path) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def curve_to_dict(curve: CorrelationCurve) -> dict:
@@ -100,15 +107,29 @@ def curve_to_dict(curve: CorrelationCurve) -> dict:
     }
 
 
+def _point(row: dict) -> CurvePoint:
+    """A curve point from a CSV row or a JSON point."""
+    return CurvePoint(**{k: (int(row[k]) if k == "n" else float(row[k])) for k in CSV_COLUMNS})
+
+
+def write_curve_csv(curve: CorrelationCurve, path) -> None:
+    write_rows_csv(curve.meta, CSV_COLUMNS, curve_to_dict(curve)["points"], path)
+
+
+def read_curve_csv(path) -> CorrelationCurve:
+    meta, columns, rows = _parse_csv(path)
+    if tuple(columns) != CSV_COLUMNS:
+        raise ValueError(f"unexpected curve CSV header: {','.join(columns)!r}")
+    return CorrelationCurve(points=tuple(map(_point, rows)), meta=meta)
+
+
 def write_curve_json(curve: CorrelationCurve, path) -> None:
-    Path(path).write_text(json.dumps(curve_to_dict(curve), indent=2, sort_keys=True) + "\n")
+    write_json(curve_to_dict(curve), path)
 
 
 def read_curve_json(path) -> CorrelationCurve:
     data = json.loads(Path(path).read_text())
-    points = tuple(CurvePoint(**{k: (int(d[k]) if k == "n" else float(d[k])) for k in CSV_COLUMNS})
-                   for d in data["points"])
-    return CorrelationCurve(points=points, meta=data["meta"])
+    return CorrelationCurve(points=tuple(map(_point, data["points"])), meta=data["meta"])
 
 
 def parse_grid(spec) -> np.ndarray:

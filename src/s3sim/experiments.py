@@ -7,7 +7,6 @@ configuration embedded as a metadata block.
 """
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -15,12 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from . import pearle
-from .algebra import geodesic_sweep
+from .algebra import geodesic_sweep, planar
 from .bounds import (CANONICAL_QUAD_DEGREES, CHSHResult, SettingsQuad, bound_report,
-                     canonical_quad, chsh, classify_regime, cosine_correlation,
+                     canonical_quad, chsh, chsh_from_estimates, cosine_correlation,
                      sawtooth_correlation)
-from .curves import (MAX_POINTS, CorrelationCurve, CurvePoint, curve_to_dict, fmt9,
-                     parse_grid, write_curve_csv, write_curve_json)
+# read_rows_csv is re-exported: callers read row artifacts from here
+from .curves import (CSV_COLUMNS, MAX_POINTS, CorrelationCurve, CurvePoint, curve_to_dict,
+                     fmt9, parse_grid, read_rows_csv, write_json, write_rows_csv)
 from .rng import substream
 
 EXPERIMENTS = ("curve", "chsh", "geodesic", "bounds", "probabilities", "flat-vs-s3")
@@ -79,16 +79,15 @@ class ExperimentConfig:
         return parse_grid(self.grid)
 
     def meta(self) -> dict:
-        g = self.grid
-        if isinstance(g, str):
-            grid_str = g
-        elif isinstance(g, tuple) and len(g) == 3:
-            grid_str = f"{g[0]:g}:{g[1]:g}:{g[2]:g}"
-        else:
-            grid_str = ",".join(f"{x:g}" for x in parse_grid(g))
+        grid = self.grid
+        if not isinstance(grid, str):
+            # shortest round-trip digits, so the recorded grid rebuilds exactly
+            is_range = isinstance(grid, tuple) and len(grid) == 3
+            sep, values = (":", grid) if is_range else (",", parse_grid(grid))
+            grid = sep.join(np.format_float_positional(float(x), trim="-") for x in values)
         return {
             "experiment": self.experiment, "model": self.model,
-            "n": str(self.n_per_point), "seed": str(self.seed), "grid": grid_str,
+            "n": str(self.n_per_point), "seed": str(self.seed), "grid": grid,
             "kappa": str(self.kappa), "steps": str(self.steps), "format": self.format,
         }
 
@@ -165,18 +164,12 @@ def chsh_monte_carlo(quad: SettingsQuad, n: int, seed: int, mode: str = "s3",
                      kappa: int = 1, workers: int = 1) -> CHSHResult:
     """CHSH from per-pair Monte Carlo estimates on substreams (seed, pair);
     the four pairs run on up to `workers` processes."""
-    pairs = ((quad.a, quad.b), (quad.a, quad.b_prime),
-             (quad.a_prime, quad.b), (quad.a_prime, quad.b_prime))
-    tasks = [(x, y, n, seed, i, mode, kappa) for i, (x, y) in enumerate(pairs)]
+    tasks = [(x, y, n, seed, i, mode, kappa) for i, (x, y) in enumerate(quad.pairs())]
     ests = _map_tasks(_chsh_pair_task, tasks, workers)
     for i, est in enumerate(ests):
         if est.n == 0:
             raise NumericError(f"no coincident detections in CHSH setting pair {i}; increase n")
-    s = ests[0].e_hat + ests[1].e_hat + ests[2].e_hat - ests[3].e_hat
-    stderr = float(np.sqrt(sum(e.stderr ** 2 for e in ests)))
-    return CHSHResult(e_ab=ests[0].e_hat, e_abp=ests[1].e_hat, e_apb=ests[2].e_hat,
-                      e_apbp=ests[3].e_hat, s=float(s),
-                      regime=classify_regime(abs(s), stderr), s_stderr=stderr)
+    return chsh_from_estimates(ests)
 
 
 def run_chsh(config: ExperimentConfig) -> dict:
@@ -222,8 +215,8 @@ def run_bounds(config: ExperimentConfig) -> dict:
 
 def _probability_task(args) -> dict:
     mode, deg, n, seed, index, kappa = args
-    counts = pearle.outcome_counts(pearle._planar_setting(0.0), pearle._planar_setting(deg),
-                                   n, substream(seed, index), mode, kappa)
+    counts = pearle.outcome_counts(planar(0.0), planar(deg), n, substream(seed, index),
+                                   mode, kappa)
     return pearle._table_from_counts(np.radians(deg), counts).to_dict()
 
 
@@ -266,81 +259,34 @@ def compare_models(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # artifact writing
 
-def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _meta_lines(meta: dict) -> list[str]:
-    return [f"# {k}={v}" for k, v in sorted(meta.items())]
-
-
-def _write_rows_csv(meta: dict, columns, rows, path: Path) -> None:
-    lines = _meta_lines(meta)
-    lines.append(",".join(columns))
-    for row in rows:
-        cells = []
-        for c in columns:
-            v = row[c]
-            cells.append(str(v) if isinstance(v, (int, str)) else fmt9(v))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def read_rows_csv(path) -> tuple[dict, list[dict]]:
-    """Parse a '# key=value' + header + rows CSV back into meta and rows."""
-    meta: dict = {}
-    rows: list[dict] = []
-    columns: list[str] | None = None
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            meta[key.strip()] = value.strip()
-            continue
-        if columns is None:
-            columns = line.split(",")
-            continue
-        rows.append(dict(zip(columns, line.split(","))))
-    if columns is None:
-        raise ValueError("CSV has no header row")
-    return meta, rows
-
-
 def write_artifact(experiment: str, payload, path: Path, fmt: str) -> None:
-    path = Path(path)
-    if experiment == "curve":
-        (write_curve_csv if fmt == "csv" else write_curve_json)(payload, path)
-        return
+    if isinstance(payload, CorrelationCurve):
+        payload = curve_to_dict(payload)
     if fmt == "json":
-        _write_json(payload if isinstance(payload, dict) else curve_to_dict(payload), path)
+        write_json(payload, path)
         return
-    if experiment == "geodesic":
-        _write_rows_csv(payload["meta"], ("half_angle_deg", "psi_deg", "d_su2", "d_so3"),
-                        payload["rows"], path)
+    meta = payload["meta"]
+    if experiment == "curve":
+        columns, rows = CSV_COLUMNS, payload["points"]
+    elif experiment == "geodesic":
+        columns, rows = ("half_angle_deg", "psi_deg", "d_su2", "d_so3"), payload["rows"]
     elif experiment == "probabilities":
-        cols = ("eta_deg", "n", "p_pp", "p_mm", "p_pm", "p_mp",
-                "p_single_plus_1", "p_single_minus_1", "p_single_plus_2", "p_single_minus_2",
-                "p_00", "p_p0", "p_m0", "p_0p", "p_0m", "g")
-        _write_rows_csv(payload["meta"], cols, payload["tables"], path)
+        columns, rows = pearle.TABLE_COLUMNS, payload["tables"]
     elif experiment == "flat-vs-s3":
-        meta = dict(payload["meta"])
+        meta = dict(meta)
         for model in ("s3", "flat"):
             meta[f"{model}_abs_s"] = fmt9(abs(payload["chsh"][model]["s"]))
             meta[f"{model}_regime"] = payload["chsh"][model]["regime"]
         for line in payload["summary"]:
             meta.setdefault("summary_" + line.split(":")[0], line)
-        rows = []
-        for model in ("s3", "flat"):
-            for point in payload["curves"][model]["points"]:
-                rows.append({"model": model, **point})
-        _write_rows_csv(meta, ("model", "eta_deg", "e_hat", "e_analytic", "stderr", "g", "n"),
-                        rows, path)
+        columns = ("model", *CSV_COLUMNS)
+        rows = [{"model": model, **point}
+                for model in ("s3", "flat") for point in payload["curves"][model]["points"]]
     else:
         # chsh and bounds reports flatten to key,value rows
-        flat = _flatten(payload)
-        rows = [{"key": k, "value": v} for k, v in flat.items()]
-        _write_rows_csv(payload.get("meta", {}), ("key", "value"), rows, path)
+        columns = ("key", "value")
+        rows = [{"key": k, "value": v} for k, v in _flatten(payload).items()]
+    write_rows_csv(meta, columns, rows, path)
 
 
 def _flatten(obj, prefix: str = "") -> dict:

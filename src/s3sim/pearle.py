@@ -29,11 +29,11 @@ Three modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .algebra import _require_unit
+from .algebra import _require_unit, planar
 from .curves import CorrelationCurve, CurvePoint
 from .rng import substream
 from .singlet import CorrelationEstimate
@@ -147,14 +147,12 @@ class ProbabilityTable:
         return self.p_00 + self.p_p0 + self.p_m0 + self.p_0p + self.p_0m
 
     def to_dict(self) -> dict:
-        return {
-            "eta_deg": float(np.degrees(self.eta)), "n": self.n,
-            "p_pp": self.p_pp, "p_mm": self.p_mm, "p_pm": self.p_pm, "p_mp": self.p_mp,
-            "p_single_plus_1": self.p_single_plus_1, "p_single_minus_1": self.p_single_minus_1,
-            "p_single_plus_2": self.p_single_plus_2, "p_single_minus_2": self.p_single_minus_2,
-            "p_00": self.p_00, "p_p0": self.p_p0, "p_m0": self.p_m0,
-            "p_0p": self.p_0p, "p_0m": self.p_0m, "g": self.g,
-        }
+        return {"eta_deg": float(np.degrees(self.eta)),
+                **{k: getattr(self, k) for k in TABLE_COLUMNS[1:]}}
+
+
+# the artifact columns of a table: its fields in order, eta in degrees
+TABLE_COLUMNS = ("eta_deg", *(f.name for f in fields(ProbabilityTable)[1:]))
 
 
 @dataclass(frozen=True)
@@ -581,11 +579,6 @@ def _pair_estimate(a, b, n: int, rng_or_seed, mode: str, kappa: int) -> Correlat
     return _estimate(counts, eta, mode)
 
 
-def _planar_setting(deg: float) -> np.ndarray:
-    rad = np.radians(deg)
-    return np.array([np.cos(rad), np.sin(rad), 0.0])
-
-
 def correlation_curve(mode: str, grid_deg, n_per_angle: int, seed: int,
                       kappa: int = 1, meta: dict | None = None) -> CorrelationCurve:
     """Correlation sweep over planar settings separated by the grid angles.
@@ -610,7 +603,7 @@ def curve_point(mode: str, deg: float, n: int, seed: int, index: int,
 
     g is the detected fraction of the emitted (s3: admitted) pairs.
     """
-    counts = outcome_counts(_planar_setting(0.0), _planar_setting(deg), n,
+    counts = outcome_counts(planar(0.0), planar(deg), n,
                             substream(seed, index), mode, kappa)
     est = _estimate(counts, np.radians(deg), mode)
     return CurvePoint(eta_deg=float(deg), e_hat=est.e_hat, e_analytic=est.e_analytic,
