@@ -65,6 +65,11 @@ def _safe_arccos(x, what: str = "arccos argument"):
     return np.arccos(np.clip(x, -1.0, 1.0))
 
 
+def _angle(x, y) -> float:
+    """Angle between unit settings x and y, with x.y clamped into [-1, 1]."""
+    return float(np.arccos(np.clip(np.dot(x, y), -1.0, 1.0)))
+
+
 def quat_from_axis_angle(axis, psi) -> np.ndarray:
     """Point of S^3 for a rotation by psi about a unit axis, psi in [0, 4*pi).
 

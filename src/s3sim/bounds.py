@@ -97,44 +97,29 @@ class BoundReport:
         }
 
 
+def _extrema(value, bits: int) -> ExpressionBound:
+    """Extrema of value(row) over all 2^bits rows of +/-1 entries; each witness
+    is the first row, in itertools.product order, that reaches its extremum."""
+    rows = list(itertools.product((-1, 1), repeat=bits))
+    values = [value(row) for row in rows]
+    hi, lo = max(values), min(values)
+    return ExpressionBound(max_value=hi, min_value=lo, max_witness=rows[values.index(hi)],
+                           min_witness=rows[values.index(lo)], n_assignments=len(rows))
+
+
 def enumerate_single_average_bound() -> ExpressionBound:
     """Extrema of the single-dataset expression over all 2^4 assignments."""
-    best = None
-    worst = None
-    count = 0
-    for bits in itertools.product((-1, 1), repeat=4):
-        asg = BinaryAssignment(*bits)
-        val = single_average_value(asg)
-        count += 1
-        if best is None or val > best[0]:
-            best = (val, bits)
-        if worst is None or val < worst[0]:
-            worst = (val, bits)
-    return ExpressionBound(max_value=best[0], min_value=worst[0],
-                           max_witness=best[1], min_witness=worst[1],
-                           n_assignments=count)
+    return _extrema(lambda bits: single_average_value(BinaryAssignment(*bits)), 4)
 
 
 def enumerate_four_average_bound() -> ExpressionBound:
     """Extrema of E1 + E2 + E3 - E4 over independent per-context assignments.
 
     Each context k supplies its own (A_k, B_k) pair: 2^8 combinations; the
-    value uses only the product realized in that context.
+    value uses only the product realized in that context: bits = (A_1, B_1,
+    ..., A_4, B_4).
     """
-    best = None
-    worst = None
-    count = 0
-    for bits in itertools.product((-1, 1), repeat=8):
-        a1, b1, a2, b2, a3, b3, a4, b4 = bits
-        val = a1 * b1 + a2 * b2 + a3 * b3 - a4 * b4
-        count += 1
-        if best is None or val > best[0]:
-            best = (val, bits)
-        if worst is None or val < worst[0]:
-            worst = (val, bits)
-    return ExpressionBound(max_value=best[0], min_value=worst[0],
-                           max_witness=best[1], min_witness=worst[1],
-                           n_assignments=count)
+    return _extrema(lambda r: r[0] * r[1] + r[2] * r[3] + r[4] * r[5] - r[6] * r[7], 8)
 
 
 def bound_report() -> BoundReport:

@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", choices=MODES, help="ensemble model (default s3)")
         p.add_argument("--n", type=int, dest="n", help="samples per grid point")
         p.add_argument("--seed", type=int, help="64-bit seed (mandatory)")
-        p.add_argument("--grid", help="angle grid start:stop:step in degrees")
+        p.add_argument("--grid", help="angle grid start:stop:step or a comma list, in degrees")
         p.add_argument("--kappa", type=int, help="winding index (default 1)")
         p.add_argument("--steps", type=int, help="geodesic sweep steps (default 180)")
         p.add_argument("--workers", type=int,

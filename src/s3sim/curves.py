@@ -2,9 +2,10 @@
 
 CSV: sorted '# key=value' metadata lines carrying the resolved run
 configuration, one header row, then one row per record; floats with 9
-significant digits, dot decimal. write_rows_csv, read_rows_csv and
-write_json serve every artifact; a curve parses back through
-read_curve_csv at that precision and through read_curve_json exactly.
+significant digits, dot decimal, '\n' line endings. csv_text,
+write_rows_csv, read_rows_csv and write_json serve every artifact; a curve
+parses back through read_curve_csv at that precision and through
+read_curve_json exactly. parse_grid reads the grid text format_grid writes.
 """
 from __future__ import annotations
 
@@ -54,14 +55,19 @@ class CorrelationCurve:
         return max(abs(p.e_hat - p.e_analytic) for p in self.points)
 
 
-def write_rows_csv(meta: dict, columns, rows, path) -> None:
-    """Write meta, a header of `columns` and one line per row mapping."""
+def csv_text(meta: dict, columns, rows) -> str:
+    """Meta lines, a header of `columns` and one line per row mapping."""
     lines = [f"# {k}={v}" for k, v in sorted(meta.items())]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(str(v) if isinstance(v, (int, str)) else fmt9(v)
                               for v in (row[c] for c in columns)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_rows_csv(meta: dict, columns, rows, path) -> None:
+    """Write csv_text(meta, columns, rows) to path."""
+    Path(path).write_text(csv_text(meta, columns, rows))
 
 
 def _parse_csv(path) -> tuple[dict, list[str], list[dict]]:
@@ -132,16 +138,29 @@ def read_curve_json(path) -> CorrelationCurve:
     return CorrelationCurve(points=tuple(map(_point, data["points"])), meta=data["meta"])
 
 
+def format_grid(spec) -> str:
+    """Grid text that parse_grid rebuilds exactly: a string as given, else the
+    numbers in shortest round-trip digits, ':'-joined for a (start, stop,
+    step) triple and ','-joined for any other sequence."""
+    if isinstance(spec, str):
+        return spec
+    sep = ":" if isinstance(spec, tuple) and len(spec) == 3 else ","
+    return sep.join(np.format_float_positional(float(x), trim="-") for x in spec)
+
+
 def parse_grid(spec) -> np.ndarray:
-    """Angle grid in degrees from 'start:stop:step', a (start, stop, step)
-    triple, or an explicit sequence; must lie within [0, 180]. A range may
-    give at most MAX_POINTS points, checked before the grid is built."""
+    """Angle grid in degrees from 'start:stop:step', a comma list of angles,
+    a (start, stop, step) triple, or an explicit sequence; must lie within
+    [0, 180]. A range may give at most MAX_POINTS points, checked before
+    the grid is built."""
     if isinstance(spec, str):
         parts = spec.split(":")
-        if len(parts) != 3:
+        if len(parts) == 1:
+            spec = [float(p) for p in spec.split(",")]
+        elif len(parts) != 3:
             raise ValueError("grid spec must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-        spec = (start, stop, step)
+        else:
+            spec = tuple(float(p) for p in parts)
     if isinstance(spec, tuple) and len(spec) == 3:
         start, stop, step = spec
         if step <= 0:

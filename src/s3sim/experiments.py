@@ -20,7 +20,7 @@ from .bounds import (CANONICAL_QUAD_DEGREES, CHSHResult, SettingsQuad, bound_rep
                      sawtooth_correlation)
 # read_rows_csv is re-exported: callers read row artifacts from here
 from .curves import (CSV_COLUMNS, MAX_POINTS, CorrelationCurve, CurvePoint, curve_to_dict,
-                     fmt9, parse_grid, read_rows_csv, write_json, write_rows_csv)
+                     fmt9, format_grid, parse_grid, read_rows_csv, write_json, write_rows_csv)
 from .rng import substream
 
 EXPERIMENTS = ("curve", "chsh", "geodesic", "bounds", "probabilities", "flat-vs-s3")
@@ -79,15 +79,9 @@ class ExperimentConfig:
         return parse_grid(self.grid)
 
     def meta(self) -> dict:
-        grid = self.grid
-        if not isinstance(grid, str):
-            # shortest round-trip digits, so the recorded grid rebuilds exactly
-            is_range = isinstance(grid, tuple) and len(grid) == 3
-            sep, values = (":", grid) if is_range else (",", parse_grid(grid))
-            grid = sep.join(np.format_float_positional(float(x), trim="-") for x in values)
         return {
             "experiment": self.experiment, "model": self.model,
-            "n": str(self.n_per_point), "seed": str(self.seed), "grid": grid,
+            "n": str(self.n_per_point), "seed": str(self.seed), "grid": format_grid(self.grid),
             "kappa": str(self.kappa), "steps": str(self.steps), "format": self.format,
         }
 

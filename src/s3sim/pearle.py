@@ -28,15 +28,14 @@ Three modes:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .algebra import _require_unit, planar
-from .curves import CorrelationCurve, CurvePoint
+from .algebra import _angle, _require_unit, planar
+from .curves import CorrelationCurve, CurvePoint, format_grid
 from .rng import substream
-from .singlet import CorrelationEstimate
+from .singlet import CorrelationEstimate, _count, _estimate
 
 MODES = ("s3", "pearle-reject", "flat")
 
@@ -404,17 +403,6 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
                        kappa=kappa, n_candidates=n_candidates)
 
 
-def _count(A, B) -> np.ndarray:
-    """3x3 int64 table: entry [i, j] counts the pairs with A = i - 1, B = j - 1.
-
-    A and B are integer arrays (int8 chunks or int64 outcomes); the cell
-    index 3A + B + 4 stays in their dtype."""
-    cell = A * 3
-    cell += B
-    cell += 4
-    return np.bincount(cell, minlength=9).reshape(3, 3)
-
-
 def outcome_counts(a, b, n: int, rng_or_seed, mode: str = "s3",
                    kappa: int = 1) -> np.ndarray:
     """The outcome-count table of run_pair(a, b, n, rng_or_seed, mode, kappa),
@@ -516,12 +504,9 @@ def detection_fraction(eta: float, table: ProbabilityTable) -> float:
     """Detected-pair fraction g(eta) via the ratio estimator
     P12(+-)/(cos^2(eta/2)/2), cross-checked against P12(++)/(sin^2(eta/2)/2);
     the well-conditioned branch is used near the endpoints."""
-    denom_pm = 0.5 * np.cos(eta / 2.0) ** 2
-    denom_pp = 0.5 * np.sin(eta / 2.0) ** 2
-    if denom_pm >= _DENOM_TOL:
-        return table.p_pm / denom_pm
-    if denom_pp >= _DENOM_TOL:
-        return table.p_pp / denom_pp
+    for g in detection_fraction_branches(eta, table):
+        if not np.isnan(g):
+            return g
     raise ValueError("both ratio-estimator branches are ill-conditioned")
 
 
@@ -542,21 +527,9 @@ def correlation_from_probabilities(table: ProbabilityTable) -> float:
     return (table.p_pp + table.p_mm - table.p_pm - table.p_mp) / total
 
 
-def _estimate(counts, eta: float, mode: str) -> CorrelationEstimate:
-    """Mean of A*B over the detected pairs of a count table, its standard
-    error, and the analytic curve at eta (-cos for the sphere modes, the
-    saw-tooth for flat). N = same + diff pairs with product +1 and -1:
-    e_hat = (same - diff)/N, and the sample variance N(1 - e^2)/(N - 1)
-    is 4*same*diff/(N(N - 1)), so stderr = 2*sqrt(same*diff/(N - 1))/N.
-    e_hat is nan when no pair was detected."""
-    same = int(counts[0, 0] + counts[2, 2])
-    diff = int(counts[0, 2] + counts[2, 0])
-    n = same + diff
-    analytic = (-1.0 + 2.0 * eta / np.pi) if mode == "flat" else -np.cos(eta)
-    return CorrelationEstimate(
-        e_hat=(same - diff) / n if n else float("nan"),
-        stderr=2.0 * math.sqrt(same * diff / (n - 1)) / n if n > 1 else 0.0,
-        n=n, e_analytic=float(analytic))
+def _analytic(eta: float, mode: str) -> float:
+    """The analytic curve at eta: the saw-tooth for flat, -cos for the sphere modes."""
+    return (-1.0 + 2.0 * eta / np.pi) if mode == "flat" else -np.cos(eta)
 
 
 def estimate_pair(a, b, n: int, rng_or_seed, mode: str = "s3",
@@ -575,8 +548,7 @@ def estimate_pair(a, b, n: int, rng_or_seed, mode: str = "s3",
 def _pair_estimate(a, b, n: int, rng_or_seed, mode: str, kappa: int) -> CorrelationEstimate:
     """estimate_pair without its check: e_hat is nan when no pair was detected."""
     counts = outcome_counts(a, b, n, rng_or_seed, mode, kappa)
-    eta = float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
-    return _estimate(counts, eta, mode)
+    return _estimate(counts, _analytic(_angle(a, b), mode))
 
 
 def correlation_curve(mode: str, grid_deg, n_per_angle: int, seed: int,
@@ -591,8 +563,8 @@ def correlation_curve(mode: str, grid_deg, n_per_angle: int, seed: int,
     grid_deg = np.asarray(grid_deg, dtype=float)
     points = [curve_point(mode, float(deg), n_per_angle, seed, i, kappa)
               for i, deg in enumerate(grid_deg)]
-    base = {"model": mode, "n_per_point": str(n_per_angle), "seed": str(seed),
-            "kappa": str(kappa)}
+    base = {"model": mode, "n": str(n_per_angle), "seed": str(seed),
+            "grid": format_grid(grid_deg), "kappa": str(kappa)}
     base.update(meta or {})
     return CorrelationCurve(points=tuple(points), meta=base)
 
@@ -605,7 +577,7 @@ def curve_point(mode: str, deg: float, n: int, seed: int, index: int,
     """
     counts = outcome_counts(planar(0.0), planar(deg), n,
                             substream(seed, index), mode, kappa)
-    est = _estimate(counts, np.radians(deg), mode)
+    est = _estimate(counts, _analytic(np.radians(deg), mode))
     return CurvePoint(eta_deg=float(deg), e_hat=est.e_hat, e_analytic=est.e_analytic,
                       stderr=est.stderr, g=est.n / n, n=est.n)
 

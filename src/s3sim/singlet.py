@@ -10,12 +10,13 @@ axis-limit diagnostics.
 """
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _require_unit
+from .algebra import _angle, _require_unit
+from .curves import csv_text
 from .rng import fair_coin, substream, uniform_sphere
 
 WINDING_RULES = ("zero", "random-parity", "angle-threshold")
@@ -59,6 +60,32 @@ class CorrelationEstimate:
     e_analytic: float
 
 
+def _count(A, B) -> np.ndarray:
+    """3x3 int64 table: entry [i, j] counts the pairs with A = i - 1, B = j - 1.
+
+    A and B are integer arrays (int8 chunks or int64 outcomes); the cell
+    index 3A + B + 4 stays in their dtype."""
+    cell = A * 3
+    cell += B
+    cell += 4
+    return np.bincount(cell, minlength=9).reshape(3, 3)
+
+
+def _estimate(counts, e_analytic: float) -> CorrelationEstimate:
+    """Mean of A*B over the detected pairs of a count table and its standard
+    error, beside the analytic value. N = same + diff pairs with product +1
+    and -1: e_hat = (same - diff)/N, and the sample variance N(1 - e^2)/(N - 1)
+    is 4*same*diff/(N(N - 1)), so stderr = 2*sqrt(same*diff/(N - 1))/N.
+    e_hat is nan when no pair was detected."""
+    same = int(counts[0, 0] + counts[2, 2])
+    diff = int(counts[0, 2] + counts[2, 0])
+    n = same + diff
+    return CorrelationEstimate(
+        e_hat=(same - diff) / n if n else float("nan"),
+        stderr=2.0 * math.sqrt(same * diff / (n - 1)) / n if n > 1 else 0.0,
+        n=n, e_analytic=float(e_analytic))
+
+
 @dataclass(frozen=True)
 class SignProductDiagnostic:
     """Average of A*B under an explicit winding rule, with the empirical
@@ -100,20 +127,8 @@ def measure_alice(a, hv: HiddenVariable, eta: float = 0.0, kappa: int = 0):
     r1 = (a x s1)/|a x s1| and A = +lam * (-1)**kappa. At eta = 0 the
     quaternion is the scalar +/-1 itself.
     """
-    a = _require_unit(a, "a", 3)
-    if eta < 0:
-        raise ValueError("detector-spin angle eta must be >= 0")
-    if kappa < 0:
-        raise ValueError("winding count kappa must be >= 0")
-    if eta == 0.0:
-        q = hv.lam * np.array([1.0, 0.0, 0.0, 0.0])
-    else:
-        r1 = np.cross(a, hv.s1)
-        norm = np.linalg.norm(r1)
-        if norm < 1e-12:
-            raise ValueError("rotation axis undefined: a parallel to s1 with eta > 0")
-        q = hv.lam * np.concatenate([[np.cos(eta)], np.sin(eta) * r1 / norm])
-    return q, hv.lam * (-1) ** kappa
+    return _wing(hv.lam, np.cross(_require_unit(a, "a", 3), hv.s1), eta, kappa,
+                 "a parallel to s1")
 
 
 def measure_bob(b, hv: HiddenVariable, eta: float = 0.0, kappa: int = 0):
@@ -122,20 +137,26 @@ def measure_bob(b, hv: HiddenVariable, eta: float = 0.0, kappa: int = 0):
     Returns (-lam * [cos(eta) + (I.r2) sin(eta)], B) with
     r2 = (s2 x b)/|s2 x b| and B = -lam * (-1)**kappa.
     """
-    b = _require_unit(b, "b", 3)
+    return _wing(-hv.lam, np.cross(hv.s2, _require_unit(b, "b", 3)), eta, kappa,
+                 "b parallel to s2")
+
+
+def _wing(sign: int, axis, eta: float, kappa: int, parallel: str):
+    """(sign * [cos(eta) + (I.r) sin(eta)], sign * (-1)**kappa) with
+    r = axis/|axis|; at eta = 0 the quaternion is the scalar sign itself,
+    and `parallel` names the degenerate settings of a zero axis."""
     if eta < 0:
         raise ValueError("detector-spin angle eta must be >= 0")
     if kappa < 0:
         raise ValueError("winding count kappa must be >= 0")
     if eta == 0.0:
-        q = -hv.lam * np.array([1.0, 0.0, 0.0, 0.0])
+        q = sign * np.array([1.0, 0.0, 0.0, 0.0])
     else:
-        r2 = np.cross(hv.s2, b)
-        norm = np.linalg.norm(r2)
+        norm = np.linalg.norm(axis)
         if norm < 1e-12:
-            raise ValueError("rotation axis undefined: b parallel to s2 with eta > 0")
-        q = -hv.lam * np.concatenate([[np.cos(eta)], np.sin(eta) * r2 / norm])
-    return q, -hv.lam * (-1) ** kappa
+            raise ValueError(f"rotation axis undefined: {parallel} with eta > 0")
+        q = sign * np.concatenate([[np.cos(eta)], np.sin(eta) * axis / norm])
+    return q, sign * (-1) ** kappa
 
 
 def joint_limit_value(a, b, hv: HiddenVariable) -> float:
@@ -213,15 +234,13 @@ def simulate_runs(a, b, n: int, seed: int, conservation: bool = True,
 
 
 def records_to_csv(records, fileobj) -> None:
-    """Dump a RunRecord stream: a_theta, b_theta (planar azimuths, degrees),
-    lambda, A, B, joint_limit."""
-    w = csv.writer(fileobj)
-    w.writerow(["a_theta", "b_theta", "lambda", "A", "B", "joint_limit"])
-    for r in records:
-        w.writerow([
-            format(_planar_azimuth_deg(r.a), ".9g"), format(_planar_azimuth_deg(r.b), ".9g"),
-            r.hv.lam, r.A, r.B, format(r.joint_limit, ".9g"),
-        ])
+    """Dump a RunRecord stream in the artifact CSV format, without metadata:
+    a_theta, b_theta (planar azimuths, degrees), lambda, A, B, joint_limit."""
+    columns = ("a_theta", "b_theta", "lambda", "A", "B", "joint_limit")
+    fileobj.write(csv_text({}, columns, (
+        dict(zip(columns, (_planar_azimuth_deg(r.a), _planar_azimuth_deg(r.b),
+                           r.hv.lam, r.A, r.B, r.joint_limit)))
+        for r in records)))
 
 
 def correlation(a, b, n: int, seed: int, conservation: bool = True) -> CorrelationEstimate:
@@ -232,12 +251,10 @@ def correlation(a, b, n: int, seed: int, conservation: bool = True) -> Correlati
     noise only; without conservation every run contributes -1.
     """
     values = simulate_outcomes(a, b, n, seed, conservation).joint
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     e_hat = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    eta_ab = float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
-    return CorrelationEstimate(e_hat=e_hat, stderr=stderr, n=n, e_analytic=float(-np.cos(eta_ab)))
+    return CorrelationEstimate(e_hat=e_hat, stderr=stderr, n=n,
+                               e_analytic=float(-np.cos(_angle(a, b))))
 
 
 def sign_product_diagnostic(a, b, n: int, seed: int,
@@ -249,20 +266,9 @@ def sign_product_diagnostic(a, b, n: int, seed: int,
     diagnostic shows how per-wing sign fluctuations distribute the four
     outcome pairs while equal settings stay perfectly anti-correlated.
     """
-    if winding_rule not in WINDING_RULES:
-        raise ValueError(f"unknown winding rule {winding_rule!r}; choose from {WINDING_RULES}")
     ens = simulate_outcomes(a, b, n, seed, True, winding_rule)
-    A, B = ens.A, ens.B
-    prod = (A * B).astype(float)
-    counts = {
-        "++": int(np.sum((A == 1) & (B == 1))),
-        "+-": int(np.sum((A == 1) & (B == -1))),
-        "-+": int(np.sum((A == -1) & (B == 1))),
-        "--": int(np.sum((A == -1) & (B == -1))),
-    }
-    eta_ab = float(np.arccos(np.clip(np.dot(np.asarray(a, float), np.asarray(b, float)), -1.0, 1.0)))
-    est = CorrelationEstimate(
-        e_hat=float(prod.mean()),
-        stderr=float(prod.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
-        n=n, e_analytic=float(-np.cos(eta_ab)))
+    table = _count(ens.A, ens.B)
+    counts = {"++": int(table[2, 2]), "+-": int(table[2, 0]),
+              "-+": int(table[0, 2]), "--": int(table[0, 0])}
+    est = _estimate(table, -np.cos(_angle(a, b)))
     return SignProductDiagnostic(estimate=est, counts=counts, winding_rule=winding_rule)

@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from s3sim import cli
-from s3sim.curves import (CSV_COLUMNS, CorrelationCurve, CurvePoint, fmt9, read_curve_csv,
-                          read_curve_json, read_rows_csv, write_curve_csv, write_curve_json,
-                          write_rows_csv)
+from s3sim.curves import (CSV_COLUMNS, CorrelationCurve, CurvePoint, fmt9, parse_grid,
+                          read_curve_csv, read_curve_json, read_rows_csv, write_curve_csv,
+                          write_curve_json, write_rows_csv)
 from s3sim.experiments import EXPERIMENTS, FORMATS, ExperimentConfig, run, run_probabilities
-from s3sim.pearle import MODES, TABLE_COLUMNS
+from s3sim.pearle import MODES, TABLE_COLUMNS, correlation_curve, flat_mode_curve
 
 HEADER = ",".join(CSV_COLUMNS)
 
@@ -73,6 +73,18 @@ def test_grid_metadata_of_cli_grids_is_unchanged():
     assert ExperimentConfig(experiment="curve", seed=1).meta()["grid"] == "0:180:5"
     assert ExperimentConfig(experiment="curve", seed=1, grid="0:90:7.5").meta()["grid"] == \
         "0:90:7.5"
+
+
+@pytest.mark.parametrize("make", [lambda grid: correlation_curve("s3", grid, 100, 1),
+                                  lambda grid: flat_mode_curve(100, grid, 1)],
+                         ids=["correlation_curve", "flat_mode_curve"])
+def test_api_curves_record_n_and_grid_like_cli_artifacts(make):
+    grid = [0.0, 33.33333333, 90.0]
+    meta = make(grid).meta
+    assert sorted(meta) == ["grid", "kappa", "model", "n", "seed"]
+    assert (meta["n"], meta["seed"], meta["kappa"]) == ("100", "1", "1")
+    assert meta["grid"] == "0,33.33333333,90"
+    assert np.array_equal(parse_grid(meta["grid"]), grid)
 
 
 # ---------------------------------------------------------------------------

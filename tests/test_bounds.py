@@ -29,6 +29,17 @@ def test_four_average_enumeration_is_exactly_four():
     assert a1 * b1 + a2 * b2 + a3 * b3 - a4 * b4 == 4
 
 
+def test_enumeration_witnesses_are_pinned():
+    # the bounds artifact prints these: the first row, in itertools.product
+    # order, that reaches each extremum
+    single = enumerate_single_average_bound()
+    assert (single.max_witness, single.min_witness, single.n_assignments) == \
+        ((-1, -1, -1, -1), (-1, -1, 1, -1), 16)
+    four = enumerate_four_average_bound()
+    assert (four.max_witness, four.min_witness, four.n_assignments) == \
+        ((-1, -1, -1, -1, -1, -1, -1, 1), (-1, 1, -1, 1, -1, 1, -1, -1), 256)
+
+
 def test_specific_assignment_values():
     assert single_average_value(BinaryAssignment(1, 1, 1, 1)) == 2
     assert single_average_value(BinaryAssignment(1, 1, 1, -1)) == 2

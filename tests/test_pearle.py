@@ -228,6 +228,15 @@ def test_detection_fraction_uses_well_conditioned_branch():
     assert abs(g - 1.0) < 0.05
 
 
+def test_detection_fraction_is_the_first_conditioned_branch():
+    t = probabilities_from_outcomes(np.pi / 2, [1, -1, 1, 0], [-1, 1, 1, -1])
+    assert detection_fraction(0.0, t) == detection_fraction_branches(0.0, t)[0]
+    assert detection_fraction(np.pi / 2, t) == detection_fraction_branches(np.pi / 2, t)[0]
+    assert detection_fraction(np.pi, t) == detection_fraction_branches(np.pi, t)[1]
+    with pytest.raises(ValueError, match="ill-conditioned"):
+        detection_fraction(float("nan"), t)
+
+
 def test_rejection_mode_loses_pairs():
     # quadrature oracle for the coincidence fraction of the rejection reading
     def p_v_ge(fv, u, eta):

@@ -1,8 +1,11 @@
+import io
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from s3sim.algebra import X_AXIS, Y_AXIS, quat_norm
+from s3sim.algebra import X_AXIS, Y_AXIS, planar, quat_norm
+from s3sim.curves import read_rows_csv
 from s3sim.singlet import (HiddenVariable, WINDING_RULES, correlation,
                            draw_hidden_variable, joint_limit_value, measure_alice,
                            measure_bob, records_to_csv, sign_product_diagnostic,
@@ -172,6 +175,22 @@ def test_records_csv_round_trip(tmp_path):
     assert float(first[5]) == records[0].joint_limit
 
 
+def test_records_csv_is_the_artifact_format(tmp_path):
+    records = simulate_runs(X_AXIS, planar(30.0), 40, seed=31, winding_rule="angle-threshold")
+    buf = io.StringIO()
+    records_to_csv(records, buf)
+    assert "\r" not in buf.getvalue()
+    path = tmp_path / "runs.csv"
+    path.write_text(buf.getvalue())
+    meta, rows = read_rows_csv(path)
+    assert meta == {} and len(rows) == len(records)
+    columns = ("a_theta", "b_theta", "lambda", "A", "B", "joint_limit")
+    for r, row in zip(records, rows):
+        azimuths = [np.degrees(np.arctan2(v[1], v[0])) for v in (r.a, r.b)]
+        fields_ = (*azimuths, r.hv.lam, r.A, r.B, r.joint_limit)
+        assert [float(row[c]) for c in columns] == [float(format(x, ".9g")) for x in fields_]
+
+
 # ---------------------------------------------------------------------------
 # sign-product diagnostic
 
@@ -203,6 +222,23 @@ def test_random_parity_randomizes_individual_signs_only():
     assert d.estimate.e_hat == -1.0
     # both anti-correlated cells populated: the shared coin flips A and B together
     assert d.counts["+-"] > 0 and d.counts["-+"] > 0
+
+
+@pytest.mark.parametrize("rule", WINDING_RULES)
+@pytest.mark.parametrize("deg", [0.0, 60.0, 120.0])
+def test_sign_product_diagnostic_matches_the_array_reduction(rule, deg):
+    n, seed = 30_000, 29
+    d = sign_product_diagnostic(X_AXIS, planar(deg), n, seed, winding_rule=rule)
+    ens = simulate_outcomes(X_AXIS, planar(deg), n, seed, winding_rule=rule)
+    A, B = ens.A, ens.B
+    prod = (A * B).astype(float)
+    assert d.estimate.e_hat == float(prod.mean())
+    assert d.estimate.n == n
+    assert d.counts == {"++": int(np.sum((A == 1) & (B == 1))),
+                        "+-": int(np.sum((A == 1) & (B == -1))),
+                        "-+": int(np.sum((A == -1) & (B == 1))),
+                        "--": int(np.sum((A == -1) & (B == -1)))}
+    assert d.estimate.stderr == pytest.approx(prod.std(ddof=1) / np.sqrt(n), rel=1e-15, abs=0.0)
 
 
 def test_unknown_winding_rule_rejected():
