@@ -98,7 +98,7 @@ def main(argv=None) -> int:
         print(f"s3sim: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except MemoryError as exc:
-        # the flat and pearle-reject models draw all n states of a pair at once
+        # a request the machine cannot hold is a usage problem, not a crash
         print(f"s3sim: usage error: --n {config.n_per_point} is too large for the "
               f"{config.model} model ({exc})", file=sys.stderr)
         return EXIT_USAGE

@@ -34,7 +34,7 @@ import numpy as np
 
 from .algebra import _angle, _require_unit, planar
 from .curves import CorrelationCurve, CurvePoint, format_grid
-from .rng import substream
+from .rng import jumped, philox, substream
 from .singlet import CorrelationEstimate, _count, _estimate
 
 MODES = ("s3", "pearle-reject", "flat")
@@ -221,12 +221,13 @@ def _pair_setup(a, b, n: int, rng_or_seed, mode: str, kappa: int):
         raise ValueError(f"unknown model mode {mode!r}; choose from {MODES}")
     kappa = _check_kappa(kappa)
     rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) else substream(rng_or_seed)
-    return a, b, kappa, rng
+    return a, b, kappa, philox(rng)
 
 
 def _fill_draws(rng, z, phi, f=None) -> None:
     """Fill z ~ U(-1, 1), phi ~ U(0, pi) and, if given, the thresholds f, in
-    that order and in place, from rng.random's doubles r.
+    that order and in place, from rng.random's doubles r. rng is one
+    Generator or a tuple of one per array, each drawing its array's doubles.
 
     z = 2r - 1 and phi = pi*r are the IEEE operations of Generator.uniform
     (low + (high - low)*r), so they equal uniform(-1, 1) and uniform(0, pi)
@@ -234,13 +235,14 @@ def _fill_draws(rng, z, phi, f=None) -> None:
     [0, kappa*pi]: u = eta_z_so/(kappa*pi) ~ U(0, 1) for every kappa, and
     f = -1 + 2/sqrt(1 + 3u).
     """
-    rng.random(out=z)
+    rng_z, rng_phi, rng_f = rng if isinstance(rng, tuple) else (rng, rng, rng)
+    rng_z.random(out=z)
     z *= 2.0
     z -= 1.0
-    rng.random(out=phi)
+    rng_phi.random(out=phi)
     phi *= np.pi
     if f is not None:
-        rng.random(out=f)
+        rng_f.random(out=f)
         f *= 3.0
         f += 1.0
         np.sqrt(f, out=f)
@@ -300,29 +302,34 @@ def _screened_eb(z, phi, f, cos_ab: float, sin_ab: float, eb, tmp):
 
 
 def _one_draw(rng, n: int, cos_ab: float, sin_ab: float, mode: str):
-    """int8 (A, B) of n emitted states in the flat or pearle-reject mode: one
-    draw of n, then e.b and its signs and cuts CHUNK by CHUNK."""
-    z, phi = np.empty(n), np.empty(n)
-    f = None if mode == "flat" else np.empty(n)
-    _fill_draws(rng, z, phi, f)
-    # rows a_up, b_up (True where e.n >= 0) and, with thresholds, a_seen, b_seen
-    bits = np.empty((2 if f is None else 4, n), dtype=bool)
-    eb, tmp = np.empty(min(n, CHUNK)), np.empty(min(n, CHUNK))
+    """Yield int8 (A, B) per chunk of CHUNK of the n emitted states in the
+    flat or pearle-reject mode, on the stream of one draw of n: z of all n,
+    then phi, then (pearle-reject) f, then n coins.
+
+    Philox is counter-based, so each block of that stream is entered by a
+    jump (rng.jumped) and read chunk by chunk: z from rng itself, phi n
+    doubles on, f 2n doubles on, and the coins from the 32-bit draws after
+    the last block. At the end rng is in the state the one draw leaves.
+    With n <= CHUNK the one chunk draws in that order without a jump.
+    """
+    z, phi, eb, tmp = (np.empty(min(n, CHUNK)) for _ in range(4))
+    f = None if mode == "flat" else np.empty(min(n, CHUNK))
+    draws = coins = rng
+    if n > CHUNK:
+        draws = (rng, jumped(rng, n), None if f is None else jumped(rng, 2 * n))
+        coins = jumped(rng, (2 if f is None else 3) * n)
     for lo in range(0, n, CHUNK):
-        c, k = slice(lo, lo + CHUNK), min(CHUNK, n - lo)
-        f_c = None if f is None else f[c]
-        e = _screened_eb(z[c], phi[c], f_c, cos_ab, sin_ab, eb[:k], tmp[:k])
-        np.greater_equal(z[c], 0.0, out=bits[0, c])
-        np.greater_equal(e, 0.0, out=bits[1, c])
+        k = min(CHUNK, n - lo)
+        z_c, f_c = z[:k], None if f is None else f[:k]
+        _fill_draws(draws, z_c, phi[:k], f_c)
+        e = _screened_eb(z_c, phi[:k], f_c, cos_ab, sin_ab, eb[:k], tmp[:k])
+        A, B = _outcomes(coins, z_c >= 0.0, e >= 0.0)
         if f is not None:  # a wing detects where |e.n| >= f
-            np.greater_equal(np.abs(z[c], out=tmp[:k]), f_c, out=bits[2, c])
-            np.greater_equal(np.abs(e, out=tmp[:k]), f_c, out=bits[3, c])
-    del z, phi, f  # free the n-sized float draws before the coin
-    A, B = _outcomes(rng, bits[0], bits[1])
-    if mode != "flat":
-        A *= bits[2].view(np.int8)
-        B *= bits[3].view(np.int8)
-    return A, B
+            A *= (np.abs(z_c, out=tmp[:k]) >= f_c).view(np.int8)
+            B *= (np.abs(e, out=tmp[:k]) >= f_c).view(np.int8)
+        yield A, B
+    if coins is not rng:
+        rng.bit_generator.state = coins.bit_generator.state
 
 
 def _s3_chunks(rng, n: int, cos_ab: float, sin_ab: float, max_batches: int):
@@ -364,15 +371,17 @@ def _outcome_chunks(a, b, n: int, rng, mode: str, max_batches: int = 1000):
     s3 draws chunks of CHUNK candidates until n are admitted; candidates
     counts the draws a chunk used, up to its last admitted state in the
     final chunk, and draws exposes the chunk's admitted states (see
-    _s3_chunks). flat and pearle-reject are one chunk: a single draw of n,
-    with draws None.
+    _s3_chunks). flat and pearle-reject emit chunks of CHUNK states on the
+    stream of one draw of n (see _one_draw), with candidates the chunk's
+    size and draws None.
     """
     cos_ab = float(np.clip(a @ b, -1.0, 1.0))
     sin_ab = float(np.sqrt(1.0 - cos_ab * cos_ab))
     if mode == "s3":
         yield from _s3_chunks(rng, n, cos_ab, sin_ab, max_batches)
     else:
-        yield *_one_draw(rng, n, cos_ab, sin_ab, mode), n, None
+        for A, B in _one_draw(rng, n, cos_ab, sin_ab, mode):
+            yield A, B, A.size, None
 
 
 def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
@@ -382,18 +391,19 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
     s3: n admitted states, all detected (A, B in {-1, +1}).
     pearle-reject: n emitted states, per-wing rejection (0 = undetected).
     flat: n states, no threshold.
-    rng_or_seed: an integer seed (root substream) or a Generator.
+    rng_or_seed: an integer seed (root substream) or a Philox Generator
+    (TypeError for another bit generator), left in the state the draws
+    reach.
 
     Outcomes depend on a state only through (e.a, e.b, f) and the coin, so
-    only those are drawn; kappa changes no outcome. In s3 mode candidates
-    come in chunks of CHUNK, at most max_batches * max(1024, n) in all.
+    only those are drawn; kappa changes no outcome. Every mode draws in
+    chunks of CHUNK; in s3 mode at most max_batches * max(1024, n)
+    candidates in all.
     """
     a, b, kappa, rng = _pair_setup(a, b, n, rng_or_seed, mode, kappa)
-    A = B = None
+    A, B = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     got = n_admitted = n_candidates = 0
     for chunk_A, chunk_B, used, _ in _outcome_chunks(a, b, n, rng, mode, max_batches):
-        if A is None:  # allocated once the first draw's temporaries are freed
-            A, B = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
         A[got:got + chunk_A.size] = chunk_A
         B[got:got + chunk_B.size] = chunk_B
         got += chunk_A.size
@@ -406,7 +416,7 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
 def outcome_counts(a, b, n: int, rng_or_seed, mode: str = "s3",
                    kappa: int = 1) -> np.ndarray:
     """The outcome-count table of run_pair(a, b, n, rng_or_seed, mode, kappa),
-    summed chunk by chunk, so s3 mode holds O(CHUNK) memory for any n.
+    summed chunk by chunk, so it holds O(CHUNK) memory for any n.
 
     Entry [i, j] counts the pairs with A = i - 1 and B = j - 1, over
     (A, B) in {-1, 0, +1}^2. Every estimate, table and fraction of a

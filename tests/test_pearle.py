@@ -468,6 +468,17 @@ def test_one_draw_memory_is_bounded(mode):
     assert peak < 40 * 2**20
 
 
+@pytest.mark.parametrize("mode", ["pearle-reject", "flat"])
+def test_one_draw_memory_is_bounded_by_the_chunk(mode):
+    tracemalloc.start()
+    try:
+        estimate_pair(planar(0.0), planar(90.0), 1_000_000, substream(23, 0), mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_estimate_pair_memory_is_bounded_by_the_chunk():
     tracemalloc.start()
     try:
@@ -480,7 +491,7 @@ def test_estimate_pair_memory_is_bounded_by_the_chunk():
 
 @pytest.mark.parametrize("mode, limit_mib", [("pearle-reject", 30), ("flat", 20)])
 def test_one_draw_scratch_is_chunk_sized(mode, limit_mib):
-    # only z, phi and f are n-sized floats; e.b and its scratch are CHUNK-sized
+    # the draws, e.b and its scratch are all CHUNK-sized
     tracemalloc.start()
     try:
         estimate_pair(planar(0.0), planar(90.0), 1_000_000, substream(23, 0), mode)
@@ -541,12 +552,13 @@ def test_screen_redoes_decisions_at_the_boundaries(monkeypatch, deg):
     assert not np.array_equal(_screened(z, phi, f, eta), ref)
 
 
-def _float64_reference(deg, n, seed, mode):
+def _float64_reference(deg, n, rng_or_seed, mode):
     """(A, B, n_candidates, n_admitted) of run_pair with a float64 cos for
-    every candidate: cos -> _project_b -> cuts -> _outcomes."""
+    every candidate: cos -> _project_b -> cuts -> _outcomes. The flat and
+    pearle-reject modes draw all n states at once, in stream order."""
     cos_ab = float(np.clip(planar(0.0) @ planar(deg), -1.0, 1.0))
     sin_ab = float(np.sqrt(1.0 - cos_ab * cos_ab))
-    rng = substream(seed)
+    rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) else substream(rng_or_seed)
     if mode != "s3":
         z, phi, f = np.empty(n), np.empty(n), np.empty(n)
         _fill_draws(rng, z, phi, None if mode == "flat" else f)
@@ -578,6 +590,37 @@ def test_run_pair_equals_the_float64_reference(mode, deg):
     A, B, n_candidates, n_admitted = _float64_reference(deg, n, seed, mode)
     assert np.array_equal(run.A, A) and np.array_equal(run.B, B)
     assert (run.n_candidates, run.n_admitted) == (n_candidates, n_admitted)
+
+
+def _mid_word_generator(seed, words):
+    """substream(seed) after `words` doubles and one coin: a partly used
+    4-word Philox buffer and a pending 32-bit half."""
+    rng = substream(seed)
+    rng.random(words)
+    rng.integers(0, 2, size=1)
+    state = rng.bit_generator.state
+    assert (state["buffer_pos"], state["has_uint32"]) == (words + 1, 1)
+    return rng
+
+
+@pytest.mark.parametrize("mode", ["pearle-reject", "flat"])
+@pytest.mark.parametrize("words", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_one_draw_jumps_are_exact_from_any_philox_state(mode, words, n):
+    # the chunks enter the one-draw stream by counter jumps; outcomes and the
+    # generator left behind are those of drawing all n states in order
+    rng, ref = _mid_word_generator(82, words), _mid_word_generator(82, words)
+    run = run_pair(planar(0.0), planar(60.0), n, rng, mode)
+    A, B, _, _ = _float64_reference(60.0, n, ref, mode)
+    assert np.array_equal(run.A, A) and np.array_equal(run.B, B)
+    assert rng.random() == ref.random()
+    assert np.array_equal(rng.integers(0, 2, 3), ref.integers(0, 2, 3))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_pair_requires_a_philox_generator(mode):
+    with pytest.raises(TypeError):
+        run_pair(planar(0.0), planar(60.0), 10, np.random.Generator(np.random.PCG64(83)), mode)
 
 
 def test_probabilities_from_outcomes_rejects_other_values():
