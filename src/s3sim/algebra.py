@@ -129,10 +129,6 @@ def quat_renormalize(q) -> np.ndarray:
     return q / quat_norm(q)[..., np.newaxis]
 
 
-def scalar_part(q):
-    return np.asarray(q, dtype=float)[..., 0]
-
-
 def vector_part(q) -> np.ndarray:
     return np.asarray(q, dtype=float)[..., 1:]
 

@@ -51,9 +51,6 @@ class CorrelationCurve:
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"non-finite curve point at eta={p.eta_deg}")
 
-    def max_abs_deviation(self) -> float:
-        return max(abs(p.e_hat - p.e_analytic) for p in self.points)
-
 
 def csv_text(meta: dict, columns, rows) -> str:
     """Meta lines, a header of `columns` and one line per row mapping."""
@@ -150,9 +147,9 @@ def format_grid(spec) -> str:
 
 def parse_grid(spec) -> np.ndarray:
     """Angle grid in degrees from 'start:stop:step', a comma list of angles,
-    a (start, stop, step) triple, or an explicit sequence; must lie within
-    [0, 180]. A range may give at most MAX_POINTS points, checked before
-    the grid is built."""
+    a (start, stop, step) triple, or an explicit sequence; every number must
+    be finite and every angle within [0, 180]. A range may give at most
+    MAX_POINTS points, checked before the grid is built."""
     if isinstance(spec, str):
         parts = spec.split(":")
         if len(parts) == 1:
@@ -161,17 +158,22 @@ def parse_grid(spec) -> np.ndarray:
             raise ValueError("grid spec must be start:stop:step")
         else:
             spec = tuple(float(p) for p in parts)
+    values = np.asarray(list(spec), dtype=float)
+    # NaN fails every range and order test below, so it is caught here
+    non_finite = values[~np.isfinite(values)]
+    if non_finite.size:
+        raise ValueError(f"grid values must be finite, got {non_finite[0]}")
     if isinstance(spec, tuple) and len(spec) == 3:
         start, stop, step = spec
         if step <= 0:
             raise ValueError("grid step must be positive")
         stop += 0.5 * step
-        # the unrounded arange length; "not <=" also rejects nan and inf
+        # the unrounded arange length
         if not (stop - start) / step <= MAX_POINTS:
             raise ValueError(f"grid must have at most {MAX_POINTS} points")
         grid = np.arange(start, stop, step, dtype=float)
     else:
-        grid = np.asarray(list(spec), dtype=float)
+        grid = values
     if grid.size == 0:
         raise ValueError("empty angle grid")
     if np.any(grid < 0.0) or np.any(grid > 180.0):

@@ -7,7 +7,6 @@ configuration embedded as a metadata block.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -113,9 +112,11 @@ def _map_tasks(fn, tasks: list, workers: int) -> list:
     """[fn(t) for t in tasks], on a process pool of _pool_size(workers, len(tasks)).
 
     Every task carries its own substream index, so the results do not
-    depend on the pool size."""
+    depend on the pool size. The pool module is imported only here, so a
+    serial run never loads multiprocessing."""
     workers = _pool_size(workers, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]

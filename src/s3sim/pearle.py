@@ -93,9 +93,6 @@ class PearleMapping:
     def f(self, eta):
         return pearle_f(eta, self.kappa)
 
-    def f_complement(self, eta):
-        return pearle_f_complement(eta, self.kappa)
-
     def radial_coordinate(self, eta):
         """Unit-ball radius r with cos(pi*r/2) = f(eta); rotation angle pi*r."""
         return (2.0 / np.pi) * np.arccos(np.clip(self.f(eta), -1.0, 1.0))

@@ -38,6 +38,16 @@ def test_parse_grid_forms():
         parse_grid("0:90")
 
 
+@pytest.mark.parametrize("spec, bad", [
+    ("-inf", "-inf"), ([0.0, np.nan], "nan"), ((0.0, np.inf, 5.0), "inf"),
+], ids=repr)
+def test_parse_grid_rejects_non_finite_values(spec, bad):
+    # the API forms; test_cli_non_finite_grid_is_usage_error covers the text
+    # forms. A range must not report inf as too many points.
+    with pytest.raises(ValueError, match=f"must be finite, got {bad}$"):
+        parse_grid(spec)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         cfg(experiment="nonsense").validated()
@@ -254,6 +264,47 @@ def test_cli_oversized_grid_or_steps_is_usage_error(tmp_path, run_cli, args):
     assert res.returncode == 2
     assert "usage error" in res.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, bad", [
+    (("curve", "--model", "s3", "--grid", "nan"), "nan"),
+    (("curve", "--model", "s3", "--grid", "0,nan,90"), "nan"),
+    (("curve", "--model", "s3", "--grid", "0:180:nan"), "nan"),
+    (("curve", "--model", "s3", "--grid", "0:inf:5"), "inf"),
+    (("probabilities", "--model", "flat", "--grid", "nan"), "nan"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+def test_cli_non_finite_grid_is_usage_error(tmp_path, run_cli, args, bad):
+    # a NaN grid point used to run s3 mode through its whole candidate
+    # budget and exit 4
+    out = tmp_path / "x.csv"
+    res = run_cli(*args, "--n", "20000", "--seed", "1", "--out", str(out))
+    assert res.returncode == 2
+    assert f"usage error: grid values must be finite, got {bad}" in res.stderr
+    assert not out.exists()
+
+
+# Prints which process-pool modules the finished run left in sys.modules.
+_POOL_PROBE = ("import atexit, runpy, sys\n"
+               "pool = ('concurrent.futures.process', 'multiprocessing')\n"
+               "atexit.register(lambda: print('pool modules:', "
+               "[m for m in pool if m in sys.modules]))\n"
+               "sys.argv[0] = 's3sim'\n"
+               "runpy.run_module('s3sim', run_name='__main__', alter_sys=True)\n")
+
+
+@pytest.mark.parametrize("args", [
+    ("curve", "--n", "2000", "--grid", "0:180:45", "--workers", "1"),
+    ("geodesic",),
+], ids=lambda args: args[0])
+def test_cli_serial_run_loads_no_process_pool(tmp_path, cli_env, args):
+    # python -m s3sim, with a hook that reports the loaded modules at exit
+    out = tmp_path / "x.csv"
+    res = subprocess.run([sys.executable, "-c", _POOL_PROBE, *args, "--seed", "5",
+                          "--out", str(out)],
+                         capture_output=True, text=True, env=cli_env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert out.exists()
+    assert res.stdout.splitlines()[-1] == "pool modules: []"
 
 
 def test_cli_unknown_experiment_is_usage_error(run_cli):
