@@ -12,6 +12,8 @@ Library layout:
                CHSH evaluation against any correlation source
 * experiments  named seeded runs emitting CSV/JSON artifacts
 * cli          the `s3sim` command
+* oracle       expected count tables by quadrature, for checking the
+               Monte Carlo (not imported here)
 """
 from .algebra import (Bivector, GeodesicPoint, SingularAxisError, composite_angle,
                       composite_axis, composite_axis_numerator, dist_so3, dist_su2,

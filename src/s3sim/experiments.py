@@ -84,6 +84,10 @@ class ExperimentConfig:
             "kappa": str(self.kappa), "steps": str(self.steps), "format": self.format,
         }
 
+    def sampled_meta(self) -> dict:
+        """meta() plus the sampler version, for the experiments that run pairs."""
+        return {**self.meta(), "sampler": str(pearle.SAMPLER_VERSION)}
+
     def default_out(self) -> str:
         return f"{self.experiment.replace('-', '_')}.{self.format}"
 
@@ -144,7 +148,7 @@ def run_curve(config: ExperimentConfig) -> CorrelationCurve:
     points = _map_tasks(_curve_point_task, tasks, config.workers)
     # a point with no coincidences has e_hat = nan; CorrelationCurve rejects it
     _require_finite([[p.e_hat, p.e_analytic, p.stderr, p.g] for p in points], "curve")
-    return CorrelationCurve(points=tuple(points), meta=config.meta())
+    return CorrelationCurve(points=tuple(points), meta=config.sampled_meta())
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +179,7 @@ def run_chsh(config: ExperimentConfig) -> dict:
     mc = chsh_monte_carlo(quad, config.n_per_point, config.seed, config.model, config.kappa,
                           config.workers)
     payload = {
-        "meta": config.meta(),
+        "meta": config.sampled_meta(),
         "quad_degrees": list(CANONICAL_QUAD_DEGREES),
         "analytic": analytic.to_dict(),
         "monte_carlo": mc.to_dict(),
@@ -222,7 +226,7 @@ def run_probabilities(config: ExperimentConfig) -> dict:
              for i, deg in enumerate(grid)]
     tables = _map_tasks(_probability_task, tasks, config.workers)
     _require_finite([list(t.values()) for t in tables], "probability tables")
-    return {"meta": config.meta(), "tables": tables}
+    return {"meta": config.sampled_meta(), "tables": tables}
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +248,7 @@ def compare_models(config: ExperimentConfig) -> dict:
         f"flat: |S| = {abs(chsh_flat.s):.6f} -> {chsh_flat.regime}",
     ]
     return {
-        "meta": config.meta(),
+        "meta": config.sampled_meta(),
         "curves": {"s3": curve_to_dict(curve_s3), "flat": curve_to_dict(curve_flat)},
         "chsh": {"s3": chsh_s3.to_dict(), "flat": chsh_flat.to_dict()},
         "summary": summary,

@@ -34,17 +34,25 @@ import numpy as np
 
 from .algebra import _angle, _require_unit, planar
 from .curves import CorrelationCurve, CurvePoint, format_grid
-from .rng import jumped, philox, substream
+from .rng import philox, position, seek, substream
 from .singlet import CorrelationEstimate, _count, _estimate
 
 MODES = ("s3", "pearle-reject", "flat")
 
-# candidates per s3 draw: small enough that a chunk's arrays stay in cache
+# the random stream and kernel that run_pair draws with; artifacts record it
+SAMPLER_VERSION = 2
+
+# candidates per chunk: small enough that a chunk's arrays stay in cache
 CHUNK = 1 << 14
 
-# half-width of the band around a sign or cut decision in which e.b is
-# redone with the float64 cos (see _screened_eb)
-_SCREEN = 1e-6
+# counter steps of one float32 array of a chunk's block: CHUNK 32-bit draws
+# fill CHUNK/2 64-bit words, and Philox makes 4 words per step
+_STEPS = CHUNK // 8
+
+# half-width of the band around a sign or cut decision in which e.b and f
+# are redone in float64 (see _decide): 10 times the measured float32 error,
+# at most 1.7e-7 in e.b plus 2.4e-7 in f (all 2**24 values of u)
+_SCREEN = 4e-6
 
 _DENOM_TOL = 1e-12
 
@@ -221,43 +229,59 @@ def _pair_setup(a, b, n: int, rng_or_seed, mode: str, kappa: int):
     return a, b, kappa, philox(rng)
 
 
-def _fill_draws(rng, z, phi, f=None) -> None:
-    """Fill z ~ U(-1, 1), phi ~ U(0, pi) and, if given, the thresholds f, in
-    that order and in place, from rng.random's doubles r. rng is one
-    Generator or a tuple of one per array, each drawing its array's doubles.
+def _fill_draws(rng, key, start: int, z, phi, u=None):
+    """Fill z ~ U(-1, 1), phi ~ U(0, pi) and, if given, u ~ U(0, 1) for the
+    k = z.size candidates of a chunk, in place, and return their k coins
+    (True for heads, lam = +1).
 
-    z = 2r - 1 and phi = pi*r are the IEEE operations of Generator.uniform
-    (low + (high - low)*r), so they equal uniform(-1, 1) and uniform(0, pi)
-    bit for bit. f = pearle_f(eta_z_so, kappa) for eta_z_so uniform on
-    [0, kappa*pi]: u = eta_z_so/(kappa*pi) ~ U(0, 1) for every kappa, and
-    f = -1 + 2/sqrt(1 + 3u).
+    The chunk's block is the Philox stream of key from counter start on
+    (see rng.seek): CHUNK float32 draws r (Generator.random) for each of z,
+    phi and u, each array starting on a counter step, then CHUNK coin bits,
+    bit i % 64 of 64-bit word i // 64. A chunk of k < CHUNK candidates reads
+    the first k values of each; flat mode skips u. z = 2r - 1 exactly,
+    phi = pi*r in float32, and u = r is uniform like eta_z_so/(kappa*pi).
     """
-    rng_z, rng_phi, rng_f = rng if isinstance(rng, tuple) else (rng, rng, rng)
-    rng_z.random(out=z)
+    k = z.size
+    at = None  # the counter the generator has reached, when known
+    for i, x in enumerate((z, phi, u)):
+        if x is not None:
+            if at != start + i * _STEPS:
+                seek(rng, key, start + i * _STEPS)
+            rng.random(out=x, dtype=np.float32)
+            at = start + (i + 1) * _STEPS if k == CHUNK else None
+    if at != start + 3 * _STEPS:
+        seek(rng, key, start + 3 * _STEPS)
+    words = rng.bit_generator.random_raw(-(-k // 64)).astype("<u8", copy=False)
     z *= 2.0
     z -= 1.0
-    rng_phi.random(out=phi)
     phi *= np.pi
-    if f is not None:
-        rng_f.random(out=f)
-        f *= 3.0
-        f += 1.0
-        np.sqrt(f, out=f)
-        np.divide(2.0, f, out=f)
-        f -= 1.0
+    return np.unpackbits(words.view(np.uint8), count=k, bitorder="little").view(bool)
 
 
-def _project_b(z, cos_phi, cos_ab: float, sin_ab: float, tmp):
+def _threshold(u, f):
+    """f = -1 + 2/sqrt(1 + 3u) into f, in the precision of f: pearle_f of
+    eta_z_so = u*kappa*pi."""
+    np.multiply(u, 3.0, out=f)
+    f += 1.0
+    np.sqrt(f, out=f)
+    np.divide(2.0, f, out=f)
+    f -= 1.0
+    return f
+
+
+def _project_b(z, cos_phi, cos_ab: float, sin_ab: float, tmp, tmp2):
     """e.b for directions with e.a = z and azimuth phi, in place in cos_phi.
 
     With a at the pole, e.a = z ~ U(-1, 1) (Archimedes' theorem) and
     e.b = z*cos(eta_ab) + sqrt(1 - z^2)*sin(eta_ab)*cos(phi); the azimuth
-    enters only through cos(phi), so phi ~ U(0, pi) suffices. tmp is
-    scratch of the same size.
+    enters only through cos(phi), so phi ~ U(0, pi) suffices. 1 - z^2 is
+    (1 - z)(1 + z), exact factors for a float32 z (and an exact product in
+    float64); tmp and tmp2 are scratch of z's size and dtype.
     """
     cos_phi *= sin_ab
-    np.multiply(z, z, out=tmp)
-    np.subtract(1.0, tmp, out=tmp)
+    np.subtract(1.0, z, out=tmp)
+    np.add(1.0, z, out=tmp2)
+    tmp *= tmp2
     np.sqrt(tmp, out=tmp)
     cos_phi *= tmp
     np.multiply(z, cos_ab, out=tmp)
@@ -265,120 +289,85 @@ def _project_b(z, cos_phi, cos_ab: float, sin_ab: float, tmp):
     return cos_phi
 
 
-def _outcomes(rng, a_up, b_up):
-    """int8 (A, B) from the signs of e.a and e.b (True where >= 0) and one
-    fair coin lam = +/-1 per state: A = lam*sign(e.a), B = -lam*sign(e.b),
-    with sign(0) := +1 (a measure-zero tie-break)."""
-    heads = rng.integers(0, 2, size=a_up.size).astype(bool)  # lam = +1
-    A = np.equal(heads, a_up).view(np.int8)
-    B = np.not_equal(heads, b_up).view(np.int8)
+def _decide(z, phi, u, heads, cos_ab: float, sin_ab: float, scratch):
+    """int8 (A, B) of a chunk's candidates: A = lam*sign(e.a) and
+    B = -lam*sign(e.b), with e.a = z, sign(0) := +1 and lam = +1 for heads;
+    given u, 0 at a wing where |e.n| < f.
+
+    e.b and f are computed in float32, in four float32 scratch arrays of
+    at least k. Where the sign of e.b or a cut |e.n| >= f is within _SCREEN
+    of flipping, they are redone in float64, so every sign and cut equals
+    its float64 evaluation on the drawn values.
+    """
+    k = z.size
+    eb, f, tmp, tmp2 = (x[:k] for x in scratch)
+    np.cos(phi, out=eb)
+    _project_b(z, eb, cos_ab, sin_ab, tmp, tmp2)
+    A = np.equal(heads, z >= 0.0).view(np.int8)
+    B = np.not_equal(heads, eb >= 0.0).view(np.int8)
+    near = np.abs(eb, out=tmp) < _SCREEN
+    detected = []
+    if u is not None:
+        _threshold(u, f)
+        for x in (z, eb):
+            margin = np.abs(x, out=tmp)
+            margin -= f
+            detected.append(margin >= 0.0)
+            near |= np.abs(margin, out=margin) < _SCREEN
+    redo = np.flatnonzero(near)
+    if redo.size:
+        z64 = z[redo].astype(np.float64)
+        eb64 = _project_b(z64, np.cos(phi[redo], dtype=np.float64), cos_ab, sin_ab,
+                          np.empty(redo.size), np.empty(redo.size))
+        B[redo] = heads[redo] != (eb64 >= 0.0)
+        if detected:
+            f64 = _threshold(u[redo].astype(np.float64), np.empty(redo.size))
+            detected[0][redo] = np.abs(z64) >= f64
+            detected[1][redo] = np.abs(eb64) >= f64
     for x in (A, B):  # {0, 1} -> {-1, +1}
         x += x
         x -= 1
+    for x, wing in zip((A, B), detected):
+        x *= wing.view(np.int8)
     return A, B
 
 
-def _screened_eb(z, phi, f, cos_ab: float, sin_ab: float, eb, tmp):
-    """e.b of _project_b into eb, from a float32 cos of phi, redone with the
-    float64 cos where a decision is within _SCREEN: the sign, |e.b| < _SCREEN,
-    and, given thresholds f, the cut, ||e.b| - f| < _SCREEN.
+def _chunks(a, b, n: int, rng, mode: str, max_batches: int = 1000):
+    """Yield int8 (A, B, draws) chunk by chunk for one setting pair: the
+    outcomes of the chunk's candidates, 0 where a wing does not detect.
 
-    float32(phi) and its float32 cos are within about 1.5e-7 of cos(phi) on
-    [0, pi), and e.b moves by that times |sin(eta_ab) sqrt(1 - z^2)| <= 1,
-    so every sign and cut equals the one of the float64 e.b."""
-    np.cos(phi, out=eb, dtype=np.float32)
-    _project_b(z, eb, cos_ab, sin_ab, tmp)
-    near = np.abs(eb, out=tmp) < _SCREEN
-    if f is not None:
-        tmp -= f
-        near |= np.abs(tmp, out=tmp) < _SCREEN
-    redo = np.flatnonzero(near)
-    if redo.size:
-        eb[redo] = _project_b(z[redo], np.cos(phi[redo]), cos_ab, sin_ab, np.empty(redo.size))
-    return eb
-
-
-def _one_draw(rng, n: int, cos_ab: float, sin_ab: float, mode: str):
-    """Yield int8 (A, B) per chunk of CHUNK of the n emitted states in the
-    flat or pearle-reject mode, on the stream of one draw of n: z of all n,
-    then phi, then (pearle-reject) f, then n coins.
-
-    Philox is counter-based, so each block of that stream is entered by a
-    jump (rng.jumped) and read chunk by chunk: z from rng itself, phi n
-    doubles on, f 2n doubles on, and the coins from the 32-bit draws after
-    the last block. At the end rng is in the state the one draw leaves.
-    With n <= CHUNK the one chunk draws in that order without a jump.
-    """
-    z, phi, eb, tmp = (np.empty(min(n, CHUNK)) for _ in range(4))
-    f = None if mode == "flat" else np.empty(min(n, CHUNK))
-    draws = coins = rng
-    if n > CHUNK:
-        draws = (rng, jumped(rng, n), None if f is None else jumped(rng, 2 * n))
-        coins = jumped(rng, (2 if f is None else 3) * n)
-    for lo in range(0, n, CHUNK):
-        k = min(CHUNK, n - lo)
-        z_c, f_c = z[:k], None if f is None else f[:k]
-        _fill_draws(draws, z_c, phi[:k], f_c)
-        e = _screened_eb(z_c, phi[:k], f_c, cos_ab, sin_ab, eb[:k], tmp[:k])
-        A, B = _outcomes(coins, z_c >= 0.0, e >= 0.0)
-        if f is not None:  # a wing detects where |e.n| >= f
-            A *= (np.abs(z_c, out=tmp[:k]) >= f_c).view(np.int8)
-            B *= (np.abs(e, out=tmp[:k]) >= f_c).view(np.int8)
-        yield A, B
-    if coins is not rng:
-        rng.bit_generator.state = coins.bit_generator.state
-
-
-def _s3_chunks(rng, n: int, cos_ab: float, sin_ab: float, max_batches: int):
-    """Yield int8 (A, B, candidates, draws) per chunk of CHUNK candidates
-    until n are admitted; every admitted state is detected at both wings.
-
-    The a-wing cut |e.a| >= f runs first, and cos(phi) and e.b are computed
-    only for the candidates that pass it. The draws fill buffers reused
-    from chunk to chunk. draws = (z, phi, f, idx, keep) holds those buffers
-    themselves, not copies, so it is valid only until the next chunk: the
-    chunk's admitted states sit at positions idx[keep], in outcome order.
-    """
-    z, phi, f, tmp, z_a, f_a, phi_a, eb = (np.empty(CHUNK) for _ in range(8))
-    got = drawn = 0
-    budget = max_batches * max(1024, n)
-    while got < n:
-        size = min(CHUNK, budget - drawn)
-        if size <= 0:
-            raise RuntimeError(f"rejection sampling did not yield {n} admissible states "
-                               f"within {max_batches} batches")
-        _fill_draws(rng, z[:size], phi[:size], f[:size])
-        idx = np.flatnonzero(np.abs(z[:size], out=tmp[:size]) >= f[:size])
-        k = idx.size
-        # idx is in range; mode="clip" lets take write to out without a buffer
-        np.take(z, idx, out=z_a[:k], mode="clip")
-        np.take(f, idx, out=f_a[:k], mode="clip")
-        np.take(phi, idx, out=phi_a[:k], mode="clip")
-        _screened_eb(z_a[:k], phi_a[:k], f_a[:k], cos_ab, sin_ab, eb[:k], tmp[:k])
-        keep = np.flatnonzero(np.abs(eb[:k], out=tmp[:k]) >= f_a[:k])[:n - got]
-        A, B = _outcomes(rng, z_a[keep] >= 0.0, eb[keep] >= 0.0)
-        got += keep.size
-        drawn += size
-        yield A, B, size if got < n else int(idx[keep[-1]]) + 1, (z, phi, f, idx, keep)
-
-
-def _outcome_chunks(a, b, n: int, rng, mode: str, max_batches: int = 1000):
-    """Yield int8 (A, B, candidates, draws) chunk by chunk for one setting pair.
-
-    s3 draws chunks of CHUNK candidates until n are admitted; candidates
-    counts the draws a chunk used, up to its last admitted state in the
-    final chunk, and draws exposes the chunk's admitted states (see
-    _s3_chunks). flat and pearle-reject emit chunks of CHUNK states on the
-    stream of one draw of n (see _one_draw), with candidates the chunk's
-    size and draws None.
+    Chunk c reads its own Philox block: rng's key with its counter advanced
+    by c * 2**64 (see _fill_draws), and rng is left at the first unused
+    chunk. Every mode runs the same candidates through _decide. flat and
+    pearle-reject emit every candidate and stop at n. s3 emits only the
+    candidates detected at both wings (A*B != 0), so its last chunk ends at
+    the n-th of those; it draws at most max_batches * max(1024, n)
+    candidates in all. draws = (z, phi, u) are the chunk's buffers
+    themselves, valid until the next chunk.
     """
     cos_ab = float(np.clip(a @ b, -1.0, 1.0))
     sin_ab = float(np.sqrt(1.0 - cos_ab * cos_ab))
-    if mode == "s3":
-        yield from _s3_chunks(rng, n, cos_ab, sin_ab, max_batches)
-    else:
-        for A, B in _one_draw(rng, n, cos_ab, sin_ab, mode):
-            yield A, B, A.size, None
+    key, base = position(rng)
+    z, phi, u, *scratch = (np.empty(CHUNK, dtype=np.float32) for _ in range(7))
+    budget = max_batches * max(1024, n) if mode == "s3" else n
+    got = drawn = chunk = 0
+    while got < n:
+        k = min(CHUNK, budget - drawn)
+        if k <= 0:
+            raise RuntimeError(f"rejection sampling did not yield {n} admissible states "
+                               f"within {max_batches} batches")
+        u_k = None if mode == "flat" else u[:k]
+        heads = _fill_draws(rng, key, base + (chunk << 64), z[:k], phi[:k], u_k)
+        A, B = _decide(z[:k], phi[:k], u_k, heads, cos_ab, sin_ab, scratch)
+        chunk += 1
+        drawn += k
+        kept = np.count_nonzero(A * B) if mode == "s3" else k
+        if mode == "s3" and got + kept >= n:
+            k = int(np.flatnonzero(A * B != 0)[n - got - 1]) + 1
+            A, B, kept = A[:k], B[:k], n - got
+        got += kept
+        yield A, B, (z, phi, u)
+    seek(rng, key, base + (chunk << 64))
 
 
 def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
@@ -389,25 +378,27 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
     pearle-reject: n emitted states, per-wing rejection (0 = undetected).
     flat: n states, no threshold.
     rng_or_seed: an integer seed (root substream) or a Philox Generator
-    (TypeError for another bit generator), left in the state the draws
-    reach.
+    (TypeError for another bit generator), left at its first unused chunk.
 
     Outcomes depend on a state only through (e.a, e.b, f) and the coin, so
     only those are drawn; kappa changes no outcome. Every mode draws in
-    chunks of CHUNK; in s3 mode at most max_batches * max(1024, n)
-    candidates in all.
+    chunks of CHUNK (see _chunks); in s3 mode at most
+    max_batches * max(1024, n) candidates in all.
     """
     a, b, kappa, rng = _pair_setup(a, b, n, rng_or_seed, mode, kappa)
     A, B = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    got = n_admitted = n_candidates = 0
-    for chunk_A, chunk_B, used, _ in _outcome_chunks(a, b, n, rng, mode, max_batches):
+    got = n_candidates = 0
+    for chunk_A, chunk_B, _ in _chunks(a, b, n, rng, mode, max_batches):
+        n_candidates += chunk_A.size
+        if mode == "s3":  # the pairs detected at both wings
+            rows = np.flatnonzero(chunk_A * chunk_B != 0)
+            chunk_A, chunk_B = chunk_A[rows], chunk_B[rows]
         A[got:got + chunk_A.size] = chunk_A
         B[got:got + chunk_B.size] = chunk_B
         got += chunk_A.size
-        n_admitted += int(np.count_nonzero((chunk_A != 0) & (chunk_B != 0)))
-        n_candidates += used
-    return EnsembleRun(a=a, b=b, A=A, B=B, n_emitted=n, n_admitted=n_admitted, mode=mode,
-                       kappa=kappa, n_candidates=n_candidates)
+    return EnsembleRun(a=a, b=b, A=A, B=B, n_emitted=n,
+                       n_admitted=int(np.count_nonzero(A * B)), mode=mode, kappa=kappa,
+                       n_candidates=n_candidates)
 
 
 def outcome_counts(a, b, n: int, rng_or_seed, mode: str = "s3",
@@ -417,12 +408,16 @@ def outcome_counts(a, b, n: int, rng_or_seed, mode: str = "s3",
 
     Entry [i, j] counts the pairs with A = i - 1 and B = j - 1, over
     (A, B) in {-1, 0, +1}^2. Every estimate, table and fraction of a
-    setting pair is a function of this table.
+    setting pair is a function of this table. In s3 mode it is the table
+    of all candidates drawn with its non-corner cells, the candidates that
+    some wing does not detect, set to 0.
     """
     a, b, kappa, rng = _pair_setup(a, b, n, rng_or_seed, mode, kappa)
     counts = np.zeros((3, 3), dtype=np.int64)
-    for A, B, _, _ in _outcome_chunks(a, b, n, rng, mode):
+    for A, B, _ in _chunks(a, b, n, rng, mode):
         counts += _count(A, B)
+    if mode == "s3":
+        counts[1, :] = counts[:, 1] = 0
     return counts
 
 
@@ -440,24 +435,27 @@ def _frame(a, b):
 def _admitted_states(a, b, n: int, seed: int, kappa: int, max_batches: int = 1000):
     """(states, A, B) of the n admitted states of run_pair(a, b, n, seed, "s3").
 
-    The kernel gives z = e.a, phi, f and the outcomes. e_o = z a +
+    The kernel gives z = e.a, phi, u and the outcomes. e_o = z a +
     sqrt(1 - z^2)(cos(phi) u1 + sign sin(phi) u2) in _frame(a, b), so e_o.b
-    is the kernel's projection, and eta_z_so inverts pearle_f.
+    is the kernel's projection; eta_z_so = u*kappa*pi, and the threshold is
+    its float64 f, the one the kernel's decisions equal.
     substream(seed, 1) draws what no outcome depends on: s_o's azimuth, then
     the sign."""
     a, b, kappa, rng = _pair_setup(a, b, n, seed, "s3", kappa)
     chunks = []
-    for A, B, _, (z, phi, f, idx, keep) in _outcome_chunks(a, b, n, rng, "s3", max_batches):
-        rows = idx[keep]
-        chunks.append((z[rows], phi[rows], f[rows], A, B))
-    z, phi, f, A, B = (np.concatenate(c) for c in zip(*chunks))
+    for A, B, (z, phi, u) in _chunks(a, b, n, rng, "s3", max_batches):
+        rows = np.flatnonzero(A * B != 0)
+        chunks.append((z[rows], phi[rows], u[rows], A[rows], B[rows]))
+    z, phi, u, A, B = (np.concatenate(c) for c in zip(*chunks))
+    z, phi, u = (x.astype(np.float64) for x in (z, phi, u))
+    f = _threshold(u, np.empty(n))
     extra = substream(seed, 1)
     az = extra.uniform(0.0, 2.0 * np.pi, size=n)
     sign = 2 * extra.integers(0, 2, size=n) - 1
     r = np.sqrt(1.0 - z * z)
     basis = np.array([a, *_frame(a, b)])
     e_o = np.stack([z, r * np.cos(phi), sign * r * np.sin(phi)], axis=-1) @ basis
-    eta = np.clip(kappa * np.pi * ((2.0 / (1.0 + f)) ** 2 - 1.0) / 3.0, 0.0, kappa * np.pi)
+    eta = u * (kappa * np.pi)
     # s_o at angle eta_z_so from z, folded into [0, pi]: sin of the fold is |sin(eta)|
     sin_polar = np.abs(np.sin(eta))
     s_o = np.stack([sin_polar * np.cos(az), sin_polar * np.sin(az), np.cos(eta)], axis=-1)
@@ -571,7 +569,8 @@ def correlation_curve(mode: str, grid_deg, n_per_angle: int, seed: int,
     points = [curve_point(mode, float(deg), n_per_angle, seed, i, kappa)
               for i, deg in enumerate(grid_deg)]
     base = {"model": mode, "n": str(n_per_angle), "seed": str(seed),
-            "grid": format_grid(grid_deg), "kappa": str(kappa)}
+            "grid": format_grid(grid_deg), "kappa": str(kappa),
+            "sampler": str(SAMPLER_VERSION)}
     base.update(meta or {})
     return CorrelationCurve(points=tuple(points), meta=base)
 

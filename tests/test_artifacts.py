@@ -81,8 +81,8 @@ def test_grid_metadata_of_cli_grids_is_unchanged():
 def test_api_curves_record_n_and_grid_like_cli_artifacts(make):
     grid = [0.0, 33.33333333, 90.0]
     meta = make(grid).meta
-    assert sorted(meta) == ["grid", "kappa", "model", "n", "seed"]
-    assert (meta["n"], meta["seed"], meta["kappa"]) == ("100", "1", "1")
+    assert sorted(meta) == ["grid", "kappa", "model", "n", "sampler", "seed"]
+    assert (meta["n"], meta["seed"], meta["kappa"], meta["sampler"]) == ("100", "1", "1", "2")
     assert meta["grid"] == "0,33.33333333,90"
     assert np.array_equal(parse_grid(meta["grid"]), grid)
 

@@ -451,3 +451,23 @@ def test_cli_default_output_name(tmp_path, run_cli):
     res = run_cli("bounds", "--seed", "1", cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "bounds.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, sampled", [
+    ("curve", True), ("probabilities", True), ("chsh", True), ("flat-vs-s3", True),
+    ("geodesic", False), ("bounds", False),
+])
+def test_artifacts_name_the_sampler(tmp_path, run_cli, experiment, sampled):
+    # the experiments that run pairs record pearle.SAMPLER_VERSION; the
+    # others draw nothing and keep their bytes. Any worker count gives the
+    # same artifact.
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"{experiment}_w{workers}.csv"
+        res = run_cli(experiment, "--n", "2000", "--grid", "0:180:45", "--steps", "18",
+                      "--seed", "31", "--workers", str(workers), "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    meta, _ = read_rows_csv(tmp_path / f"{experiment}_w1.csv")
+    assert meta.get("sampler") == ("2" if sampled else None)

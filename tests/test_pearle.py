@@ -16,9 +16,8 @@ from s3sim.pearle import (CHUNK, MODES, InitialState, PearleMapping, admissible,
                           flat_mode_curve, outcome_counts, pair_records, pearle_f,
                           pearle_f_complement, probabilities, probabilities_from_outcomes,
                           run_pair)
-from s3sim.pearle import (_SCREEN, _fill_draws, _outcomes, _project_b, _screened_eb,
-                          _table_from_counts)
-from s3sim.rng import substream
+from s3sim.pearle import _SCREEN, _decide, _fill_draws, _project_b, _table_from_counts, _threshold
+from s3sim.rng import position, substream
 
 
 def planar(deg):
@@ -391,50 +390,52 @@ def test_count_table_reductions_match_outcome_arrays(mode, deg, n):
 
 
 # run_pair's outcome-count table, n_candidates and n_admitted on substream
-# (2022, 5), for a at 0 degrees and b at eta: a stream pin. Any change to the
-# draws, their order or the outcome rule changes some of these numbers.
+# (2022, 5), for a at 0 degrees and b at eta: a pin of sampler version 2
+# (pearle.SAMPLER_VERSION). Any change to the draws, their order or the
+# outcome rule changes some of these numbers.
 PINNED_RUNS = {
-    ("s3", 0, 1): ([[0, 0, 1], [0, 0, 0], [0, 0, 0]], 3, 1),
-    ("s3", 0, 16385): ([[0, 0, 8159], [0, 0, 0], [8226, 0, 0]], 24528, 16385),
-    ("s3", 0, 49157): ([[0, 0, 24447], [0, 0, 0], [24710, 0, 0]], 74089, 49157),
+    ("s3", 0, 1): ([[0, 0, 0], [0, 0, 0], [1, 0, 0]], 1, 1),
+    ("s3", 0, 16385): ([[0, 0, 8214], [0, 0, 0], [8171, 0, 0]], 24685, 16385),
+    ("s3", 0, 49157): ([[0, 0, 24592], [0, 0, 0], [24565, 0, 0]], 73892, 49157),
     ("s3", 45, 1): ([[1, 0, 0], [0, 0, 0], [0, 0, 0]], 3, 1),
-    ("s3", 45, 16385): ([[1245, 0, 6888], [0, 0, 0], [7047, 0, 1205]], 31294, 16385),
-    ("s3", 45, 49157): ([[3616, 0, 20772], [0, 0, 0], [21099, 0, 3670]], 94380, 49157),
+    ("s3", 45, 16385): ([[1254, 0, 6921], [0, 0, 0], [7049, 0, 1161]], 31458, 16385),
+    ("s3", 45, 49157): ([[3609, 0, 21044], [0, 0, 0], [20946, 0, 3558]], 94067, 49157),
     ("s3", 90, 1): ([[1, 0, 0], [0, 0, 0], [0, 0, 0]], 3, 1),
-    ("s3", 90, 16385): ([[4125, 0, 3992], [0, 0, 0], [4209, 0, 4059]], 33830, 16385),
-    ("s3", 90, 49157): ([[12332, 0, 12166], [0, 0, 0], [12270, 0, 12389]], 101810, 49157),
-    ("s3", 180, 1): ([[1, 0, 0], [0, 0, 0], [0, 0, 0]], 3, 1),
-    ("s3", 180, 16385): ([[8159, 0, 0], [0, 0, 0], [0, 0, 8226]], 24528, 16385),
-    ("s3", 180, 49157): ([[24447, 0, 0], [0, 0, 0], [0, 0, 24710]], 74089, 49157),
+    ("s3", 90, 16385): ([[4118, 0, 4073], [0, 0, 0], [4067, 0, 4127]], 33899, 16385),
+    ("s3", 90, 49157): ([[12245, 0, 12372], [0, 0, 0], [12178, 0, 12362]], 101493, 49157),
+    ("s3", 180, 1): ([[0, 0, 0], [0, 0, 0], [0, 0, 1]], 1, 1),
+    ("s3", 180, 16385): ([[8214, 0, 0], [0, 0, 0], [0, 0, 8171]], 24685, 16385),
+    ("s3", 180, 49157): ([[24592, 0, 0], [0, 0, 0], [0, 0, 24565]], 73892, 49157),
     ("pearle-reject", 0, 1): ([[0, 0, 0], [0, 0, 0], [1, 0, 0]], 1, 1),
-    ("pearle-reject", 0, 16385): ([[0, 0, 5491], [0, 5417, 0], [5477, 0, 0]], 16385, 10968),
-    ("pearle-reject", 0, 49157): ([[0, 0, 16216], [0, 16504, 0], [16437, 0, 0]], 49157, 32653),
-    ("pearle-reject", 45, 1): ([[0, 0, 0], [0, 0, 0], [1, 0, 0]], 1, 1),
-    ("pearle-reject", 45, 16385): ([[604, 1202, 3685], [1161, 3101, 1155], [3687, 1161, 629]], 16385, 8605),
-    ("pearle-reject", 45, 49157): ([[1933, 3464, 10819], [3505, 9404, 3595], [11035, 3541, 1861]], 49157, 25648),
-    ("pearle-reject", 90, 1): ([[0, 0, 0], [0, 0, 0], [1, 0, 0]], 1, 1),
-    ("pearle-reject", 90, 16385): ([[2015, 1508, 1968], [1489, 2443, 1485], [2007, 1520, 1950]], 16385, 7940),
-    ("pearle-reject", 90, 49157): ([[5938, 4382, 5896], [4519, 7441, 4544], [5951, 4634, 5852]], 49157, 23637),
+    ("pearle-reject", 0, 16385): ([[0, 0, 5425], [0, 5525, 0], [5435, 0, 0]], 16385, 10860),
+    ("pearle-reject", 0, 49157): ([[0, 0, 16302], [0, 16498, 0], [16357, 0, 0]], 49157, 32659),
+    ("pearle-reject", 45, 1): ([[0, 0, 0], [0, 0, 0], [0, 1, 0]], 1, 0),
+    ("pearle-reject", 45, 16385): ([[654, 1146, 3625], [1220, 3132, 1173], [3659, 1176, 600]], 16385, 8538),
+    ("pearle-reject", 45, 49157): ([[1927, 3444, 10931], [3519, 9453, 3526], [10977, 3546, 1834]], 49157, 25669),
+    ("pearle-reject", 90, 1): ([[0, 0, 0], [0, 0, 0], [0, 1, 0]], 1, 0),
+    ("pearle-reject", 90, 16385): ([[2029, 1451, 1945], [1572, 2447, 1506], [1941, 1527, 1967]], 16385, 7882),
+    ("pearle-reject", 90, 49157): ([[6005, 4360, 5937], [4559, 7417, 4522], [5934, 4456, 5967]], 49157, 23843),
     ("pearle-reject", 180, 1): ([[0, 0, 0], [0, 0, 0], [0, 0, 1]], 1, 1),
-    ("pearle-reject", 180, 16385): ([[5491, 0, 0], [0, 5417, 0], [0, 0, 5477]], 16385, 10968),
-    ("pearle-reject", 180, 49157): ([[16216, 0, 0], [0, 16504, 0], [0, 0, 16437]], 49157, 32653),
+    ("pearle-reject", 180, 16385): ([[5425, 0, 0], [0, 5525, 0], [0, 0, 5435]], 16385, 10860),
+    ("pearle-reject", 180, 49157): ([[16302, 0, 0], [0, 16498, 0], [0, 0, 16357]], 49157, 32659),
     ("flat", 0, 1): ([[0, 0, 0], [0, 0, 0], [1, 0, 0]], 1, 1),
-    ("flat", 0, 16385): ([[0, 0, 8131], [0, 0, 0], [8254, 0, 0]], 16385, 16385),
-    ("flat", 0, 49157): ([[0, 0, 24592], [0, 0, 0], [24565, 0, 0]], 49157, 49157),
+    ("flat", 0, 16385): ([[0, 0, 8080], [0, 0, 0], [8305, 0, 0]], 16385, 16385),
+    ("flat", 0, 49157): ([[0, 0, 24518], [0, 0, 0], [24639, 0, 0]], 49157, 49157),
     ("flat", 45, 1): ([[0, 0, 0], [0, 0, 0], [1, 0, 0]], 1, 1),
-    ("flat", 45, 16385): ([[2037, 0, 6094], [0, 0, 0], [6257, 0, 1997]], 16385, 16385),
-    ("flat", 45, 49157): ([[6096, 0, 18496], [0, 0, 0], [18389, 0, 6176]], 49157, 49157),
+    ("flat", 45, 16385): ([[2069, 0, 6011], [0, 0, 0], [6235, 0, 2070]], 16385, 16385),
+    ("flat", 45, 49157): ([[6205, 0, 18313], [0, 0, 0], [18469, 0, 6170]], 49157, 49157),
     ("flat", 90, 1): ([[0, 0, 0], [0, 0, 0], [1, 0, 0]], 1, 1),
-    ("flat", 90, 16385): ([[4044, 0, 4087], [0, 0, 0], [4186, 0, 4068]], 16385, 16385),
-    ("flat", 90, 49157): ([[12281, 0, 12311], [0, 0, 0], [12341, 0, 12224]], 49157, 49157),
+    ("flat", 90, 16385): ([[4061, 0, 4019], [0, 0, 0], [4153, 0, 4152]], 16385, 16385),
+    ("flat", 90, 49157): ([[12310, 0, 12208], [0, 0, 0], [12276, 0, 12363]], 49157, 49157),
     ("flat", 180, 1): ([[0, 0, 0], [0, 0, 0], [0, 0, 1]], 1, 1),
-    ("flat", 180, 16385): ([[8131, 0, 0], [0, 0, 0], [0, 0, 8254]], 16385, 16385),
-    ("flat", 180, 49157): ([[24592, 0, 0], [0, 0, 0], [0, 0, 24565]], 49157, 49157),
+    ("flat", 180, 16385): ([[8080, 0, 0], [0, 0, 0], [0, 0, 8305]], 16385, 16385),
+    ("flat", 180, 49157): ([[24518, 0, 0], [0, 0, 0], [0, 0, 24639]], 49157, 49157),
 }
 
 
 @pytest.mark.parametrize("mode, deg, n", sorted(PINNED_RUNS))
 def test_run_pair_stream_is_pinned(mode, deg, n):
+    assert pearle.SAMPLER_VERSION == 2  # a new stream bumps the version and these pins
     table, n_candidates, n_admitted = PINNED_RUNS[mode, deg, n]
     run = run_pair(planar(0.0), planar(deg), n, substream(2022, 5), mode)
     assert run.A.dtype == run.B.dtype == np.int64
@@ -442,19 +443,35 @@ def test_run_pair_stream_is_pinned(mode, deg, n):
     assert (counts, run.n_candidates, run.n_admitted) == (table, n_candidates, n_admitted)
 
 
+# counter steps from one float32 array of a chunk's block to the next: CHUNK
+# 32-bit draws fill CHUNK/2 64-bit words, and Philox makes 4 words per step
+STEPS = CHUNK // 8
+
+
+def _block(key, counter):
+    """A plain Generator whose next draw starts the block of counter + 1."""
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
 def test_fill_draws_match_generator_uniform():
-    size = 1023  # not a multiple of the SIMD width
-    z, phi, f = np.empty(size), np.empty(size), np.empty(size)
-    _fill_draws(substream(29, 3), z, phi, f)
-    ref = substream(29, 3)
-    assert np.array_equal(z, ref.uniform(-1.0, 1.0, size))
-    assert np.array_equal(phi, ref.uniform(0.0, np.pi, size))
-    assert np.array_equal(f, -1.0 + 2.0 / np.sqrt(1.0 + 3.0 * ref.random(size)))
-    # without thresholds only z and phi are drawn
-    g, ref = substream(29, 4), substream(29, 4)
-    _fill_draws(g, z, phi)
-    ref.random(2 * size)
-    assert g.random() == ref.random()
+    # a chunk's block: CHUNK float32 draws each for z, phi and u from fixed
+    # counter offsets, then one coin bit per candidate from raw 64-bit words
+    rng = substream(29, 3)
+    key, start = position(rng)
+    for size in (1023, CHUNK):  # a truncated chunk (not a multiple of the SIMD width), a full one
+        z, phi, u = (np.empty(size, dtype=np.float32) for _ in range(3))
+        heads = _fill_draws(rng, key, start, z, phi, u)
+        r = [_block(key, start + i * STEPS).random(size, dtype=np.float32) for i in range(3)]
+        assert np.array_equal(z, 2.0 * r[0] - 1.0) and z.dtype == np.float32
+        assert np.array_equal(phi, r[1] * np.float32(np.pi))
+        assert np.array_equal(u, r[2])
+        words = _block(key, start + 3 * STEPS).bit_generator.random_raw(-(-size // 64))
+        coins = [(int(words[i // 64]) >> (i % 64)) & 1 == 1 for i in range(size)]
+        assert heads.tolist() == coins
+        # without thresholds (flat) u is skipped and the rest is unchanged
+        z2, phi2 = np.empty_like(z), np.empty_like(phi)
+        assert np.array_equal(_fill_draws(rng, key, start, z2, phi2), heads)
+        assert np.array_equal(z2, z) and np.array_equal(phi2, phi)
 
 
 @pytest.mark.parametrize("mode", ["pearle-reject", "flat"])
@@ -480,84 +497,117 @@ def test_estimate_pair_memory_is_bounded_by_the_chunk():
 
 
 # ---------------------------------------------------------------------------
-# the float32 screen of e.b
+# the float32 screen of e.b and f
+
+def _drawn(rng, n):
+    """n float32 (z, phi, u) made as a chunk makes them."""
+    z, phi, u = (rng.random(n, dtype=np.float32) for _ in range(3))
+    return 2.0 * z - 1.0, phi * np.float32(np.pi), u
+
 
 def _eb64(z, phi, eta):
-    """The float64 e.b: float64 cos, then _project_b."""
-    return _project_b(z, np.cos(phi), np.cos(eta), np.sin(eta), np.empty(z.size))
+    """The float64 e.b of drawn values, written out independently of _project_b."""
+    z, phi = z.astype(np.float64), phi.astype(np.float64)
+    return np.cos(phi) * np.sin(eta) * np.sqrt(1.0 - z * z) + z * np.cos(eta)
 
 
-def _screened(z, phi, f, eta):
-    return _screened_eb(z, phi, f, np.cos(eta), np.sin(eta), np.empty(z.size), np.empty(z.size))
+def _f64(u):
+    return -1.0 + 2.0 / np.sqrt(1.0 + 3.0 * u.astype(np.float64))
 
 
 @pytest.mark.parametrize("deg", [1.0, 45.0, 90.0, 135.0])
-def test_screen_error_bound_holds(monkeypatch, deg):
-    # with an empty band nothing is redone, so this is the float32 e.b itself;
-    # a float32 cos worse than assumed fails here, before any outcome drifts
+def test_screen_error_bound_holds(deg):
+    # the float32 e.b and f the kernel decides on, against float64 on the
+    # same drawn values; a float32 cos or sqrt worse than assumed fails
+    # here, before any outcome drifts
     n, eta = 1_000_000, np.radians(deg)
-    rng = substream(76, int(deg))
-    z, phi = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, np.pi, n)
-    monkeypatch.setattr(pearle, "_SCREEN", -1.0)
-    gap = np.max(np.abs(_screened(z, phi, None, eta) - _eb64(z, phi, eta)))
-    assert 0.0 < gap < _SCREEN / 4
+    z, phi, u = _drawn(substream(76, int(deg)), n)
+    scratch = np.empty(n, dtype=np.float32), np.empty(n, dtype=np.float32)
+    eb = _project_b(z, np.cos(phi), float(np.cos(eta)), float(np.sin(eta)), *scratch)
+    gap_eb = np.max(np.abs(eb - _eb64(z, phi, eta)))
+    gap_f = np.max(np.abs(_threshold(u, np.empty_like(u)) - _f64(u)))
+    assert eb.dtype == np.float32
+    assert 0.0 < gap_eb and 0.0 < gap_f and gap_eb + gap_f < _SCREEN / 4
+
+
+def _decided(z, phi, u, heads, eta):
+    scratch = [np.empty(z.size, dtype=np.float32) for _ in range(4)]
+    return _decide(z, phi, u, heads, float(np.cos(eta)), float(np.sin(eta)), scratch)
 
 
 @pytest.mark.parametrize("deg", [1.0, 45.0, 90.0, 135.0])
 def test_screen_redoes_decisions_at_the_boundaries(monkeypatch, deg):
-    # (z, phi, f) whose float64 e.b lies within 1e-9 of 0, +f and -f
-    n, eta = 3_000, np.radians(deg)
+    # drawn (z, phi, u) whose float64 e.b lies near 0, +f and -f, or with
+    # |z| near f: every decision is in the band and redone in float64
+    n, eta = 4_000, np.radians(deg)
     rng = substream(78, int(deg))
-    f = rng.uniform(0.0, 1.0, n)
-    target = np.concatenate([np.zeros(n // 3), f[n // 3:2 * n // 3], -f[2 * n // 3:]])
+    u = rng.random(n, dtype=np.float32)
+    f = _f64(u)
+    q = n // 4
+    target = np.concatenate([np.zeros(q), f[q:2 * q], -f[2 * q:3 * q], np.zeros(n - 3 * q)])
     # with z = cos(theta), e.b spans [cos(theta + eta), cos(theta - eta)]; it
     # holds cos(alpha) for theta between |alpha - eta| and min(alpha + eta,
     # 2 pi - alpha - eta, pi)
     alpha = np.arccos(target)
     lo, hi = np.abs(alpha - eta), np.minimum(np.minimum(alpha + eta, 2 * np.pi - alpha - eta), np.pi)
-    z = np.cos(lo + (hi - lo) * rng.uniform(0.05, 0.95, n))
-    target += rng.uniform(-1e-9, 1e-9, n)
-    cos_phi = (target - z * np.cos(eta)) / (np.sqrt(1.0 - z * z) * np.sin(eta))
-    phi = np.arccos(np.clip(cos_phi, -1.0, 1.0))
-    ref = _eb64(z, phi, eta)
-    assert np.max(np.abs(ref - target)) < 1e-8
-    eb = _screened(z, phi, f, eta)
-    assert np.array_equal(eb >= 0.0, ref >= 0.0)
-    assert np.array_equal(np.abs(eb) >= f, np.abs(ref) >= f)
-    # every entry is in the band, so every one was redone in float64
-    assert np.array_equal(eb, ref)
+    z = np.cos(lo + (hi - lo) * rng.uniform(0.05, 0.95, n)).astype(np.float32)
+    # the last quarter puts |z| at f, in float32
+    z[3 * q:] = (f[3 * q:] * rng.choice([-1.0, 1.0], n - 3 * q)).astype(np.float32)
+    z64 = z.astype(np.float64)
+    cos_phi = (target - z64 * np.cos(eta)) / (np.sqrt(1.0 - z64 * z64) * np.sin(eta))
+    phi = np.arccos(np.clip(cos_phi, -1.0, 1.0)).astype(np.float32)
+    eb = _eb64(z, phi, eta)
+    margin = np.minimum(np.minimum(np.abs(eb), np.abs(np.abs(eb) - f)), np.abs(np.abs(z64) - f))
+    assert np.max(margin) < _SCREEN / 4
+    heads = rng.random(n) < 0.5
+    lam = np.where(heads, 1, -1)
+    expected = (lam * np.where(z >= 0, 1, -1) * (np.abs(z64) >= f),
+                -lam * np.where(eb >= 0, 1, -1) * (np.abs(eb) >= f))
+    A, B = _decided(z, phi, u, heads, eta)
+    assert np.array_equal(A, expected[0]) and np.array_equal(B, expected[1])
+    # without the band some float32 sign or cut differs from float64
     monkeypatch.setattr(pearle, "_SCREEN", -1.0)
-    assert not np.array_equal(_screened(z, phi, f, eta), ref)
+    A, B = _decided(z, phi, u, heads, eta)
+    assert not (np.array_equal(A, expected[0]) and np.array_equal(B, expected[1]))
 
 
 def _float64_reference(deg, n, rng_or_seed, mode):
-    """(A, B, n_candidates, n_admitted) of run_pair with a float64 cos for
-    every candidate: cos -> _project_b -> cuts -> _outcomes. The flat and
-    pearle-reject modes draw all n states at once, in stream order."""
-    cos_ab = float(np.clip(planar(0.0) @ planar(deg), -1.0, 1.0))
-    sin_ab = float(np.sqrt(1.0 - cos_ab * cos_ab))
+    """(A, B, n_candidates, n_admitted) of run_pair, read from the chunk
+    blocks with plain Generator draws and decided in float64.
+
+    Chunk c is the block of the generator's key at its counter plus
+    c * 2**64: z, phi and u from float32 random draws STEPS counter steps
+    apart, the coins from raw words after them. Every candidate's e.b and f
+    are float64 evaluations of the drawn float32 values. flat and
+    pearle-reject read the first n candidates; s3 reads whole chunks and
+    keeps the candidates detected at both wings, up to the n-th."""
+    eta = np.radians(deg)
     rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) else substream(rng_or_seed)
-    if mode != "s3":
-        z, phi, f = np.empty(n), np.empty(n), np.empty(n)
-        _fill_draws(rng, z, phi, None if mode == "flat" else f)
-        eb = _project_b(z, np.cos(phi), cos_ab, sin_ab, np.empty(n))
-        A, B = _outcomes(rng, z >= 0.0, eb >= 0.0)
-        if mode == "pearle-reject":
-            A, B = A * (np.abs(z) >= f), B * (np.abs(eb) >= f)
-        return A, B, n, int(np.count_nonzero((A != 0) & (B != 0)))
-    As, Bs, got, used = [], [], 0, 0
+    key, base = position(rng)
+    As, Bs, got, used, chunk = [], [], 0, 0, 0
     while got < n:
-        z, phi, f = np.empty(CHUNK), np.empty(CHUNK), np.empty(CHUNK)
-        _fill_draws(rng, z, phi, f)
-        idx = np.flatnonzero(np.abs(z) >= f)
-        eb = _project_b(z[idx], np.cos(phi[idx]), cos_ab, sin_ab, np.empty(idx.size))
-        keep = np.flatnonzero(np.abs(eb) >= f[idx])[:n - got]
-        A, B = _outcomes(rng, z[idx][keep] >= 0.0, eb[keep] >= 0.0)
-        As.append(A)
-        Bs.append(B)
-        got += keep.size
-        used += CHUNK if got < n else int(idx[keep[-1]]) + 1
-    return np.concatenate(As), np.concatenate(Bs), used, n
+        k = CHUNK if mode == "s3" else min(CHUNK, n - got)
+        start = base + (chunk << 64)
+        z, phi, u = (_block(key, start + i * STEPS).random(k, dtype=np.float32) for i in range(3))
+        z, phi = 2.0 * z - 1.0, phi * np.float32(np.pi)
+        words = _block(key, start + 3 * STEPS).bit_generator.random_raw(-(-k // 64))
+        heads = np.array([(int(words[i // 64]) >> (i % 64)) & 1 for i in range(k)]) == 1
+        lam = np.where(heads, 1, -1)
+        eb = _eb64(z, phi, eta)
+        A, B = lam * np.where(z >= 0, 1, -1), -lam * np.where(eb >= 0, 1, -1)
+        if mode != "flat":
+            f = _f64(u)
+            A, B = A * (np.abs(z.astype(np.float64)) >= f), B * (np.abs(eb) >= f)
+        rows = np.arange(k)
+        if mode == "s3":
+            rows = np.flatnonzero((A != 0) & (B != 0))[:n - got]
+        As.append(A[rows])
+        Bs.append(B[rows])
+        got += rows.size
+        used += k if got < n else int(rows[-1]) + 1
+        chunk += 1
+    A, B = np.concatenate(As), np.concatenate(Bs)
+    return A, B, used, int(np.count_nonzero((A != 0) & (B != 0)))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -581,18 +631,63 @@ def _mid_word_generator(seed, words):
     return rng
 
 
-@pytest.mark.parametrize("mode", ["pearle-reject", "flat"])
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("words", [0, 1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
 def test_one_draw_jumps_are_exact_from_any_philox_state(mode, words, n):
-    # the chunks enter the one-draw stream by counter jumps; outcomes and the
-    # generator left behind are those of drawing all n states in order
+    # chunk keys: chunk c reads the block at the generator's counter plus
+    # c * 2**64, whatever its buffer holds, and the generator is left at its
+    # first unused chunk, so a second call on it starts at a new chunk
     rng, ref = _mid_word_generator(82, words), _mid_word_generator(82, words)
+    key, base = position(ref)
     run = run_pair(planar(0.0), planar(60.0), n, rng, mode)
-    A, B, _, _ = _float64_reference(60.0, n, ref, mode)
+    A, B, n_candidates, _ = _float64_reference(60.0, n, ref, mode)
     assert np.array_equal(run.A, A) and np.array_equal(run.B, B)
-    assert rng.random() == ref.random()
-    assert np.array_equal(rng.integers(0, 2, 3), ref.integers(0, 2, 3))
+    chunks = -(-n_candidates // CHUNK)
+    left_key, left = position(rng)
+    state = rng.bit_generator.state
+    assert np.array_equal(left_key, key) and left == base + (chunks << 64)
+    assert (state["buffer_pos"], state["has_uint32"]) == (4, 0)
+    again = run_pair(planar(0.0), planar(60.0), 5, rng, mode)
+    there = run_pair(planar(0.0), planar(60.0), 5, _block(key, base + (chunks << 64)), mode)
+    assert np.array_equal(again.A, there.A) and np.array_equal(again.B, there.B)
+    assert position(rng)[1] == base + ((chunks + 1) << 64)
+
+
+# ---------------------------------------------------------------------------
+# one candidate kernel: exact relations between the modes
+
+def test_s3_outcomes_are_the_both_detected_pearle_reject_outcomes():
+    a, b, seed = planar(0.0), planar(70.0), 84
+    s3 = run_pair(a, b, 3 * CHUNK + 5, seed, "s3")
+    reject = run_pair(a, b, s3.n_candidates, seed, "pearle-reject")
+    both = (reject.A != 0) & (reject.B != 0)
+    assert np.array_equal(s3.A, reject.A[both]) and np.array_equal(s3.B, reject.B[both])
+    assert both[-1]  # the last candidate drawn is the n-th admitted
+    # so s3's table is the corner cells of pearle-reject's
+    table = outcome_counts(a, b, s3.n_candidates, seed, "pearle-reject")
+    table[1, :] = table[:, 1] = 0
+    assert np.array_equal(outcome_counts(a, b, 3 * CHUNK + 5, seed, "s3"), table)
+
+
+def test_flat_outcomes_are_the_pearle_reject_signs():
+    # the same candidates and coins, with every wing detecting
+    a, b, n, seed = planar(0.0), planar(70.0), 3 * CHUNK + 5, 85
+    flat = run_pair(a, b, n, seed, "flat")
+    reject = run_pair(a, b, n, seed, "pearle-reject")
+    assert np.all(flat.A != 0) and np.all(flat.B != 0)
+    for x, y in ((flat.A, reject.A), (flat.B, reject.B)):
+        detected = y != 0
+        assert np.array_equal(x[detected], y[detected]) and not detected.all()
+
+
+@pytest.mark.parametrize("mode", ["pearle-reject", "flat"])
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
+def test_first_outcomes_do_not_depend_on_n(mode, n):
+    # a chunk truncated to k candidates reads the first k of each array
+    a, b, seed = planar(0.0), planar(70.0), 86
+    short, longer = (run_pair(a, b, m, seed, mode) for m in (n, n + 1))
+    assert np.array_equal(short.A, longer.A[:n]) and np.array_equal(short.B, longer.B[:n])
 
 
 @pytest.mark.parametrize("mode", MODES)
