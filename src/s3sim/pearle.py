@@ -387,18 +387,19 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
     """
     a, b, kappa, rng = _pair_setup(a, b, n, rng_or_seed, mode, kappa)
     A, B = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    got = n_candidates = 0
+    got = n_admitted = n_candidates = 0
     for chunk_A, chunk_B, _ in _chunks(a, b, n, rng, mode, max_batches):
         n_candidates += chunk_A.size
-        if mode == "s3":  # the pairs detected at both wings
-            rows = np.flatnonzero(chunk_A * chunk_B != 0)
+        both = chunk_A * chunk_B != 0
+        if mode == "s3":  # only the pairs detected at both wings
+            rows = np.flatnonzero(both)
             chunk_A, chunk_B = chunk_A[rows], chunk_B[rows]
         A[got:got + chunk_A.size] = chunk_A
         B[got:got + chunk_B.size] = chunk_B
         got += chunk_A.size
-    return EnsembleRun(a=a, b=b, A=A, B=B, n_emitted=n,
-                       n_admitted=int(np.count_nonzero(A * B)), mode=mode, kappa=kappa,
-                       n_candidates=n_candidates)
+        n_admitted += int(np.count_nonzero(both))
+    return EnsembleRun(a=a, b=b, A=A, B=B, n_emitted=n, n_admitted=n_admitted, mode=mode,
+                       kappa=kappa, n_candidates=n_candidates)
 
 
 def outcome_counts(a, b, n: int, rng_or_seed, mode: str = "s3",
@@ -409,8 +410,8 @@ def outcome_counts(a, b, n: int, rng_or_seed, mode: str = "s3",
     Entry [i, j] counts the pairs with A = i - 1 and B = j - 1, over
     (A, B) in {-1, 0, +1}^2. Every estimate, table and fraction of a
     setting pair is a function of this table. In s3 mode it is the table
-    of all candidates drawn with its non-corner cells, the candidates that
-    some wing does not detect, set to 0.
+    of every candidate drawn, with the cells where a wing does not detect
+    set to 0.
     """
     a, b, kappa, rng = _pair_setup(a, b, n, rng_or_seed, mode, kappa)
     counts = np.zeros((3, 3), dtype=np.int64)
