@@ -277,9 +277,9 @@ class GeodesicPoint:
     d_so3: float
 
 
-def geodesic_sweep(steps: int = 180, axis=Z_AXIS) -> list[GeodesicPoint]:
-    """Distances from the identity to q(half_angle, axis) for half angles on
-    [0, pi].
+def geodesic_sweep(steps: int = 180) -> list[GeodesicPoint]:
+    """Distances from the identity to q(half_angle, z) for half angles on
+    [0, pi]; they depend on the half angle alone, so any axis gives these.
 
     The S^3 distance grows monotonically to pi while the RP^3 distance wraps
     at pi/2 -- the measurable signature of the spinorial double cover. Both
@@ -289,7 +289,7 @@ def geodesic_sweep(steps: int = 180, axis=Z_AXIS) -> list[GeodesicPoint]:
     if steps < 1:
         raise ValueError("steps must be >= 1")
     half = np.linspace(0.0, np.pi, steps + 1)
-    qs = quat_from_half_angle(axis, half)
+    qs = quat_from_half_angle(Z_AXIS, half)
     d2 = dist_su2(np.broadcast_to(IDENTITY, qs.shape), qs)
     d3 = dist_so3(np.broadcast_to(IDENTITY, qs.shape), qs)
     return [GeodesicPoint(float(h), float(a), float(b)) for h, a, b in zip(half, d2, d3)]

@@ -44,7 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_KEY_TYPES = {"n": int, "seed": int, "kappa": int, "steps": int, "workers": int}
+# every config key and its type; each is also the dest of a flag
+_KEYS = {"model": str, "n": int, "seed": int, "grid": str, "kappa": int, "steps": int,
+         "workers": int, "out": str, "format": str}
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -52,20 +54,18 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
     if args.config:
         for key, raw in parse_config_file(args.config).items():
-            if key in ("model", "grid", "out", "format"):
-                values[key] = raw
-            elif key in _KEY_TYPES:
-                try:
-                    values[key] = _KEY_TYPES[key](raw)
-                except ValueError as exc:
-                    raise ConfigError(f"config key {key!r}: {exc}") from exc
-            elif key == "experiment":
+            if key == "experiment":
                 if raw != args.experiment:
                     raise ConfigError(
                         f"config file is for experiment {raw!r}, not {args.experiment!r}")
-            else:
+            elif key not in _KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
-    for key in ("model", "n", "seed", "grid", "kappa", "steps", "workers", "out", "format"):
+            else:
+                try:
+                    values[key] = _KEYS[key](raw)
+                except ValueError as exc:
+                    raise ConfigError(f"config key {key!r}: {exc}") from exc
+    for key in _KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag

@@ -13,12 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from . import pearle
-from .algebra import geodesic_sweep, planar
+from .algebra import _angle, geodesic_sweep, planar
 from .bounds import (CANONICAL_QUAD_DEGREES, CHSHResult, SettingsQuad, bound_report,
                      canonical_quad, chsh, chsh_from_estimates, cosine_correlation,
                      sawtooth_correlation)
 # read_rows_csv is re-exported: callers read row artifacts from here
-from .curves import (CSV_COLUMNS, MAX_POINTS, CorrelationCurve, CurvePoint, curve_to_dict,
+from .curves import (CSV_COLUMNS, MAX_POINTS, CorrelationCurve, curve_to_dict,
                      fmt9, format_grid, parse_grid, read_rows_csv, write_json, write_rows_csv)
 from .rng import substream
 
@@ -31,7 +31,7 @@ class ConfigError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """Non-finite value produced where a finite number was required."""
+    """A reported quantity is undefined: a correlation with no coincidences."""
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,13 @@ class ExperimentConfig:
 
 
 def parse_config_file(path) -> dict:
-    """Flat key=value text; '#' starts a comment; keys match the CLI flags."""
+    """Flat key=value UTF-8 text; '#' starts a comment; keys match the CLI flags."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {str(path)!r} is not UTF-8 text: {exc}") from exc
     out: dict = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -112,62 +116,67 @@ def _pool_size(workers: int, tasks: int) -> int:
     return min(workers, tasks, os.cpu_count() or 1)
 
 
-def _map_tasks(fn, tasks: list, workers: int) -> list:
-    """[fn(t) for t in tasks], on a process pool of _pool_size(workers, len(tasks)).
+def _pair_counts(task) -> np.ndarray:
+    """The pool task: the 3x3 outcome-count table of one setting pair."""
+    a, b, n, seed, index, mode, kappa = task
+    return pearle.outcome_counts(a, b, n, substream(seed, index), mode, kappa)
 
-    Every task carries its own substream index, so the results do not
-    depend on the pool size. The pool module is imported only here, so a
-    serial run never loads multiprocessing."""
+
+def _pair_tables(pairs, n: int, seed: int, mode: str, kappa: int, workers: int) -> list:
+    """The count table of each setting pair (a, b), pair i on substream
+    (seed, i), on a process pool of _pool_size(workers, len(pairs)).
+
+    Every task carries its own substream index, so the tables do not depend
+    on the pool size. Settings cross as float tuples, which pickle ~20 times
+    faster than ndarrays. A serial run never imports the pool module."""
+    tasks = [(tuple(a.tolist()), tuple(b.tolist()), n, seed, i, mode, kappa)
+             for i, (a, b) in enumerate(pairs)]
     workers = _pool_size(workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+            return list(pool.map(_pair_counts, tasks))
+    return [_pair_counts(t) for t in tasks]
 
 
-def _require_finite(values, what: str) -> None:
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite value in {what}")
+def _grid_tables(config: ExperimentConfig) -> tuple[np.ndarray, list]:
+    """The grid and its count tables: point i has a at 0 and b at grid[i] degrees."""
+    grid = config.grid_degrees()
+    return grid, _pair_tables([(planar(0.0), planar(deg)) for deg in grid], config.n_per_point,
+                              config.seed, config.model, config.kappa, config.workers)
+
+
+def _coincident(est, index: int, eta_deg: float):
+    """est, the CurvePoint or CorrelationEstimate of setting pair index, if
+    the pair had coincident detections; NumericError if not."""
+    if est.n == 0:
+        raise NumericError(f"no coincident detections in setting pair {index} "
+                           f"(eta = {eta_deg:g} deg); increase n")
+    return est
 
 
 # ---------------------------------------------------------------------------
 # curve
 
-def _curve_point_task(args) -> CurvePoint:
-    mode, deg, n, seed, index, kappa = args
-    return pearle.curve_point(mode, deg, n, seed, index, kappa)
-
-
 def run_curve(config: ExperimentConfig) -> CorrelationCurve:
     """Correlation sweep for the configured model over the angle grid."""
-    grid = config.grid_degrees()
-    tasks = [(config.model, float(deg), config.n_per_point, config.seed, i, config.kappa)
-             for i, deg in enumerate(grid)]
-    points = _map_tasks(_curve_point_task, tasks, config.workers)
-    # a point with no coincidences has e_hat = nan; CorrelationCurve rejects it
-    _require_finite([[p.e_hat, p.e_analytic, p.stderr, p.g] for p in points], "curve")
+    grid, tables = _grid_tables(config)
+    points = [_coincident(pearle._point_from_counts(config.model, float(deg), counts), i, deg)
+              for i, (deg, counts) in enumerate(zip(grid, tables))]
     return CorrelationCurve(points=tuple(points), meta=config.sampled_meta())
 
 
 # ---------------------------------------------------------------------------
 # chsh
 
-def _chsh_pair_task(args):
-    x, y, n, seed, index, mode, kappa = args
-    return pearle._pair_estimate(x, y, n, substream(seed, index), mode, kappa)
-
-
 def chsh_monte_carlo(quad: SettingsQuad, n: int, seed: int, mode: str = "s3",
                      kappa: int = 1, workers: int = 1) -> CHSHResult:
     """CHSH from per-pair Monte Carlo estimates on substreams (seed, pair);
     the four pairs run on up to `workers` processes."""
-    tasks = [(x, y, n, seed, i, mode, kappa) for i, (x, y) in enumerate(quad.pairs())]
-    ests = _map_tasks(_chsh_pair_task, tasks, workers)
-    for i, est in enumerate(ests):
-        if est.n == 0:
-            raise NumericError(f"no coincident detections in CHSH setting pair {i}; increase n")
+    pairs = quad.pairs()
+    tables = _pair_tables(pairs, n, seed, mode, kappa, workers)
+    ests = [_coincident(pearle._pair_estimate(x, y, mode, counts), i, np.degrees(_angle(x, y)))
+            for i, ((x, y), counts) in enumerate(zip(pairs, tables))]
     return chsh_from_estimates(ests)
 
 
@@ -178,14 +187,12 @@ def run_chsh(config: ExperimentConfig) -> dict:
     analytic = chsh(analytic_eval, quad)
     mc = chsh_monte_carlo(quad, config.n_per_point, config.seed, config.model, config.kappa,
                           config.workers)
-    payload = {
+    return {
         "meta": config.sampled_meta(),
         "quad_degrees": list(CANONICAL_QUAD_DEGREES),
         "analytic": analytic.to_dict(),
         "monte_carlo": mc.to_dict(),
     }
-    _require_finite([analytic.s, mc.s, mc.s_stderr], "chsh report")
-    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +204,6 @@ def run_geodesic(config: ExperimentConfig) -> dict:
     rows = [{"half_angle_deg": np.degrees(p.half_angle),
              "psi_deg": 2.0 * np.degrees(p.half_angle),
              "d_su2": p.d_su2, "d_so3": p.d_so3} for p in points]
-    _require_finite([[r["d_su2"], r["d_so3"]] for r in rows], "geodesic sweep")
     return {"meta": config.meta(), "rows": rows}
 
 
@@ -212,20 +218,11 @@ def run_bounds(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # probabilities
 
-def _probability_task(args) -> dict:
-    mode, deg, n, seed, index, kappa = args
-    counts = pearle.outcome_counts(planar(0.0), planar(deg), n, substream(seed, index),
-                                   mode, kappa)
-    return pearle._table_from_counts(np.radians(deg), counts).to_dict()
-
-
 def run_probabilities(config: ExperimentConfig) -> dict:
     """Per-angle joint/single/zero-event probability tables."""
-    grid = config.grid_degrees()
-    tasks = [(config.model, float(deg), config.n_per_point, config.seed, i, config.kappa)
-             for i, deg in enumerate(grid)]
-    tables = _map_tasks(_probability_task, tasks, config.workers)
-    _require_finite([list(t.values()) for t in tables], "probability tables")
+    grid, counts = _grid_tables(config)
+    tables = [pearle._table_from_counts(np.radians(deg), c).to_dict()
+              for deg, c in zip(grid, counts)]
     return {"meta": config.sampled_meta(), "tables": tables}
 
 
@@ -235,10 +232,8 @@ def run_probabilities(config: ExperimentConfig) -> dict:
 def compare_models(config: ExperimentConfig) -> dict:
     """Both curves on one grid plus their CHSH values at the canonical quad,
     with a summary line per model naming its bound regime."""
-    s3_cfg = replace(config, model="s3")
-    flat_cfg = replace(config, model="flat")
-    curve_s3 = run_curve(s3_cfg)
-    curve_flat = run_curve(flat_cfg)
+    curve_s3 = run_curve(replace(config, model="s3"))
+    curve_flat = run_curve(replace(config, model="flat"))
     chsh_s3 = chsh_monte_carlo(canonical_quad(), config.n_per_point, config.seed,
                                "s3", config.kappa, config.workers)
     chsh_flat = chsh_monte_carlo(canonical_quad(), config.n_per_point, config.seed, "flat",

@@ -545,20 +545,20 @@ def estimate_pair(a, b, n: int, rng_or_seed, mode: str = "s3",
     The estimate averages A*B over detected pairs; e_analytic is -cos for
     the sphere modes and the saw-tooth for flat.
     """
-    est = _pair_estimate(a, b, n, rng_or_seed, mode, kappa)
+    est = _pair_estimate(a, b, mode, outcome_counts(a, b, n, rng_or_seed, mode, kappa))
     if est.n == 0:
         raise ValueError("no coincident detections; increase n")
     return est
 
 
-def _pair_estimate(a, b, n: int, rng_or_seed, mode: str, kappa: int) -> CorrelationEstimate:
-    """estimate_pair without its check: e_hat is nan when no pair was detected."""
-    counts = outcome_counts(a, b, n, rng_or_seed, mode, kappa)
+def _pair_estimate(a, b, mode: str, counts) -> CorrelationEstimate:
+    """The correlation estimate of the count table of setting pair (a, b);
+    e_hat is nan when no pair was detected."""
     return _estimate(counts, _analytic(_angle(a, b), mode))
 
 
 def correlation_curve(mode: str, grid_deg, n_per_angle: int, seed: int,
-                      kappa: int = 1, meta: dict | None = None) -> CorrelationCurve:
+                      kappa: int = 1) -> CorrelationCurve:
     """Correlation sweep over planar settings separated by the grid angles.
 
     Point i uses the (seed, i) substream, so the curve is reproducible for
@@ -569,24 +569,26 @@ def correlation_curve(mode: str, grid_deg, n_per_angle: int, seed: int,
     grid_deg = np.asarray(grid_deg, dtype=float)
     points = [curve_point(mode, float(deg), n_per_angle, seed, i, kappa)
               for i, deg in enumerate(grid_deg)]
-    base = {"model": mode, "n": str(n_per_angle), "seed": str(seed),
+    meta = {"model": mode, "n": str(n_per_angle), "seed": str(seed),
             "grid": format_grid(grid_deg), "kappa": str(kappa),
             "sampler": str(SAMPLER_VERSION)}
-    base.update(meta or {})
-    return CorrelationCurve(points=tuple(points), meta=base)
+    return CorrelationCurve(points=tuple(points), meta=meta)
 
 
 def curve_point(mode: str, deg: float, n: int, seed: int, index: int,
                 kappa: int = 1) -> CurvePoint:
-    """One grid point of a correlation sweep, on the (seed, index) substream.
-
-    g is the detected fraction of the emitted (s3: admitted) pairs.
-    """
+    """One grid point of a correlation sweep, on the (seed, index) substream."""
     counts = outcome_counts(planar(0.0), planar(deg), n,
                             substream(seed, index), mode, kappa)
+    return _point_from_counts(mode, deg, counts)
+
+
+def _point_from_counts(mode: str, deg: float, counts) -> CurvePoint:
+    """The curve point at deg of a count table. g is the detected fraction
+    of the table's pairs: the emitted pairs (s3: the admitted ones)."""
     est = _estimate(counts, _analytic(np.radians(deg), mode))
     return CurvePoint(eta_deg=float(deg), e_hat=est.e_hat, e_analytic=est.e_analytic,
-                      stderr=est.stderr, g=est.n / n, n=est.n)
+                      stderr=est.stderr, g=est.n / int(counts.sum()), n=est.n)
 
 
 def flat_mode_curve(n_per_angle: int, grid_deg, seed: int) -> CorrelationCurve:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from s3sim import cli
+from s3sim import cli, experiments
 from s3sim.bounds import TSIRELSON, canonical_quad
 from s3sim.curves import (MAX_POINTS, CorrelationCurve, CurvePoint, parse_grid,
                           read_curve_csv, read_curve_json, write_curve_csv, write_curve_json)
@@ -86,6 +86,28 @@ def test_pool_size_never_exceeds_tasks_or_cpus(monkeypatch):
     assert _pool_size(100_000, 37) == 37
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _pool_size(4, 37) == 1
+
+
+@pytest.mark.parametrize("experiment", ["curve", "chsh", "probabilities", "flat-vs-s3"])
+def test_every_sampled_experiment_maps_the_one_pair_task(experiment, monkeypatch):
+    # tasks hold plain numbers, which pickle cheaply, and return count tables
+    seen = []
+
+    def spy(task):
+        seen.append((task, real(task)))
+        return seen[-1][1]
+
+    real = experiments._pair_counts
+    monkeypatch.setattr(experiments, "_pair_counts", spy)
+    runners = {"curve": run_curve, "chsh": run_chsh, "probabilities": run_probabilities,
+               "flat-vs-s3": compare_models}
+    runners[experiment](cfg(experiment=experiment, n_per_point=200, grid="0:90:45"))
+    assert len(seen) == {"curve": 3, "chsh": 4, "probabilities": 3, "flat-vs-s3": 14}[experiment]
+    for task, counts in seen:
+        a, b, *rest = task
+        assert all(type(x) is float for x in a + b) and len(a) == len(b) == 3
+        assert all(type(x) in (int, str) for x in rest)
+        assert counts.shape == (3, 3) and counts.dtype == np.int64
 
 
 def test_parse_config_file(tmp_path):
@@ -379,6 +401,30 @@ def test_cli_config_file_with_flag_override(tmp_path, run_cli):
     curve = read_curve_csv(out)
     assert curve.meta["model"] == "s3"  # flag overrides file
     assert curve.meta["seed"] == "5"
+
+
+def test_cli_undecodable_config_file_is_usage_error(tmp_path, run_cli):
+    cfg_file = tmp_path / "latin.cfg"
+    cfg_file.write_bytes(b"n=10\xff\n")
+    out = tmp_path / "c.csv"
+    res = run_cli("curve", "--seed", "1", "--config", str(cfg_file), "--out", str(out))
+    assert res.returncode == 2
+    assert "usage error" in res.stderr and "latin.cfg" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+def test_cli_config_file_is_utf8_in_any_locale(tmp_path, cli_env):
+    # an ASCII locale without coercion would fail to decode the comment
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("# caf\u00e9\nseed=5\nn=100\ngrid=0:90:45\n", encoding="utf-8")
+    out = tmp_path / "c.csv"
+    env = {**cli_env, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    res = subprocess.run([sys.executable, "-m", "s3sim", "curve", "--config", str(cfg_file),
+                          "--out", str(out)], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert read_curve_csv(out).meta["seed"] == "5"
 
 
 def test_cli_bounds_json(tmp_path, run_cli):

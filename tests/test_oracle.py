@@ -4,7 +4,7 @@ import pytest
 from scipy import stats
 
 from s3sim.oracle import acceptance, expected_table
-from s3sim.pearle import MODES, outcome_counts, run_pair
+from s3sim.pearle import MODES, estimate_pair, outcome_counts, run_pair
 from s3sim.rng import substream
 
 
@@ -77,3 +77,21 @@ def test_s3_candidates_match_the_acceptance(deg):
     n, p = 1_000_000, acceptance(np.radians(deg))
     run = run_pair(planar(0.0), planar(deg), n, substream(890, deg), "s3")
     assert abs(run.n_candidates - n / p) <= 4.0 * np.sqrt(n * (1.0 - p)) / p
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("deg", [45, 120])
+def test_stderr_is_calibrated_across_seeds(mode, deg):
+    # z = (e_hat - E)/stderr over 200 substreams must look N(0, 1): a biased
+    # e_hat or an over- or under-confident stderr fails the KS test, which
+    # no single-seed 4-sigma check can see
+    eta = np.radians(deg)
+    table = expected_table(eta, mode)
+    same, diff = table[0, 2] + table[2, 0], table[0, 0] + table[2, 2]
+    e_oracle = (diff - same) / (diff + same)
+    seed = 940 + MODES.index(mode)
+    z = []
+    for i in range(200):
+        est = estimate_pair(planar(0.0), planar(deg), 2000, substream(seed, deg, i), mode)
+        z.append((est.e_hat - e_oracle) / est.stderr)
+    assert stats.kstest(z, "norm").pvalue > 1e-3

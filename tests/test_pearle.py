@@ -9,7 +9,7 @@ from scipy import integrate
 
 from s3sim import pearle
 from s3sim.algebra import X_AXIS, Y_AXIS, Z_AXIS
-from s3sim.experiments import _probability_task
+from s3sim.experiments import _pair_counts
 from s3sim.pearle import (CHUNK, MODES, InitialState, PearleMapping, admissible,
                           correlation_from_probabilities, curve_point, detection_fraction,
                           detection_fraction_branches, ensemble_sample, estimate_pair,
@@ -386,7 +386,8 @@ def test_count_table_reductions_match_outcome_arrays(mode, deg, n):
     eta = np.radians(deg)
     reference = _reference_table(eta, A, B)
     assert probabilities_from_outcomes(eta, A, B).to_dict() == reference
-    assert _probability_task((mode, deg, n, seed, index, 1)) == reference
+    task = (tuple(planar(0.0).tolist()), tuple(planar(deg).tolist()), n, seed, index, mode, 1)
+    assert _table_from_counts(eta, _pair_counts(task)).to_dict() == reference
 
 
 # run_pair's outcome-count table, n_candidates and n_admitted on substream

@@ -6,6 +6,7 @@ a refactor of the package cannot break the benchmark without a test failing.
 """
 import ast
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -85,3 +86,53 @@ def test_traced_layers_are_s3sim_modules():
                   and any(getattr(t, "id", None) == "TRACED_LAYERS" for t in node.targets))
     for layer in layers:
         importlib.import_module(f"s3sim.{layer}")
+
+
+def _call_target(call, modules):
+    """What `mod.f(...)` calls, for an s3sim module bound as `mod`; None for
+    any other call, or a method of a value s3sim returned."""
+    node, chain = call.func, []
+    while isinstance(node, ast.Attribute):
+        chain.append(node.attr)
+        node = node.value
+    if not chain or not isinstance(node, ast.Name) or node.id not in modules:
+        return None
+    obj = importlib.import_module(modules[node.id])
+    for attr in reversed(chain):
+        if not isinstance(obj, types.ModuleType):
+            return None
+        obj = getattr(obj, attr, MISSING)
+    return None if obj is MISSING else obj  # a missing name fails the test above
+
+
+def _perfbench_calls(path):
+    """(call, target) for each call in path of an s3sim module attribute,
+    without starred arguments."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = _s3sim_imports(tree)[0]
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and not any(
+                isinstance(a, ast.Starred) for a in node.args) and not any(
+                k.arg is None for k in node.keywords):
+            target = _call_target(node, modules)
+            if target is not None:
+                calls.append((node, target))
+    return calls
+
+
+def test_perfbench_calls_bind_to_current_signatures():
+    # perfbench is frozen between benchmark changes, so a dropped or renamed
+    # parameter it passes would otherwise show only as a failed benchmark run
+    calls = {p.name: _perfbench_calls(p) for p in SOURCES}
+    # 23 and 8 calls when this test was written; none found means the parse broke
+    assert calls["perlayer.py"] and calls["workloads.py"]
+    unbound = []
+    for name, found in calls.items():
+        for call, target in found:
+            try:
+                inspect.signature(target).bind(*call.args,
+                                               **{k.arg: k.value for k in call.keywords})
+            except TypeError as exc:
+                unbound.append(f"{name}:{call.lineno} {ast.unparse(call.func)}: {exc}")
+    assert not unbound, unbound
