@@ -128,14 +128,19 @@ def _pair_tables(pairs, n: int, seed: int, mode: str, kappa: int, workers: int) 
 
     Every task carries its own substream index, so the tables do not depend
     on the pool size. Settings cross as float tuples, which pickle ~20 times
-    faster than ndarrays. A serial run never imports the pool module."""
+    faster than ndarrays. A serial run never imports the pool module. A
+    worker process that dies breaks the pool: that is an OSError."""
     tasks = [(tuple(a.tolist()), tuple(b.tolist()), n, seed, i, mode, kappa)
              for i, (a, b) in enumerate(pairs)]
     workers = _pool_size(workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_pair_counts, tasks))
+        from concurrent.futures.process import BrokenProcessPool
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(_pair_counts, tasks))
+        except BrokenProcessPool as exc:
+            raise OSError(f"a worker process died: {exc}") from exc
     return [_pair_counts(t) for t in tasks]
 
 

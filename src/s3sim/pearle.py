@@ -168,21 +168,17 @@ class PairRecord:
 
 @dataclass(frozen=True)
 class EnsembleRun:
-    """Array view of one simulated setting pair: outcomes (0 = no detection),
-    emitted/admitted counts, and the settings.
+    """Array view of one simulated setting pair: outcomes (0 = no detection)
+    and counts.
 
+    n_admitted counts the pairs detected at both wings (n in s3 mode).
     n_candidates counts the candidate states drawn: in s3 mode every draw up
     to and including the n-th admitted one, in the other modes n.
     """
 
-    a: np.ndarray
-    b: np.ndarray
     A: np.ndarray
     B: np.ndarray
-    n_emitted: int
     n_admitted: int
-    mode: str
-    kappa: int
     n_candidates: int
 
     @property
@@ -333,17 +329,19 @@ def _decide(z, phi, u, heads, cos_ab: float, sin_ab: float, scratch):
 
 
 def _chunks(a, b, n: int, rng, mode: str, max_batches: int = 1000):
-    """Yield int8 (A, B, draws) chunk by chunk for one setting pair: the
-    outcomes of the chunk's candidates, 0 where a wing does not detect.
+    """Yield (A, B, k, rows, draws) chunk by chunk for one setting pair:
+    the int8 outcomes of the pairs the chunk keeps, 0 where a wing does not
+    detect, and the k candidates it drew.
 
     Chunk c reads its own Philox block: rng's key with its counter advanced
     by c * 2**64 (see _fill_draws), and rng is left at the first unused
     chunk. Every mode runs the same candidates through _decide. flat and
-    pearle-reject emit every candidate and stop at n. s3 emits only the
-    candidates detected at both wings (A*B != 0), so its last chunk ends at
-    the n-th of those; it draws at most max_batches * max(1024, n)
-    candidates in all. draws = (z, phi, u) are the chunk's buffers
-    themselves, valid until the next chunk.
+    pearle-reject keep every candidate (rows = None) and stop at n. s3 keeps
+    only the candidates detected at both wings, rows their indices in the
+    chunk, up to the n-th of them overall, so its last chunk's k is
+    rows[-1] + 1; it draws at most max_batches * max(1024, n) candidates in
+    all. draws = (z, phi, u) are the chunk's whole buffers, valid until the
+    next chunk.
     """
     cos_ab = float(np.clip(a @ b, -1.0, 1.0))
     sin_ab = float(np.sqrt(1.0 - cos_ab * cos_ab))
@@ -361,12 +359,14 @@ def _chunks(a, b, n: int, rng, mode: str, max_batches: int = 1000):
         A, B = _decide(z[:k], phi[:k], u_k, heads, cos_ab, sin_ab, scratch)
         chunk += 1
         drawn += k
-        kept = np.count_nonzero(A * B) if mode == "s3" else k
-        if mode == "s3" and got + kept >= n:
-            k = int(np.flatnonzero(A * B != 0)[n - got - 1]) + 1
-            A, B, kept = A[:k], B[:k], n - got
-        got += kept
-        yield A, B, (z, phi, u)
+        rows = None
+        if mode == "s3":
+            rows = np.flatnonzero(A * B != 0)[:n - got]
+            A, B = A[rows], B[rows]
+            if got + rows.size == n:
+                k = int(rows[-1]) + 1
+        got += A.size
+        yield A, B, k, rows, (z, phi, u)
     seek(rng, key, base + (chunk << 64))
 
 
@@ -385,21 +385,16 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
     chunks of CHUNK (see _chunks); in s3 mode at most
     max_batches * max(1024, n) candidates in all.
     """
-    a, b, kappa, rng = _pair_setup(a, b, n, rng_or_seed, mode, kappa)
+    a, b, _, rng = _pair_setup(a, b, n, rng_or_seed, mode, kappa)
     A, B = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     got = n_admitted = n_candidates = 0
-    for chunk_A, chunk_B, _ in _chunks(a, b, n, rng, mode, max_batches):
-        n_candidates += chunk_A.size
-        both = chunk_A * chunk_B != 0
-        if mode == "s3":  # only the pairs detected at both wings
-            rows = np.flatnonzero(both)
-            chunk_A, chunk_B = chunk_A[rows], chunk_B[rows]
+    for chunk_A, chunk_B, k, _, _ in _chunks(a, b, n, rng, mode, max_batches):
         A[got:got + chunk_A.size] = chunk_A
         B[got:got + chunk_B.size] = chunk_B
         got += chunk_A.size
-        n_admitted += int(np.count_nonzero(both))
-    return EnsembleRun(a=a, b=b, A=A, B=B, n_emitted=n, n_admitted=n_admitted, mode=mode,
-                       kappa=kappa, n_candidates=n_candidates)
+        n_admitted += int(np.count_nonzero(chunk_A * chunk_B))
+        n_candidates += k
+    return EnsembleRun(A=A, B=B, n_admitted=n_admitted, n_candidates=n_candidates)
 
 
 def outcome_counts(a, b, n: int, rng_or_seed, mode: str = "s3",
@@ -409,16 +404,13 @@ def outcome_counts(a, b, n: int, rng_or_seed, mode: str = "s3",
 
     Entry [i, j] counts the pairs with A = i - 1 and B = j - 1, over
     (A, B) in {-1, 0, +1}^2. Every estimate, table and fraction of a
-    setting pair is a function of this table. In s3 mode it is the table
-    of every candidate drawn, with the cells where a wing does not detect
-    set to 0.
+    setting pair is a function of this table. In s3 mode it counts the n
+    admitted pairs only, so every cell where a wing does not detect is 0.
     """
-    a, b, kappa, rng = _pair_setup(a, b, n, rng_or_seed, mode, kappa)
+    a, b, _, rng = _pair_setup(a, b, n, rng_or_seed, mode, kappa)
     counts = np.zeros((3, 3), dtype=np.int64)
-    for A, B, _ in _chunks(a, b, n, rng, mode):
+    for A, B, *_ in _chunks(a, b, n, rng, mode):
         counts += _count(A, B)
-    if mode == "s3":
-        counts[1, :] = counts[:, 1] = 0
     return counts
 
 
@@ -444,9 +436,8 @@ def _admitted_states(a, b, n: int, seed: int, kappa: int, max_batches: int = 100
     the sign."""
     a, b, kappa, rng = _pair_setup(a, b, n, seed, "s3", kappa)
     chunks = []
-    for A, B, (z, phi, u) in _chunks(a, b, n, rng, "s3", max_batches):
-        rows = np.flatnonzero(A * B != 0)
-        chunks.append((z[rows], phi[rows], u[rows], A[rows], B[rows]))
+    for A, B, _, rows, (z, phi, u) in _chunks(a, b, n, rng, "s3", max_batches):
+        chunks.append((z[rows], phi[rows], u[rows], A, B))
     z, phi, u, A, B = (np.concatenate(c) for c in zip(*chunks))
     z, phi, u = (x.astype(np.float64) for x in (z, phi, u))
     f = _threshold(u, np.empty(n))

@@ -391,6 +391,25 @@ def test_cli_memory_error_is_usage_error(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def _die(task):
+    os._exit(1)
+
+
+def test_cli_dead_worker_is_io_error(tmp_path, monkeypatch, capsys):
+    # a worker process that exits mid-task breaks the pool: an I/O error,
+    # not a numeric failure, and no artifact
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "_pair_counts", _die)
+    out = tmp_path / "x.csv"
+    code = cli.main(["probabilities", "--model", "flat", "--n", "100", "--grid", "0:90:45",
+                     "--seed", "1", "--workers", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "I/O error" in err and "worker process died" in err
+    assert "numeric failure" not in err
+    assert not out.exists()
+
+
 def test_cli_config_file_with_flag_override(tmp_path, run_cli):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text("seed=5\nn=1000\ngrid=0:90:45\nmodel=flat\n")

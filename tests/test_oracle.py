@@ -84,7 +84,8 @@ def test_s3_candidates_match_the_acceptance(deg):
 def test_stderr_is_calibrated_across_seeds(mode, deg):
     # z = (e_hat - E)/stderr over 200 substreams must look N(0, 1): a biased
     # e_hat or an over- or under-confident stderr fails the KS test, which
-    # no single-seed 4-sigma check can see
+    # no single-seed 4-sigma check can see. sum(z^2) ~ chi2(200) is the
+    # sharper check of the stderr's scale: a stderr off by 1.3x fails it
     eta = np.radians(deg)
     table = expected_table(eta, mode)
     same, diff = table[0, 2] + table[2, 0], table[0, 0] + table[2, 2]
@@ -95,3 +96,6 @@ def test_stderr_is_calibrated_across_seeds(mode, deg):
         est = estimate_pair(planar(0.0), planar(deg), 2000, substream(seed, deg, i), mode)
         z.append((est.e_hat - e_oracle) / est.stderr)
     assert stats.kstest(z, "norm").pvalue > 1e-3
+    chi2 = stats.chi2(len(z))
+    sum_sq = float(np.sum(np.square(z)))
+    assert 2.0 * min(chi2.cdf(sum_sq), chi2.sf(sum_sq)) > 1e-3

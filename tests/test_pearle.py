@@ -139,6 +139,19 @@ def test_pair_records_match_run_pair(deg):
     assert probabilities(eta, records).to_dict() == expected.to_dict()
 
 
+@pytest.mark.parametrize("deg", [0.0, 45.0, 90.0, 135.0, 180.0])
+def test_record_states_agree_with_their_outcomes(deg):
+    # A = lam*sign(e.a) and B = -lam*sign(e.b), so A*B = -sign(e.a)*sign(e.b)
+    # with sign(0) = +1: each state must sit beside its own outcomes, across
+    # a chunk boundary
+    a, b = planar(0.0), planar(deg)
+    records = pair_records(a, b, CHUNK + 1, seed=87)
+    e_o = np.array([r.state.e_o for r in records])
+    sign_a, sign_b = (np.where(e_o @ n_vec >= 0.0, 1, -1) for n_vec in (a, b))
+    AB = np.array([r.A * r.B for r in records])
+    assert np.array_equal(AB, -sign_a * sign_b)
+
+
 @pytest.mark.parametrize("deg", [0.0, 90.0, 180.0])
 def test_rebuilt_states_are_admissible_unit_and_symmetric_about_a(deg):
     # 0 and 180 degrees have a parallel to b, where the frame picks any normal
