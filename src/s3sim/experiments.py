@@ -111,37 +111,51 @@ def parse_config_file(path) -> dict:
 
 
 def _pool_size(workers: int, tasks: int) -> int:
-    """Worker processes to start: never more than the tasks or the CPUs."""
+    """Processes that compute, the parent included: never more than the
+    tasks or the CPUs. A pool starts one fewer."""
     import os  # loaded at interpreter start; kept local so module import stays unchanged
     return min(workers, tasks, os.cpu_count() or 1)
 
 
 def _pair_counts(task) -> np.ndarray:
-    """The pool task: the 3x3 outcome-count table of one setting pair."""
+    """The pair task: the 3x3 outcome-count table of one setting pair."""
     a, b, n, seed, index, mode, kappa = task
     return pearle.outcome_counts(a, b, n, substream(seed, index), mode, kappa)
 
 
+def _share_counts(share) -> list:
+    """The pool task: the count tables of a share of pair tasks, in order."""
+    return [_pair_counts(t) for t in share]
+
+
 def _pair_tables(pairs, n: int, seed: int, mode: str, kappa: int, workers: int) -> list:
     """The count table of each setting pair (a, b), pair i on substream
-    (seed, i), on a process pool of _pool_size(workers, len(pairs)).
+    (seed, i), on _pool_size(workers, len(pairs)) processes.
 
-    Every task carries its own substream index, so the tables do not depend
-    on the pool size. Settings cross as float tuples, which pickle ~20 times
-    faster than ndarrays. A serial run never imports the pool module. A
-    worker process that dies breaks the pool: that is an OSError."""
+    The tasks split into that many contiguous shares, whose sizes differ by
+    at most one, the larger first. The parent computes the first share while
+    a pool with one process per other share computes the rest, one share
+    per pool task, so no pool process starts idle. Every task carries its
+    own substream index, so the tables do not depend on the split. Settings
+    cross as float tuples, which pickle ~20 times faster than ndarrays. A
+    serial run never imports the pool module. A pool process that dies
+    breaks the pool: that is an OSError."""
     tasks = [(tuple(a.tolist()), tuple(b.tolist()), n, seed, i, mode, kappa)
              for i, (a, b) in enumerate(pairs)]
-    workers = _pool_size(workers, len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(_pair_counts, tasks))
-        except BrokenProcessPool as exc:
-            raise OSError(f"a worker process died: {exc}") from exc
-    return [_pair_counts(t) for t in tasks]
+    procs = _pool_size(workers, len(tasks))
+    size, extra = divmod(len(tasks), procs)
+    first, *rest = (tasks[i * size + min(i, extra):(i + 1) * size + min(i + 1, extra)]
+                    for i in range(procs))
+    if not rest:
+        return _share_counts(first)
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    try:
+        with ProcessPoolExecutor(max_workers=len(rest)) as pool:
+            pooled = pool.map(_share_counts, rest)  # submitted before the parent's share
+            return _share_counts(first) + [t for share in pooled for t in share]
+    except BrokenProcessPool as exc:
+        raise OSError(f"a worker process died: {exc}") from exc
 
 
 def _grid_tables(config: ExperimentConfig) -> tuple[np.ndarray, list]:

@@ -49,6 +49,10 @@ CHUNK = 1 << 14
 # fill CHUNK/2 64-bit words, and Philox makes 4 words per step
 _STEPS = CHUNK // 8
 
+# z, phi and u from the top 24 bits m of a draw: Generator.random(dtype=float32)
+# is m * 2**-24, so z = m * 2**-23 - 1, phi = m * float32(pi * 2**-24), u = m * 2**-24
+_SCALES = (np.float32(2.0**-23), np.float32(np.pi * 2.0**-24), np.float32(2.0**-24))
+
 # half-width of the band around a sign or cut decision in which e.b and f
 # are redone in float64 (see _decide): 10 times the measured float32 error,
 # at most 1.7e-7 in e.b plus 2.4e-7 in f (all 2**24 values of u)
@@ -171,19 +175,21 @@ class EnsembleRun:
     """Array view of one simulated setting pair: outcomes (0 = no detection)
     and counts.
 
-    n_admitted counts the pairs detected at both wings (n in s3 mode).
     n_candidates counts the candidate states drawn: in s3 mode every draw up
     to and including the n-th admitted one, in the other modes n.
+    n_detected_pairs, alias n_admitted, counts the pairs detected at both
+    wings (n in s3 mode).
     """
 
     A: np.ndarray
     B: np.ndarray
-    n_admitted: int
     n_candidates: int
 
     @property
     def n_detected_pairs(self) -> int:
         return int(np.sum((self.A != 0) & (self.B != 0)))
+
+    n_admitted = n_detected_pairs
 
 
 def admissible(e_o, f, *settings) -> np.ndarray:
@@ -231,26 +237,29 @@ def _fill_draws(rng, key, start: int, z, phi, u=None):
     (True for heads, lam = +1).
 
     The chunk's block is the Philox stream of key from counter start on
-    (see rng.seek): CHUNK float32 draws r (Generator.random) for each of z,
-    phi and u, each array starting on a counter step, then CHUNK coin bits,
-    bit i % 64 of 64-bit word i // 64. A chunk of k < CHUNK candidates reads
-    the first k values of each; flat mode skips u. z = 2r - 1 exactly,
-    phi = pi*r in float32, and u = r is uniform like eta_z_so/(kappa*pi).
+    (see rng.seek): CHUNK 32-bit draws for each of z, phi and u, each array
+    starting on a counter step, then CHUNK coin bits, bit i % 64 of 64-bit
+    word i // 64. A draw is a half of a raw 64-bit word, low half first, and
+    its top 24 bits m give r = m * 2**-24, the float32 Generator.random draw.
+    A chunk of k < CHUNK candidates reads the first k draws of each; flat
+    mode skips u. z = 2r - 1 exactly, phi = pi*r in float32, and u = r is
+    uniform like eta_z_so/(kappa*pi).
     """
     k = z.size
     at = None  # the counter the generator has reached, when known
-    for i, x in enumerate((z, phi, u)):
+    for i, (x, scale) in enumerate(zip((z, phi, u), _SCALES)):
         if x is not None:
             if at != start + i * _STEPS:
                 seek(rng, key, start + i * _STEPS)
-            rng.random(out=x, dtype=np.float32)
+            words = rng.bit_generator.random_raw(-(-k // 2))
+            m = words.astype("<u8", copy=False).view("<u4")[:k]
+            m >>= 8
+            np.multiply(m, scale, out=x, dtype=np.float32)
             at = start + (i + 1) * _STEPS if k == CHUNK else None
     if at != start + 3 * _STEPS:
         seek(rng, key, start + 3 * _STEPS)
     words = rng.bit_generator.random_raw(-(-k // 64)).astype("<u8", copy=False)
-    z *= 2.0
     z -= 1.0
-    phi *= np.pi
     return np.unpackbits(words.view(np.uint8), count=k, bitorder="little").view(bool)
 
 
@@ -387,14 +396,13 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
     """
     a, b, _, rng = _pair_setup(a, b, n, rng_or_seed, mode, kappa)
     A, B = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    got = n_admitted = n_candidates = 0
+    got = n_candidates = 0
     for chunk_A, chunk_B, k, _, _ in _chunks(a, b, n, rng, mode, max_batches):
         A[got:got + chunk_A.size] = chunk_A
         B[got:got + chunk_B.size] = chunk_B
         got += chunk_A.size
-        n_admitted += int(np.count_nonzero(chunk_A * chunk_B))
         n_candidates += k
-    return EnsembleRun(A=A, B=B, n_admitted=n_admitted, n_candidates=n_candidates)
+    return EnsembleRun(A=A, B=B, n_candidates=n_candidates)
 
 
 def outcome_counts(a, b, n: int, rng_or_seed, mode: str = "s3",

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -391,8 +392,15 @@ def test_cli_memory_error_is_usage_error(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+_PARENT = os.getpid()
+_real_pair_counts = experiments._pair_counts
+
+
 def _die(task):
-    os._exit(1)
+    # the parent computes a share too: only a pool process exits
+    if os.getpid() != _PARENT:
+        os._exit(1)
+    return _real_pair_counts(task)
 
 
 def test_cli_dead_worker_is_io_error(tmp_path, monkeypatch, capsys):
@@ -408,6 +416,46 @@ def test_cli_dead_worker_is_io_error(tmp_path, monkeypatch, capsys):
     assert "I/O error" in err and "worker process died" in err
     assert "numeric failure" not in err
     assert not out.exists()
+
+
+_PID_LOG = {}
+
+
+def _logged_pair_counts(task):
+    # one file per process, one line per task: the task's substream index.
+    # The sleep outlasts a pool process's start, so no process can finish
+    # its share and take another before every process has taken one.
+    with open(_PID_LOG["dir"] / str(os.getpid()), "a") as f:
+        f.write(f"{task[4]}\n")
+    time.sleep(0.05)
+    return _real_pair_counts(task)
+
+
+@pytest.mark.parametrize("experiment, model, shares", [
+    ("probabilities", "pearle-reject", [13, 12, 12]),
+    ("chsh", "s3", [2, 1, 1]),
+])
+def test_pool_processes_take_one_share_each(experiment, model, shares, tmp_path, monkeypatch):
+    # --workers 3 is three processes computing, the parent included, each
+    # on a contiguous share; the artifact equals the serial one
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    outputs = []
+    for workers in (1, 3):
+        if workers == 3:
+            monkeypatch.setitem(_PID_LOG, "dir", tmp_path / "pids")
+            monkeypatch.setattr(experiments, "_pair_counts", _logged_pair_counts)
+            (tmp_path / "pids").mkdir()
+        out = tmp_path / f"w{workers}.csv"
+        run(cfg(experiment=experiment, model=model, grid="0:180:5", workers=workers,
+                out=str(out)))
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    ran = {int(f.name): [int(i) for i in f.read_text().split()]
+           for f in (tmp_path / "pids").iterdir()}
+    assert len(ran) == min(3, sum(shares))
+    assert sorted(ran.values()) == [list(range(start, start + size)) for start, size in
+                                    zip(np.cumsum([0, *shares[:-1]]).tolist(), shares)]
+    assert ran[os.getpid()] == list(range(shares[0]))
 
 
 def test_cli_config_file_with_flag_override(tmp_path, run_cli):

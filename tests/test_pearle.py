@@ -488,6 +488,26 @@ def test_fill_draws_match_generator_uniform():
         assert np.array_equal(z2, z) and np.array_equal(phi2, phi)
 
 
+@pytest.mark.parametrize("k", [1, 8, 9, 64, 65, CHUNK - 1, CHUNK])
+def test_fill_draws_are_generator_floats_from_a_mid_counter_start(k):
+    # the raw-word fill equals Generator.random(dtype=float32) bit for bit,
+    # for sizes that end inside a word, a counter step and the chunk, from
+    # a start whose array offsets carry into the counter's second word
+    key, base = position(substream(2031, 4))
+    start = base + (1 << 64) - 3 * STEPS // 2
+    r = [_block(key, start + i * STEPS).random(k, dtype=np.float32) for i in range(3)]
+    rng = substream(2031, 4)
+    z, phi, u = (np.empty(k, dtype=np.float32) for _ in range(3))
+    heads = _fill_draws(rng, key, start, z, phi, u)
+    assert z.dtype == phi.dtype == u.dtype == np.float32
+    assert np.array_equal(z, 2.0 * r[0] - 1.0)
+    assert np.array_equal(phi, r[1] * np.float32(np.pi))
+    assert np.array_equal(u, r[2])
+    z2, phi2 = np.empty_like(z), np.empty_like(phi)
+    assert np.array_equal(_fill_draws(rng, key, start, z2, phi2), heads)
+    assert np.array_equal(z2, z) and np.array_equal(phi2, phi)
+
+
 @pytest.mark.parametrize("mode", ["pearle-reject", "flat"])
 def test_one_draw_memory_is_bounded_by_the_chunk(mode):
     # the draws, e.b and its scratch are all CHUNK-sized
