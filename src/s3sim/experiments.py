@@ -20,6 +20,8 @@ from .bounds import (CANONICAL_QUAD_DEGREES, CHSHResult, SettingsQuad, bound_rep
 # read_rows_csv is re-exported: callers read row artifacts from here
 from .curves import (CSV_COLUMNS, MAX_POINTS, CorrelationCurve, curve_to_dict,
                      fmt9, format_grid, parse_grid, read_rows_csv, write_json, write_rows_csv)
+# NumericError is re-exported: cli catches it from here
+from .pearle import NumericError, _coincident
 from .rng import substream
 
 EXPERIMENTS = ("curve", "chsh", "geodesic", "bounds", "probabilities", "flat-vs-s3")
@@ -28,10 +30,6 @@ FORMATS = ("csv", "json")
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (a usage error, exit code 2)."""
-
-
-class NumericError(RuntimeError):
-    """A reported quantity is undefined: a correlation with no coincidences."""
 
 
 @dataclass(frozen=True)
@@ -52,6 +50,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
         if self.seed is None:
             raise ConfigError("seed is mandatory (no wall-clock default)")
+        for name, value in (("seed", self.seed), ("n", self.n_per_point), ("kappa", self.kappa),
+                            ("steps", self.steps), ("workers", self.workers)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.model not in pearle.MODES:
@@ -119,8 +121,8 @@ def _pool_size(workers: int, tasks: int) -> int:
 
 def _pair_counts(task) -> np.ndarray:
     """The pair task: the 3x3 outcome-count table of one setting pair."""
-    a, b, n, seed, index, mode, kappa = task
-    return pearle.outcome_counts(a, b, n, substream(seed, index), mode, kappa)
+    a, b, n, seed, index, mode = task
+    return pearle.outcome_counts(a, b, n, substream(seed, index), mode)
 
 
 def _share_counts(share) -> list:
@@ -128,9 +130,10 @@ def _share_counts(share) -> list:
     return [_pair_counts(t) for t in share]
 
 
-def _pair_tables(pairs, n: int, seed: int, mode: str, kappa: int, workers: int) -> list:
+def _pair_tables(pairs, n: int, seed: int, mode: str, workers: int) -> list:
     """The count table of each setting pair (a, b), pair i on substream
-    (seed, i), on _pool_size(workers, len(pairs)) processes.
+    (seed, i), on _pool_size(workers, len(pairs)) processes. A task is
+    (a, b, n, seed, i, mode): kappa changes no outcome.
 
     The tasks split into that many contiguous shares, whose sizes differ by
     at most one, the larger first. The parent computes the first share while
@@ -140,7 +143,7 @@ def _pair_tables(pairs, n: int, seed: int, mode: str, kappa: int, workers: int) 
     cross as float tuples, which pickle ~20 times faster than ndarrays. A
     serial run never imports the pool module. A pool process that dies
     breaks the pool: that is an OSError."""
-    tasks = [(tuple(a.tolist()), tuple(b.tolist()), n, seed, i, mode, kappa)
+    tasks = [(tuple(a.tolist()), tuple(b.tolist()), n, seed, i, mode)
              for i, (a, b) in enumerate(pairs)]
     procs = _pool_size(workers, len(tasks))
     size, extra = divmod(len(tasks), procs)
@@ -162,16 +165,7 @@ def _grid_tables(config: ExperimentConfig) -> tuple[np.ndarray, list]:
     """The grid and its count tables: point i has a at 0 and b at grid[i] degrees."""
     grid = config.grid_degrees()
     return grid, _pair_tables([(planar(0.0), planar(deg)) for deg in grid], config.n_per_point,
-                              config.seed, config.model, config.kappa, config.workers)
-
-
-def _coincident(est, index: int, eta_deg: float):
-    """est, the CurvePoint or CorrelationEstimate of setting pair index, if
-    the pair had coincident detections; NumericError if not."""
-    if est.n == 0:
-        raise NumericError(f"no coincident detections in setting pair {index} "
-                           f"(eta = {eta_deg:g} deg); increase n")
-    return est
+                              config.seed, config.model, config.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +182,12 @@ def run_curve(config: ExperimentConfig) -> CorrelationCurve:
 # ---------------------------------------------------------------------------
 # chsh
 
-def chsh_monte_carlo(quad: SettingsQuad, n: int, seed: int, mode: str = "s3",
-                     kappa: int = 1, workers: int = 1) -> CHSHResult:
+def chsh_monte_carlo(quad: SettingsQuad, n: int, seed: int, mode: str = "s3", *,
+                     workers: int = 1) -> CHSHResult:
     """CHSH from per-pair Monte Carlo estimates on substreams (seed, pair);
     the four pairs run on up to `workers` processes."""
     pairs = quad.pairs()
-    tables = _pair_tables(pairs, n, seed, mode, kappa, workers)
+    tables = _pair_tables(pairs, n, seed, mode, workers)
     ests = [_coincident(pearle._pair_estimate(x, y, mode, counts), i, np.degrees(_angle(x, y)))
             for i, ((x, y), counts) in enumerate(zip(pairs, tables))]
     return chsh_from_estimates(ests)
@@ -204,8 +198,8 @@ def run_chsh(config: ExperimentConfig) -> dict:
     quad = canonical_quad()
     analytic_eval = sawtooth_correlation if config.model == "flat" else cosine_correlation
     analytic = chsh(analytic_eval, quad)
-    mc = chsh_monte_carlo(quad, config.n_per_point, config.seed, config.model, config.kappa,
-                          config.workers)
+    mc = chsh_monte_carlo(quad, config.n_per_point, config.seed, config.model,
+                          workers=config.workers)
     return {
         "meta": config.sampled_meta(),
         "quad_degrees": list(CANONICAL_QUAD_DEGREES),
@@ -253,8 +247,8 @@ def compare_models(config: ExperimentConfig) -> dict:
     with a summary line per model naming its bound regime."""
     curve_s3 = run_curve(replace(config, model="s3"))
     curve_flat = run_curve(replace(config, model="flat"))
-    chsh_s3 = chsh_monte_carlo(canonical_quad(), config.n_per_point, config.seed,
-                               "s3", config.kappa, config.workers)
+    chsh_s3 = chsh_monte_carlo(canonical_quad(), config.n_per_point, config.seed, "s3",
+                               workers=config.workers)
     chsh_flat = chsh_monte_carlo(canonical_quad(), config.n_per_point, config.seed, "flat",
                                  workers=config.workers)
     summary = [

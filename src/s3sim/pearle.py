@@ -61,6 +61,10 @@ _SCREEN = 4e-6
 _DENOM_TOL = 1e-12
 
 
+class NumericError(RuntimeError):
+    """A reported quantity is undefined: a correlation with no coincidences."""
+
+
 def _check_kappa(kappa: int) -> int:
     if not isinstance(kappa, (int, np.integer)) or kappa < 1:
         raise ValueError("winding index kappa must be a positive integer")
@@ -218,17 +222,16 @@ def ensemble_sample(n: int, seed: int, *, a, b, kappa: int = 1,
     return _admitted_states(a, b, n, seed, kappa, max_batches)[0]
 
 
-def _pair_setup(a, b, n: int, rng_or_seed, mode: str, kappa: int):
-    """Validated (a, b, kappa, rng) for one setting pair's run."""
+def _pair_setup(a, b, n: int, rng_or_seed, mode: str):
+    """Validated (a, b, rng) for one setting pair's run."""
     a = _require_unit(a, "a", 3)
     b = _require_unit(b, "b", 3)
     if n < 1:
         raise ValueError("ensemble size n must be >= 1")
     if mode not in MODES:
         raise ValueError(f"unknown model mode {mode!r}; choose from {MODES}")
-    kappa = _check_kappa(kappa)
     rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) else substream(rng_or_seed)
-    return a, b, kappa, philox(rng)
+    return a, b, philox(rng)
 
 
 def _fill_draws(rng, key, start: int, z, phi, u=None):
@@ -390,11 +393,12 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
     (TypeError for another bit generator), left at its first unused chunk.
 
     Outcomes depend on a state only through (e.a, e.b, f) and the coin, so
-    only those are drawn; kappa changes no outcome. Every mode draws in
-    chunks of CHUNK (see _chunks); in s3 mode at most
-    max_batches * max(1024, n) candidates in all.
+    only those are drawn. kappa changes no outcome: it is validated and
+    used nowhere else. Every mode draws in chunks of CHUNK (see _chunks);
+    in s3 mode at most max_batches * max(1024, n) candidates in all.
     """
-    a, b, _, rng = _pair_setup(a, b, n, rng_or_seed, mode, kappa)
+    _check_kappa(kappa)
+    a, b, rng = _pair_setup(a, b, n, rng_or_seed, mode)
     A, B = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     got = n_candidates = 0
     for chunk_A, chunk_B, k, _, _ in _chunks(a, b, n, rng, mode, max_batches):
@@ -405,17 +409,16 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
     return EnsembleRun(A=A, B=B, n_candidates=n_candidates)
 
 
-def outcome_counts(a, b, n: int, rng_or_seed, mode: str = "s3",
-                   kappa: int = 1) -> np.ndarray:
-    """The outcome-count table of run_pair(a, b, n, rng_or_seed, mode, kappa),
-    summed chunk by chunk, so it holds O(CHUNK) memory for any n.
+def outcome_counts(a, b, n: int, rng_or_seed, mode: str = "s3") -> np.ndarray:
+    """The outcome-count table of run_pair(a, b, n, rng_or_seed, mode), for
+    every kappa, summed chunk by chunk, so it holds O(CHUNK) memory for any n.
 
     Entry [i, j] counts the pairs with A = i - 1 and B = j - 1, over
     (A, B) in {-1, 0, +1}^2. Every estimate, table and fraction of a
     setting pair is a function of this table. In s3 mode it counts the n
     admitted pairs only, so every cell where a wing does not detect is 0.
     """
-    a, b, _, rng = _pair_setup(a, b, n, rng_or_seed, mode, kappa)
+    a, b, rng = _pair_setup(a, b, n, rng_or_seed, mode)
     counts = np.zeros((3, 3), dtype=np.int64)
     for A, B, *_ in _chunks(a, b, n, rng, mode):
         counts += _count(A, B)
@@ -442,7 +445,8 @@ def _admitted_states(a, b, n: int, seed: int, kappa: int, max_batches: int = 100
     its float64 f, the one the kernel's decisions equal.
     substream(seed, 1) draws what no outcome depends on: s_o's azimuth, then
     the sign."""
-    a, b, kappa, rng = _pair_setup(a, b, n, seed, "s3", kappa)
+    kappa = _check_kappa(kappa)
+    a, b, rng = _pair_setup(a, b, n, seed, "s3")
     chunks = []
     for A, B, _, rows, (z, phi, u) in _chunks(a, b, n, rng, "s3", max_batches):
         chunks.append((z[rows], phi[rows], u[rows], A, B))
@@ -542,11 +546,21 @@ def estimate_pair(a, b, n: int, rng_or_seed, mode: str = "s3",
     """Monte Carlo correlation for one setting pair in the given mode.
 
     The estimate averages A*B over detected pairs; e_analytic is -cos for
-    the sphere modes and the saw-tooth for flat.
+    the sphere modes and the saw-tooth for flat. kappa is only validated.
     """
-    est = _pair_estimate(a, b, mode, outcome_counts(a, b, n, rng_or_seed, mode, kappa))
+    _check_kappa(kappa)
+    est = _pair_estimate(a, b, mode, outcome_counts(a, b, n, rng_or_seed, mode))
     if est.n == 0:
         raise ValueError("no coincident detections; increase n")
+    return est
+
+
+def _coincident(est, index: int, eta_deg: float):
+    """est, the CurvePoint or CorrelationEstimate of setting pair index, if
+    the pair had coincident detections; NumericError if not."""
+    if est.n == 0:
+        raise NumericError(f"no coincident detections in setting pair {index} "
+                           f"(eta = {eta_deg:g} deg); increase n")
     return est
 
 
@@ -561,12 +575,14 @@ def correlation_curve(mode: str, grid_deg, n_per_angle: int, seed: int,
     """Correlation sweep over planar settings separated by the grid angles.
 
     Point i uses the (seed, i) substream, so the curve is reproducible for
-    any parallel execution of its points.
+    any parallel execution of its points. kappa only enters the meta. A
+    point with no coincident detections is a NumericError.
     """
     if mode not in MODES:
         raise ValueError(f"unknown model mode {mode!r}; choose from {MODES}")
+    kappa = _check_kappa(kappa)
     grid_deg = np.asarray(grid_deg, dtype=float)
-    points = [curve_point(mode, float(deg), n_per_angle, seed, i, kappa)
+    points = [_coincident(curve_point(mode, float(deg), n_per_angle, seed, i), i, deg)
               for i, deg in enumerate(grid_deg)]
     meta = {"model": mode, "n": str(n_per_angle), "seed": str(seed),
             "grid": format_grid(grid_deg), "kappa": str(kappa),
@@ -574,11 +590,10 @@ def correlation_curve(mode: str, grid_deg, n_per_angle: int, seed: int,
     return CorrelationCurve(points=tuple(points), meta=meta)
 
 
-def curve_point(mode: str, deg: float, n: int, seed: int, index: int,
-                kappa: int = 1) -> CurvePoint:
-    """One grid point of a correlation sweep, on the (seed, index) substream."""
-    counts = outcome_counts(planar(0.0), planar(deg), n,
-                            substream(seed, index), mode, kappa)
+def curve_point(mode: str, deg: float, n: int, seed: int, index: int) -> CurvePoint:
+    """One grid point of a correlation sweep, on the (seed, index) substream;
+    e_hat is nan when no pair was detected."""
+    counts = outcome_counts(planar(0.0), planar(deg), n, substream(seed, index), mode)
     return _point_from_counts(mode, deg, counts)
 
 

@@ -1,6 +1,7 @@
 """The artifact wire format: one CSV writer and reader, the curve readers on
 top of them, the grid metadata, and the CLI's resolution of defaults."""
 import argparse
+import hashlib
 import re
 import tempfile
 from dataclasses import fields
@@ -209,3 +210,91 @@ def test_config_file_and_flags_resolve_alike(experiment, values):
     fields_ = {("n_per_point" if k == "n" else k): v for k, v in values.items()}
     expected = ExperimentConfig(experiment=experiment, **fields_)
     assert from_file == from_flags == expected
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes
+
+# sha256 of each artifact at seed 9173, n 2000, grid 0:180:45, 30 geodesic
+# steps and one worker. The table changes only at a declared break of the
+# artifact bytes, such as a SAMPLER_VERSION bump or new columns.
+PINNED = {
+    ("bounds", "s3", "csv"):
+        "25e1c99f393829bedeb08fea6590f831b8432625db30dc592b73929da8b9e44a",
+    ("bounds", "s3", "json"):
+        "e7cc91880ba477518d301fdbc88fa1177c6bc7b19f8fc88db72c7caa98433cbb",
+    ("chsh", "flat", "csv"):
+        "53649cedb2159274f2bfaf707525aad8fd6727cd6cae43ba5a0df7d3685c1b3a",
+    ("chsh", "flat", "json"):
+        "1d0393cf76828a6c7c81cb065c46c09937054d5cdb2ba3db6001b984f1d39cc4",
+    ("chsh", "pearle-reject", "csv"):
+        "f9b295913ba5a9661e11e0ebaf38fd186992fc8bbd0db5408d12e4e2f9b997e4",
+    ("chsh", "pearle-reject", "json"):
+        "8bd5a689b32a7d463fab8b414d4aba6b4d2d93bacda3f925dab6e389786b3d33",
+    ("chsh", "s3", "csv"):
+        "3c3e4f7ebdeecc7f93b5bc0581a6cbabe57ce373fb622d8475315ae0297e13fb",
+    ("chsh", "s3", "json"):
+        "284c65d28568b26b876f01696ae884f12592220e9dd8e45505718434bcb84f8e",
+    ("curve", "flat", "csv"):
+        "1d59f79652bf0d79d2496b04b588dc5661f9026d0e7e1b333eb8b618d14c260a",
+    ("curve", "flat", "json"):
+        "b1b7e0d8c30b08e9f6a07768d04666d3369d16cf2870898321472d14806e1cb6",
+    ("curve", "pearle-reject", "csv"):
+        "47a7257bfeca61c57be558295d803429c8b2b31b2fa553f7a47151e22785981c",
+    ("curve", "pearle-reject", "json"):
+        "d9b54b34ed3b20a00c759968c9004578f586eeb0b4150426d27ce4590ce2987a",
+    ("curve", "s3", "csv"):
+        "34ecd115793b244c8fe11153b75dac1370566675d1e6ba29330104d29b874f37",
+    ("curve", "s3", "json"):
+        "9e691ed86576dee1dd470d3fb30d2c2d5581e4bc53a12ac1791be706ebd8c45b",
+    ("flat-vs-s3", "s3", "csv"):
+        "179a636c22198501ed1dbc732225babf6fe66c0a11edcb02b918f36aeb34287f",
+    ("flat-vs-s3", "s3", "json"):
+        "8cc2d9216c03d1146b2c9fe10f141e5a1541c5c8e99f536a5e7cbb936cecb9f4",
+    ("geodesic", "s3", "csv"):
+        "351b5ed7a4e03568f1c7e1bf759fe5d977a4c578ae57799f253522fa5506a162",
+    ("geodesic", "s3", "json"):
+        "bbd4dc0d50875de5637fefdbfb137068d2998e3a4f992d2c067ff471650c0324",
+    ("probabilities", "flat", "csv"):
+        "ce7c187273b823b58cf5de20d38c88bc3fbe51daf9d45ad419ade385fdf0c5b0",
+    ("probabilities", "flat", "json"):
+        "9af82c340048192217dde03b73d663d1f290f5ea1eb5da72960ad15f5991afae",
+    ("probabilities", "pearle-reject", "csv"):
+        "876f0fdf116fa762f1d3973f7e2980220ad417fbed111b1a59f8b41e302eb4cc",
+    ("probabilities", "pearle-reject", "json"):
+        "f0a89d376cbbbd66e254ad9265127862714d61c8e31211ce36b3df8af480c8f9",
+    ("probabilities", "s3", "csv"):
+        "b3e46778b4a742baa1c29aec5457740144673920c1dd82078b7545a545b9febf",
+    ("probabilities", "s3", "json"):
+        "f0edc99dceca7e6c7ef1fe6fa2d63b6254d6b3f5c7bae815545e7098b12b6d03",
+}
+
+SAMPLED = ("curve", "chsh", "probabilities", "flat-vs-s3")
+
+# the kappa meta entry of an artifact, as written in each format
+KAPPA_ENTRY = {"csv": "# kappa={}\n", "json": '"kappa": "{}"'}
+
+
+def _pinned_artifact(tmp_path, experiment, model, fmt, kappa=1) -> bytes:
+    out = tmp_path / f"{experiment}_{model}_{kappa}.{fmt}"
+    config = ExperimentConfig(experiment, seed=9173, model=model, n_per_point=2000,
+                              grid="0:180:45", kappa=kappa, steps=30, workers=1,
+                              format=fmt, out=str(out))
+    return run(config).read_bytes()
+
+
+@pytest.mark.parametrize("experiment, model, fmt", sorted(PINNED))
+def test_artifact_bytes_are_pinned(tmp_path, experiment, model, fmt):
+    data = _pinned_artifact(tmp_path, experiment, model, fmt)
+    assert hashlib.sha256(data).hexdigest() == PINNED[experiment, model, fmt]
+
+
+@pytest.mark.parametrize("experiment, model, fmt",
+                         [key for key in sorted(PINNED) if key[0] in SAMPLED])
+def test_kappa_changes_only_its_meta_entry(tmp_path, experiment, model, fmt):
+    # kappa rescales eta_z_so but not the threshold law, so no outcome moves
+    one, three = (KAPPA_ENTRY[fmt].format(k).encode() for k in (1, 3))
+    data = _pinned_artifact(tmp_path, experiment, model, fmt)
+    assert one in data
+    assert _pinned_artifact(tmp_path, experiment, model, fmt, kappa=3) == \
+        data.replace(one, three)

@@ -68,6 +68,27 @@ def test_config_validation():
     assert cfg(seed=2**64 - 1).validated().seed == 2**64 - 1
 
 
+@pytest.mark.parametrize("experiment", ["geodesic", "curve"])
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", True), ("n_per_point", 100.5), ("kappa", 1.5), ("kappa", 2.5),
+    ("kappa", True), ("steps", 10.5), ("workers", 1.5), ("workers", np.float64(2.0)),
+], ids=repr)
+def test_config_rejects_non_integer_values(tmp_path, experiment, field, value):
+    # a float or bool would reach the artifact's meta, or fail later as a
+    # TypeError; the CLI's int parsing never produces one
+    out = tmp_path / "x.csv"
+    config = cfg(experiment=experiment, grid="0:90:90", out=str(out), **{field: value})
+    with pytest.raises(ConfigError, match="must be an integer"):
+        run(config)
+    assert not out.exists()
+
+
+def test_config_accepts_numpy_integers():
+    config = cfg(seed=np.uint64(2**64 - 1), n_per_point=np.int64(10), kappa=np.int32(3),
+                 steps=np.int16(5), workers=np.int8(1)).validated()
+    assert config.meta()["seed"] == str(2**64 - 1) and config.meta()["kappa"] == "3"
+
+
 def test_point_limit_applies_to_grids_and_steps():
     assert parse_grid((0.0, 180.0, 180.0 / (MAX_POINTS - 1))).size == MAX_POINTS
     with pytest.raises(ValueError):

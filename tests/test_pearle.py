@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from s3sim import pearle
+from s3sim import experiments, pearle
 from s3sim.algebra import X_AXIS, Y_AXIS, Z_AXIS
 from s3sim.experiments import _pair_counts
-from s3sim.pearle import (CHUNK, MODES, InitialState, PearleMapping, admissible,
-                          correlation_from_probabilities, curve_point, detection_fraction,
-                          detection_fraction_branches, ensemble_sample, estimate_pair,
-                          flat_mode_curve, outcome_counts, pair_records, pearle_f,
+from s3sim.pearle import (CHUNK, MODES, InitialState, NumericError, PearleMapping, admissible,
+                          correlation_curve, correlation_from_probabilities, curve_point,
+                          detection_fraction, detection_fraction_branches, ensemble_sample,
+                          estimate_pair, flat_mode_curve, outcome_counts, pair_records, pearle_f,
                           pearle_f_complement, probabilities, probabilities_from_outcomes,
                           run_pair)
 from s3sim.pearle import _SCREEN, _decide, _fill_draws, _project_b, _table_from_counts, _threshold
@@ -399,8 +399,17 @@ def test_count_table_reductions_match_outcome_arrays(mode, deg, n):
     eta = np.radians(deg)
     reference = _reference_table(eta, A, B)
     assert probabilities_from_outcomes(eta, A, B).to_dict() == reference
-    task = (tuple(planar(0.0).tolist()), tuple(planar(deg).tolist()), n, seed, index, mode, 1)
+    task = (tuple(planar(0.0).tolist()), tuple(planar(deg).tolist()), n, seed, index, mode)
     assert _table_from_counts(eta, _pair_counts(task)).to_dict() == reference
+
+
+def test_correlation_curve_names_a_pair_without_coincidences():
+    # the API states the CLI's rule: one emitted pair at 90 degrees is
+    # undetected, so that point's correlation is undefined
+    with pytest.raises(NumericError, match=r"setting pair 1 \(eta = 90 deg\)"):
+        correlation_curve("pearle-reject", [0.0, 90.0], 1, 0)
+    assert experiments.NumericError is NumericError
+    assert np.isnan(curve_point("pearle-reject", 90.0, 1, 0, 1).e_hat)
 
 
 # run_pair's outcome-count table, n_candidates and n_admitted on substream
