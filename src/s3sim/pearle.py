@@ -35,7 +35,7 @@ import numpy as np
 from .algebra import _angle, _require_unit, planar
 from .curves import CorrelationCurve, CurvePoint, format_grid
 from .rng import philox, position, seek, substream
-from .singlet import CorrelationEstimate, _count, _estimate
+from .singlet import CorrelationEstimate, _estimate
 
 MODES = ("s3", "pearle-reject", "flat")
 
@@ -54,7 +54,7 @@ _STEPS = CHUNK // 8
 _SCALES = (np.float32(2.0**-23), np.float32(np.pi * 2.0**-24), np.float32(2.0**-24))
 
 # half-width of the band around a sign or cut decision in which e.b and f
-# are redone in float64 (see _decide): 10 times the measured float32 error,
+# are redone in float64 (see _masks): 10 times the measured float32 error,
 # at most 1.7e-7 in e.b plus 2.4e-7 in f (all 2**24 values of u)
 _SCREEN = 4e-6
 
@@ -66,7 +66,7 @@ class NumericError(RuntimeError):
 
 
 def _check_kappa(kappa: int) -> int:
-    if not isinstance(kappa, (int, np.integer)) or kappa < 1:
+    if isinstance(kappa, bool) or not isinstance(kappa, (int, np.integer)) or kappa < 1:
         raise ValueError("winding index kappa must be a positive integer")
     return int(kappa)
 
@@ -257,7 +257,8 @@ def _fill_draws(rng, key, start: int, z, phi, u=None):
             words = rng.bit_generator.random_raw(-(-k // 2))
             m = words.astype("<u8", copy=False).view("<u4")[:k]
             m >>= 8
-            np.multiply(m, scale, out=x, dtype=np.float32)
+            x[...] = m.view("<i4")  # m < 2**24: exact in float32, so x * scale rounds once
+            x *= scale
             at = start + (i + 1) * _STEPS if k == CHUNK else None
     if at != start + 3 * _STEPS:
         seek(rng, key, start + 3 * _STEPS)
@@ -297,10 +298,10 @@ def _project_b(z, cos_phi, cos_ab: float, sin_ab: float, tmp, tmp2):
     return cos_phi
 
 
-def _decide(z, phi, u, heads, cos_ab: float, sin_ab: float, scratch):
-    """int8 (A, B) of a chunk's candidates: A = lam*sign(e.a) and
-    B = -lam*sign(e.b), with e.a = z, sign(0) := +1 and lam = +1 for heads;
-    given u, 0 at a wing where |e.n| < f.
+def _masks(z, phi, u, heads, cos_ab: float, sin_ab: float, scratch):
+    """Bool masks (plus_a, plus_b, det_a, det_b) of a chunk's candidates:
+    A = lam*sign(e.a), B = -lam*sign(e.b) are +1 (e.a = z, sign(0) := +1,
+    lam = +1 for heads); |e.n| >= f at wing a, b (everywhere without u).
 
     e.b and f are computed in float32, in four float32 scratch arrays of
     at least k. Where the sign of e.b or a cut |e.n| >= f is within _SCREEN
@@ -308,17 +309,16 @@ def _decide(z, phi, u, heads, cos_ab: float, sin_ab: float, scratch):
     its float64 evaluation on the drawn values.
     """
     k = z.size
-    eb, f, tmp, tmp2 = (x[:k] for x in scratch)
+    eb, f, tmp, abs_eb = (x[:k] for x in scratch)
     np.cos(phi, out=eb)
-    _project_b(z, eb, cos_ab, sin_ab, tmp, tmp2)
-    A = np.equal(heads, z >= 0.0).view(np.int8)
-    B = np.not_equal(heads, eb >= 0.0).view(np.int8)
-    near = np.abs(eb, out=tmp) < _SCREEN
-    detected = []
+    _project_b(z, eb, cos_ab, sin_ab, tmp, abs_eb)
+    plus_a = np.equal(heads, z >= 0.0)
+    plus_b = np.not_equal(heads, eb >= 0.0)
+    near = np.abs(eb, out=abs_eb) < _SCREEN
+    detected = [] if u is not None else [np.ones(k, dtype=bool)] * 2  # flat's f = 0
     if u is not None:
         _threshold(u, f)
-        for x in (z, eb):
-            margin = np.abs(x, out=tmp)
+        for margin in (np.abs(z, out=tmp), abs_eb):
             margin -= f
             detected.append(margin >= 0.0)
             near |= np.abs(margin, out=margin) < _SCREEN
@@ -327,33 +327,43 @@ def _decide(z, phi, u, heads, cos_ab: float, sin_ab: float, scratch):
         z64 = z[redo].astype(np.float64)
         eb64 = _project_b(z64, np.cos(phi[redo], dtype=np.float64), cos_ab, sin_ab,
                           np.empty(redo.size), np.empty(redo.size))
-        B[redo] = heads[redo] != (eb64 >= 0.0)
-        if detected:
+        plus_b[redo] = heads[redo] != (eb64 >= 0.0)
+        if u is not None:
             f64 = _threshold(u[redo].astype(np.float64), np.empty(redo.size))
             detected[0][redo] = np.abs(z64) >= f64
             detected[1][redo] = np.abs(eb64) >= f64
-    for x in (A, B):  # {0, 1} -> {-1, +1}
-        x += x
-        x -= 1
-    for x, wing in zip((A, B), detected):
-        x *= wing.view(np.int8)
-    return A, B
+    return plus_a, plus_b, *detected
+
+
+def _decide(z, phi, u, heads, cos_ab: float, sin_ab: float, scratch):
+    """int8 (A, B) of a chunk's candidates: the _outcomes of their _masks."""
+    return _outcomes(*_masks(z, phi, u, heads, cos_ab, sin_ab, scratch))[1:]
+
+
+def _mask_counts(plus_a, plus_b, det_a, det_b):
+    """3x3 int64 table of _masks: entry [i, j] counts the candidates with A = i - 1
+    and B = j - 1, by inclusion-exclusion over count_nonzero of the masks' ANDs."""
+    count = np.count_nonzero
+    pos_a, pos_b = plus_a & det_a, plus_b & det_b  # A = +1, B = +1
+    k, n_a, n_b, both = plus_a.size, count(det_a), count(det_b), count(det_a & det_b)
+    pp, pa, pb = count(pos_a & pos_b), count(pos_a & det_b), count(det_a & pos_b)
+    p0, zp = count(pos_a) - pa, count(pos_b) - pb  # A = +1 with B undetected; mirrored
+    return np.array([[both - pa - pb + pp, n_a - both - p0, pb - pp],
+                     [n_b - both - zp, k - n_a - n_b + both, zp],
+                     [pa - pp, p0, pp]], dtype=np.int64)
 
 
 def _chunks(a, b, n: int, rng, mode: str, max_batches: int = 1000):
-    """Yield (A, B, k, rows, draws) chunk by chunk for one setting pair:
-    the int8 outcomes of the pairs the chunk keeps, 0 where a wing does not
-    detect, and the k candidates it drew.
+    """Yield (masks, k, draws) chunk by chunk for one setting pair: the
+    _masks of the k candidates the chunk drew and its buffers draws =
+    (z, phi, u), both valid until the next chunk.
 
     Chunk c reads its own Philox block: rng's key with its counter advanced
     by c * 2**64 (see _fill_draws), and rng is left at the first unused
-    chunk. Every mode runs the same candidates through _decide. flat and
-    pearle-reject keep every candidate (rows = None) and stop at n. s3 keeps
-    only the candidates detected at both wings, rows their indices in the
-    chunk, up to the n-th of them overall, so its last chunk's k is
-    rows[-1] + 1; it draws at most max_batches * max(1024, n) candidates in
-    all. draws = (z, phi, u) are the chunk's whole buffers, valid until the
-    next chunk.
+    chunk. Every mode runs the same candidates through _masks. flat and
+    pearle-reject stop at the n-th candidate; s3 stops at the n-th detected
+    at both wings, its last chunk's masks cut just after it, and draws at
+    most max_batches * max(1024, n) candidates in all.
     """
     cos_ab = float(np.clip(a @ b, -1.0, 1.0))
     sin_ab = float(np.sqrt(1.0 - cos_ab * cos_ab))
@@ -368,18 +378,28 @@ def _chunks(a, b, n: int, rng, mode: str, max_batches: int = 1000):
                                f"within {max_batches} batches")
         u_k = None if mode == "flat" else u[:k]
         heads = _fill_draws(rng, key, base + (chunk << 64), z[:k], phi[:k], u_k)
-        A, B = _decide(z[:k], phi[:k], u_k, heads, cos_ab, sin_ab, scratch)
+        masks = _masks(z[:k], phi[:k], u_k, heads, cos_ab, sin_ab, scratch)
         chunk += 1
         drawn += k
-        rows = None
-        if mode == "s3":
-            rows = np.flatnonzero(A * B != 0)[:n - got]
-            A, B = A[rows], B[rows]
-            if got + rows.size == n:
-                k = int(rows[-1]) + 1
-        got += A.size
-        yield A, B, k, rows, (z, phi, u)
+        if mode == "s3":  # count the coincidences; cut just after the n-th
+            both = masks[2] & masks[3]
+            hits = np.count_nonzero(both)
+            if got + hits >= n:
+                k = int(np.flatnonzero(both)[n - got - 1]) + 1
+                masks = tuple(x[:k] for x in masks)
+        got += hits if mode == "s3" else k
+        yield masks, k, (z, phi, u)
     seek(rng, key, base + (chunk << 64))
+
+
+def _outcomes(plus_a, plus_b, det_a, det_b, mode: str | None = None):
+    """(rows, A, B) of a chunk's _masks: the int8 outcomes, 0 at a wing that
+    does not detect, of the pairs run_pair keeps: every candidate or, in s3
+    mode, the rows detected at both wings."""
+    rows = np.flatnonzero(det_a & det_b) if mode == "s3" else slice(None)
+    A, B = ((2 * plus[rows].view(np.int8) - 1) * det[rows]
+            for plus, det in ((plus_a, det_a), (plus_b, det_b)))
+    return rows, A, B
 
 
 def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
@@ -401,27 +421,32 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
     a, b, rng = _pair_setup(a, b, n, rng_or_seed, mode)
     A, B = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     got = n_candidates = 0
-    for chunk_A, chunk_B, k, _, _ in _chunks(a, b, n, rng, mode, max_batches):
-        A[got:got + chunk_A.size] = chunk_A
-        B[got:got + chunk_B.size] = chunk_B
+    for masks, k, _ in _chunks(a, b, n, rng, mode, max_batches):
+        _, chunk_A, chunk_B = _outcomes(*masks, mode)
+        A[got:got + chunk_A.size], B[got:got + chunk_A.size] = chunk_A, chunk_B
         got += chunk_A.size
         n_candidates += k
     return EnsembleRun(A=A, B=B, n_candidates=n_candidates)
 
 
+def candidate_counts(a, b, n: int, rng_or_seed, mode: str = "s3") -> np.ndarray:
+    """The count table, laid out as outcome_counts, of every candidate that
+    run_pair(a, b, n, rng_or_seed, mode) draws, summed from the kernel's
+    masks chunk by chunk. It sums to n_candidates, and in s3 mode equals
+    pearle-reject's table at n = n_candidates on the same stream."""
+    a, b, rng = _pair_setup(a, b, n, rng_or_seed, mode)
+    return sum(_mask_counts(*masks) for masks, *_ in _chunks(a, b, n, rng, mode))
+
+
 def outcome_counts(a, b, n: int, rng_or_seed, mode: str = "s3") -> np.ndarray:
     """The outcome-count table of run_pair(a, b, n, rng_or_seed, mode), for
-    every kappa, summed chunk by chunk, so it holds O(CHUNK) memory for any n.
-
-    Entry [i, j] counts the pairs with A = i - 1 and B = j - 1, over
-    (A, B) in {-1, 0, +1}^2. Every estimate, table and fraction of a
-    setting pair is a function of this table. In s3 mode it counts the n
-    admitted pairs only, so every cell where a wing does not detect is 0.
-    """
-    a, b, rng = _pair_setup(a, b, n, rng_or_seed, mode)
-    counts = np.zeros((3, 3), dtype=np.int64)
-    for A, B, *_ in _chunks(a, b, n, rng, mode):
-        counts += _count(A, B)
+    every kappa, in O(CHUNK) memory for any n: entry [i, j] counts the pairs
+    with A = i - 1 and B = j - 1. Every estimate, table and fraction of a
+    setting pair is a function of it. It is candidate_counts with s3's
+    cells where a wing does not detect set to 0: s3 keeps its admitted pairs."""
+    counts = candidate_counts(a, b, n, rng_or_seed, mode)
+    if mode == "s3":
+        counts[1, :] = counts[:, 1] = 0
     return counts
 
 
@@ -448,7 +473,8 @@ def _admitted_states(a, b, n: int, seed: int, kappa: int, max_batches: int = 100
     kappa = _check_kappa(kappa)
     a, b, rng = _pair_setup(a, b, n, seed, "s3")
     chunks = []
-    for A, B, _, rows, (z, phi, u) in _chunks(a, b, n, rng, "s3", max_batches):
+    for masks, _, (z, phi, u) in _chunks(a, b, n, rng, "s3", max_batches):
+        rows, A, B = _outcomes(*masks, "s3")
         chunks.append((z[rows], phi[rows], u[rows], A, B))
     z, phi, u, A, B = (np.concatenate(c) for c in zip(*chunks))
     z, phi, u = (x.astype(np.float64) for x in (z, phi, u))
@@ -484,8 +510,7 @@ def probabilities_from_outcomes(eta: float, A, B) -> ProbabilityTable:
         raise ValueError("outcome arrays must be nonempty and congruent")
     if not (np.isin(A, (-1, 0, 1)).all() and np.isin(B, (-1, 0, 1)).all()):
         raise ValueError("outcomes must be -1, 0 or +1")
-    A, B = (x.ravel().astype(np.int64, copy=False) for x in (A, B))
-    return _table_from_counts(eta, _count(A, B))
+    return _table_from_counts(eta, _mask_counts(A > 0, B > 0, A != 0, B != 0))
 
 
 def _table_from_counts(eta: float, counts) -> ProbabilityTable:

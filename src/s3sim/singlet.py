@@ -63,8 +63,8 @@ class CorrelationEstimate:
 def _count(A, B) -> np.ndarray:
     """3x3 int64 table: entry [i, j] counts the pairs with A = i - 1, B = j - 1.
 
-    A and B are integer arrays (int8 chunks or int64 outcomes); the cell
-    index 3A + B + 4 stays in their dtype."""
+    A and B are int64 outcome arrays; the cell index 3A + B + 4 stays in
+    their dtype. pearle counts its chunks from the kernel's masks instead."""
     cell = A * 3
     cell += B
     cell += 4

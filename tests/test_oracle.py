@@ -4,7 +4,7 @@ import pytest
 from scipy import stats
 
 from s3sim.oracle import acceptance, expected_table
-from s3sim.pearle import MODES, estimate_pair, outcome_counts, run_pair
+from s3sim.pearle import MODES, candidate_counts, estimate_pair, outcome_counts, run_pair
 from s3sim.rng import substream
 
 
@@ -65,6 +65,22 @@ def test_count_table_g_test(mode, deg):
     expected = n * expected_table(eta, mode)
     possible = expected > 1e-9
     assert np.all(counts[~possible] == 0)
+    observed = counts[possible]
+    nonzero = observed > 0
+    g = 2.0 * np.sum(observed[nonzero] * np.log(observed[nonzero] / expected[possible][nonzero]))
+    assert stats.chi2.sf(g, possible.sum() - 1) > 1e-4
+
+
+@pytest.mark.parametrize("deg", [0, 45, 90, 135])
+def test_s3_candidate_table_g_test(deg):
+    # s3's candidate table is pearle-reject's over n_candidates candidates:
+    # G-test against that multinomial, the coincidences included
+    n, eta = 1_000_000, np.radians(deg)
+    counts = candidate_counts(planar(0.0), planar(deg), n, substream(9404, deg), "s3")
+    expected = counts.sum() * expected_table(eta, "pearle-reject")
+    possible = expected > 1e-9
+    assert np.all(counts[~possible] == 0)
+    assert counts[0, 0] + counts[0, 2] + counts[2, 0] + counts[2, 2] == n
     observed = counts[possible]
     nonzero = observed > 0
     g = 2.0 * np.sum(observed[nonzero] * np.log(observed[nonzero] / expected[possible][nonzero]))

@@ -11,13 +11,15 @@ from s3sim import experiments, pearle
 from s3sim.algebra import X_AXIS, Y_AXIS, Z_AXIS
 from s3sim.experiments import _pair_counts
 from s3sim.pearle import (CHUNK, MODES, InitialState, NumericError, PearleMapping, admissible,
-                          correlation_curve, correlation_from_probabilities, curve_point,
-                          detection_fraction, detection_fraction_branches, ensemble_sample,
-                          estimate_pair, flat_mode_curve, outcome_counts, pair_records, pearle_f,
-                          pearle_f_complement, probabilities, probabilities_from_outcomes,
-                          run_pair)
-from s3sim.pearle import _SCREEN, _decide, _fill_draws, _project_b, _table_from_counts, _threshold
+                          candidate_counts, correlation_curve, correlation_from_probabilities,
+                          curve_point, detection_fraction, detection_fraction_branches,
+                          ensemble_sample, estimate_pair, flat_mode_curve, outcome_counts,
+                          pair_records, pearle_f, pearle_f_complement, probabilities,
+                          probabilities_from_outcomes, run_pair)
+from s3sim.pearle import (_SCREEN, _decide, _fill_draws, _mask_counts, _masks, _project_b,
+                          _table_from_counts, _threshold)
 from s3sim.rng import position, substream
+from s3sim.singlet import _count
 
 
 def planar(deg):
@@ -614,6 +616,57 @@ def test_screen_redoes_decisions_at_the_boundaries(monkeypatch, deg):
     assert not (np.array_equal(A, expected[0]) and np.array_equal(B, expected[1]))
 
 
+def _mask_table(z, phi, u, heads, eta):
+    scratch = [np.empty(z.size, dtype=np.float32) for _ in range(4)]
+    return _mask_counts(*_masks(z, phi, u, heads, float(np.cos(eta)), float(np.sin(eta)), scratch))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("deg", [45.0, 180.0])
+@pytest.mark.parametrize("k", [1, 63, CHUNK])
+def test_mask_table_counts_the_decided_outcomes(mode, deg, k):
+    # the count path's table of a chunk's masks equals the bincount of the
+    # int8 outcomes _decide builds from the same draws
+    rng = substream(9401, k)
+    key, start = position(rng)
+    z, phi, u = (np.empty(k, dtype=np.float32) for _ in range(3))
+    u = None if mode == "flat" else u
+    heads = _fill_draws(rng, key, start, z, phi, u)
+    eta = np.radians(deg)
+    table = _mask_table(z, phi, u, heads, eta)
+    assert table.dtype == np.int64 and table.sum() == k
+    assert np.array_equal(table, _count(*_decided(z, phi, u, heads, eta)))
+
+
+@pytest.mark.parametrize("deg", [1.0, 45.0, 90.0, 135.0])
+def test_mask_table_counts_the_redone_decisions(deg):
+    # drawn values whose every decision lies in the float64 redo band, as
+    # in test_screen_redoes_decisions_at_the_boundaries: the table counts
+    # the redone decisions, equal to the float64 outcomes' table
+    n, eta = 4_000, np.radians(deg)
+    rng = substream(9402, int(deg))
+    u = rng.random(n, dtype=np.float32)
+    f = _f64(u)
+    q = n // 4
+    target = np.concatenate([np.zeros(q), f[q:2 * q], -f[2 * q:3 * q], np.zeros(n - 3 * q)])
+    alpha = np.arccos(target)
+    lo, hi = np.abs(alpha - eta), np.minimum(np.minimum(alpha + eta, 2 * np.pi - alpha - eta), np.pi)
+    z = np.cos(lo + (hi - lo) * rng.uniform(0.05, 0.95, n)).astype(np.float32)
+    z[3 * q:] = (f[3 * q:] * rng.choice([-1.0, 1.0], n - 3 * q)).astype(np.float32)
+    z64 = z.astype(np.float64)
+    cos_phi = (target - z64 * np.cos(eta)) / (np.sqrt(1.0 - z64 * z64) * np.sin(eta))
+    phi = np.arccos(np.clip(cos_phi, -1.0, 1.0)).astype(np.float32)
+    eb = _eb64(z, phi, eta)
+    heads = rng.random(n) < 0.5
+    lam = np.where(heads, 1, -1)
+    A = lam * np.where(z >= 0, 1, -1) * (np.abs(z64) >= f)
+    B = -lam * np.where(eb >= 0, 1, -1) * (np.abs(eb) >= f)
+    assert np.array_equal(_mask_table(z, phi, u, heads, eta), _count(A, B))
+    # flat: the same signs with every wing detecting
+    A, B = lam * np.where(z >= 0, 1, -1), -lam * np.where(eb >= 0, 1, -1)
+    assert np.array_equal(_mask_table(z, phi, None, heads, eta), _count(A, B))
+
+
 def _float64_reference(deg, n, rng_or_seed, mode):
     """(A, B, n_candidates, n_admitted) of run_pair, read from the chunk
     blocks with plain Generator draws and decided in float64.
@@ -713,6 +766,27 @@ def test_s3_outcomes_are_the_both_detected_pearle_reject_outcomes():
     assert np.array_equal(outcome_counts(a, b, 3 * CHUNK + 5, seed, "s3"), table)
 
 
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+@pytest.mark.parametrize("deg", [0.0, 45.0, 90.0, 180.0])
+@pytest.mark.parametrize("mode", MODES)
+def test_candidate_counts_cover_every_candidate_drawn(mode, deg, n):
+    a, b = planar(0.0), planar(deg)
+    table = candidate_counts(a, b, n, substream(9403, int(deg)), mode)
+    run = run_pair(a, b, n, substream(9403, int(deg)), mode)
+    assert table.dtype == np.int64 and table.sum() == run.n_candidates
+    counts = outcome_counts(a, b, n, substream(9403, int(deg)), mode)
+    if mode != "s3":
+        assert np.array_equal(table, counts)
+    else:
+        # s3's candidates are pearle-reject's first n_candidates; its
+        # outcome table is the corners, where both wings detect
+        reject = outcome_counts(a, b, run.n_candidates, substream(9403, int(deg)), "pearle-reject")
+        assert np.array_equal(table, reject)
+        corners = table.copy()
+        corners[1, :] = corners[:, 1] = 0
+        assert np.array_equal(corners, counts)
+
+
 def test_flat_outcomes_are_the_pearle_reject_signs():
     # the same candidates and coins, with every wing detecting
     a, b, n, seed = planar(0.0), planar(70.0), 3 * CHUNK + 5, 85
@@ -757,6 +831,19 @@ def test_kappa_changes_no_outcome(mode):
     one = run_pair(planar(0.0), planar(45.0), 20_000, 71, mode=mode, kappa=1)
     three = run_pair(planar(0.0), planar(45.0), 20_000, 71, mode=mode, kappa=3)
     assert np.array_equal(one.A, three.A) and np.array_equal(one.B, three.B)
+
+
+@pytest.mark.parametrize("kappa", [True, np.True_])
+@pytest.mark.parametrize("call", [
+    lambda kappa: PearleMapping(kappa=kappa),
+    lambda kappa: pearle_f(0.5, kappa=kappa),
+    lambda kappa: run_pair(planar(0.0), planar(45.0), 10, 1, kappa=kappa),
+    lambda kappa: correlation_curve("s3", [0.0], 10, 1, kappa=kappa),
+])
+def test_kappa_rejects_a_bool(call, kappa):
+    # a bool is an int to Python, but no winding index
+    with pytest.raises(ValueError, match="kappa"):
+        call(kappa)
 
 
 def test_s3_acceptance_matches_closed_form():
