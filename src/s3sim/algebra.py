@@ -46,9 +46,9 @@ def _require_unit(v, name: str, dim: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != dim:
         raise ValueError(f"{name} must have {dim} components, got shape {v.shape}")
-    n = np.linalg.norm(v, axis=-1)
-    if np.any(np.abs(n - 1.0) > UNIT_TOL):
-        raise ValueError(f"{name} is not unit norm (|n-1| up to {np.max(np.abs(n - 1.0)):.3e})")
+    gap = np.abs(np.linalg.norm(v, axis=-1) - 1.0)
+    if not np.all(gap <= UNIT_TOL):  # a nan norm fails too
+        raise ValueError(f"{name} is not unit norm (|n-1| up to {np.max(gap):.3e})")
     return v
 
 

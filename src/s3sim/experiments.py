@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pearle
-from .algebra import _angle, geodesic_sweep, planar
+from .algebra import geodesic_sweep, planar
 from .bounds import (CANONICAL_QUAD_DEGREES, CHSHResult, SettingsQuad, bound_report,
                      canonical_quad, chsh, chsh_from_estimates, cosine_correlation,
                      sawtooth_correlation)
@@ -174,8 +174,10 @@ def _grid_tables(config: ExperimentConfig) -> tuple[np.ndarray, list]:
 def run_curve(config: ExperimentConfig) -> CorrelationCurve:
     """Correlation sweep for the configured model over the angle grid."""
     grid, tables = _grid_tables(config)
-    points = [_coincident(pearle._point_from_counts(config.model, float(deg), counts), i, deg)
-              for i, (deg, counts) in enumerate(zip(grid, tables))]
+    points = [pearle._point_from_counts(config.model, float(deg), counts)
+              for deg, counts in zip(grid, tables)]
+    for i, point in enumerate(points):
+        _coincident(point.n, point.eta_deg, i)
     return CorrelationCurve(points=tuple(points), meta=config.sampled_meta())
 
 
@@ -188,7 +190,7 @@ def chsh_monte_carlo(quad: SettingsQuad, n: int, seed: int, mode: str = "s3", *,
     the four pairs run on up to `workers` processes."""
     pairs = quad.pairs()
     tables = _pair_tables(pairs, n, seed, mode, workers)
-    ests = [_coincident(pearle._pair_estimate(x, y, mode, counts), i, np.degrees(_angle(x, y)))
+    ests = [pearle._pair_estimate(x, y, mode, counts, i)
             for i, ((x, y), counts) in enumerate(zip(pairs, tables))]
     return chsh_from_estimates(ests)
 

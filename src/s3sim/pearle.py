@@ -35,7 +35,7 @@ import numpy as np
 from .algebra import _angle, _require_unit, planar
 from .curves import CorrelationCurve, CurvePoint, format_grid
 from .rng import philox, position, seek, substream
-from .singlet import CorrelationEstimate, _estimate
+from .singlet import CorrelationEstimate, _count, _estimate, _mask_counts
 
 MODES = ("s3", "pearle-reject", "flat")
 
@@ -57,6 +57,9 @@ _SCALES = (np.float32(2.0**-23), np.float32(np.pi * 2.0**-24), np.float32(2.0**-
 # are redone in float64 (see _masks): 10 times the measured float32 error,
 # at most 1.7e-7 in e.b plus 2.4e-7 in f (all 2**24 values of u)
 _SCREEN = 4e-6
+
+# s3 draws at most _MAX_BATCHES * max(1024, n) candidates for n admitted pairs
+_MAX_BATCHES = 1000
 
 _DENOM_TOL = 1e-12
 
@@ -209,8 +212,7 @@ def admissible(e_o, f, *settings) -> np.ndarray:
     return ok
 
 
-def ensemble_sample(n: int, seed: int, *, a, b, kappa: int = 1,
-                    max_batches: int = 1000) -> list[InitialState]:
+def ensemble_sample(n: int, seed: int, *, a, b, kappa: int = 1) -> list[InitialState]:
     """Pre-selected ensemble of n admissible states for settings (a, b).
 
     Admission is checked against the run's realized measurement context;
@@ -219,7 +221,7 @@ def ensemble_sample(n: int, seed: int, *, a, b, kappa: int = 1,
     admitted and detected states). These are the states of
     pair_records(a, b, n, seed, kappa).
     """
-    return _admitted_states(a, b, n, seed, kappa, max_batches)[0]
+    return _admitted_states(a, b, n, seed, kappa)[0]
 
 
 def _pair_setup(a, b, n: int, rng_or_seed, mode: str):
@@ -335,25 +337,7 @@ def _masks(z, phi, u, heads, cos_ab: float, sin_ab: float, scratch):
     return plus_a, plus_b, *detected
 
 
-def _decide(z, phi, u, heads, cos_ab: float, sin_ab: float, scratch):
-    """int8 (A, B) of a chunk's candidates: the _outcomes of their _masks."""
-    return _outcomes(*_masks(z, phi, u, heads, cos_ab, sin_ab, scratch))[1:]
-
-
-def _mask_counts(plus_a, plus_b, det_a, det_b):
-    """3x3 int64 table of _masks: entry [i, j] counts the candidates with A = i - 1
-    and B = j - 1, by inclusion-exclusion over count_nonzero of the masks' ANDs."""
-    count = np.count_nonzero
-    pos_a, pos_b = plus_a & det_a, plus_b & det_b  # A = +1, B = +1
-    k, n_a, n_b, both = plus_a.size, count(det_a), count(det_b), count(det_a & det_b)
-    pp, pa, pb = count(pos_a & pos_b), count(pos_a & det_b), count(det_a & pos_b)
-    p0, zp = count(pos_a) - pa, count(pos_b) - pb  # A = +1 with B undetected; mirrored
-    return np.array([[both - pa - pb + pp, n_a - both - p0, pb - pp],
-                     [n_b - both - zp, k - n_a - n_b + both, zp],
-                     [pa - pp, p0, pp]], dtype=np.int64)
-
-
-def _chunks(a, b, n: int, rng, mode: str, max_batches: int = 1000):
+def _chunks(a, b, n: int, rng, mode: str):
     """Yield (masks, k, draws) chunk by chunk for one setting pair: the
     _masks of the k candidates the chunk drew and its buffers draws =
     (z, phi, u), both valid until the next chunk.
@@ -363,19 +347,19 @@ def _chunks(a, b, n: int, rng, mode: str, max_batches: int = 1000):
     chunk. Every mode runs the same candidates through _masks. flat and
     pearle-reject stop at the n-th candidate; s3 stops at the n-th detected
     at both wings, its last chunk's masks cut just after it, and draws at
-    most max_batches * max(1024, n) candidates in all.
+    most _MAX_BATCHES * max(1024, n) candidates in all.
     """
     cos_ab = float(np.clip(a @ b, -1.0, 1.0))
     sin_ab = float(np.sqrt(1.0 - cos_ab * cos_ab))
     key, base = position(rng)
     z, phi, u, *scratch = (np.empty(CHUNK, dtype=np.float32) for _ in range(7))
-    budget = max_batches * max(1024, n) if mode == "s3" else n
+    budget = _MAX_BATCHES * max(1024, n) if mode == "s3" else n
     got = drawn = chunk = 0
     while got < n:
         k = min(CHUNK, budget - drawn)
         if k <= 0:
             raise RuntimeError(f"rejection sampling did not yield {n} admissible states "
-                               f"within {max_batches} batches")
+                               f"within {_MAX_BATCHES} batches")
         u_k = None if mode == "flat" else u[:k]
         heads = _fill_draws(rng, key, base + (chunk << 64), z[:k], phi[:k], u_k)
         masks = _masks(z[:k], phi[:k], u_k, heads, cos_ab, sin_ab, scratch)
@@ -402,8 +386,7 @@ def _outcomes(plus_a, plus_b, det_a, det_b, mode: str | None = None):
     return rows, A, B
 
 
-def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
-             max_batches: int = 1000) -> EnsembleRun:
+def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1) -> EnsembleRun:
     """Simulate one setting pair and return outcome arrays.
 
     s3: n admitted states, all detected (A, B in {-1, +1}).
@@ -415,13 +398,13 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1,
     Outcomes depend on a state only through (e.a, e.b, f) and the coin, so
     only those are drawn. kappa changes no outcome: it is validated and
     used nowhere else. Every mode draws in chunks of CHUNK (see _chunks);
-    in s3 mode at most max_batches * max(1024, n) candidates in all.
+    in s3 mode at most _MAX_BATCHES * max(1024, n) candidates in all.
     """
     _check_kappa(kappa)
     a, b, rng = _pair_setup(a, b, n, rng_or_seed, mode)
     A, B = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     got = n_candidates = 0
-    for masks, k, _ in _chunks(a, b, n, rng, mode, max_batches):
+    for masks, k, _ in _chunks(a, b, n, rng, mode):
         _, chunk_A, chunk_B = _outcomes(*masks, mode)
         A[got:got + chunk_A.size], B[got:got + chunk_A.size] = chunk_A, chunk_B
         got += chunk_A.size
@@ -461,7 +444,7 @@ def _frame(a, b):
     return u1, np.cross(a, u1)
 
 
-def _admitted_states(a, b, n: int, seed: int, kappa: int, max_batches: int = 1000):
+def _admitted_states(a, b, n: int, seed: int, kappa: int):
     """(states, A, B) of the n admitted states of run_pair(a, b, n, seed, "s3").
 
     The kernel gives z = e.a, phi, u and the outcomes. e_o = z a +
@@ -473,7 +456,7 @@ def _admitted_states(a, b, n: int, seed: int, kappa: int, max_batches: int = 100
     kappa = _check_kappa(kappa)
     a, b, rng = _pair_setup(a, b, n, seed, "s3")
     chunks = []
-    for masks, _, (z, phi, u) in _chunks(a, b, n, rng, "s3", max_batches):
+    for masks, _, (z, phi, u) in _chunks(a, b, n, rng, "s3"):
         rows, A, B = _outcomes(*masks, "s3")
         chunks.append((z[rows], phi[rows], u[rows], A, B))
     z, phi, u, A, B = (np.concatenate(c) for c in zip(*chunks))
@@ -510,7 +493,7 @@ def probabilities_from_outcomes(eta: float, A, B) -> ProbabilityTable:
         raise ValueError("outcome arrays must be nonempty and congruent")
     if not (np.isin(A, (-1, 0, 1)).all() and np.isin(B, (-1, 0, 1)).all()):
         raise ValueError("outcomes must be -1, 0 or +1")
-    return _table_from_counts(eta, _mask_counts(A > 0, B > 0, A != 0, B != 0))
+    return _table_from_counts(eta, _count(A, B))
 
 
 def _table_from_counts(eta: float, counts) -> ProbabilityTable:
@@ -554,10 +537,10 @@ def detection_fraction_branches(eta: float, table: ProbabilityTable):
 
 
 def correlation_from_probabilities(table: ProbabilityTable) -> float:
-    """E = (P++ + P-- - P+- - P-+) / (P++ + P-- + P+- + P-+)."""
+    """E = (P++ + P-- - P+- - P-+) / (P++ + P-- + P+- + P-+); NumericError
+    if the table has no coincident detections."""
     total = table.joint_sum()
-    if total <= 0.0:
-        raise ValueError("no coincident detections in table")
+    _coincident(total, np.degrees(table.eta))
     return (table.p_pp + table.p_mm - table.p_pm - table.p_mp) / total
 
 
@@ -572,27 +555,28 @@ def estimate_pair(a, b, n: int, rng_or_seed, mode: str = "s3",
 
     The estimate averages A*B over detected pairs; e_analytic is -cos for
     the sphere modes and the saw-tooth for flat. kappa is only validated.
+    A pair with no coincident detections is a NumericError.
     """
     _check_kappa(kappa)
-    est = _pair_estimate(a, b, mode, outcome_counts(a, b, n, rng_or_seed, mode))
-    if est.n == 0:
-        raise ValueError("no coincident detections; increase n")
-    return est
+    return _pair_estimate(a, b, mode, outcome_counts(a, b, n, rng_or_seed, mode))
 
 
-def _coincident(est, index: int, eta_deg: float):
-    """est, the CurvePoint or CorrelationEstimate of setting pair index, if
-    the pair had coincident detections; NumericError if not."""
-    if est.n == 0:
-        raise NumericError(f"no coincident detections in setting pair {index} "
+def _coincident(n, eta_deg: float, index: int | None = None) -> None:
+    """NumericError if the setting pair at eta_deg, pair index of a run if
+    given, had no coincident detections: n, their count or share, is 0."""
+    if not n > 0:
+        pair = "the setting pair" if index is None else f"setting pair {index}"
+        raise NumericError(f"no coincident detections in {pair} "
                            f"(eta = {eta_deg:g} deg); increase n")
+
+
+def _pair_estimate(a, b, mode: str, counts, index: int | None = None) -> CorrelationEstimate:
+    """The correlation estimate of the count table of setting pair (a, b),
+    pair index of a run if given; NumericError if no pair was detected."""
+    eta = _angle(a, b)
+    est = _estimate(counts, _analytic(eta, mode))
+    _coincident(est.n, np.degrees(eta), index)
     return est
-
-
-def _pair_estimate(a, b, mode: str, counts) -> CorrelationEstimate:
-    """The correlation estimate of the count table of setting pair (a, b);
-    e_hat is nan when no pair was detected."""
-    return _estimate(counts, _analytic(_angle(a, b), mode))
 
 
 def correlation_curve(mode: str, grid_deg, n_per_angle: int, seed: int,
@@ -607,8 +591,9 @@ def correlation_curve(mode: str, grid_deg, n_per_angle: int, seed: int,
         raise ValueError(f"unknown model mode {mode!r}; choose from {MODES}")
     kappa = _check_kappa(kappa)
     grid_deg = np.asarray(grid_deg, dtype=float)
-    points = [_coincident(curve_point(mode, float(deg), n_per_angle, seed, i), i, deg)
-              for i, deg in enumerate(grid_deg)]
+    points = [curve_point(mode, float(deg), n_per_angle, seed, i) for i, deg in enumerate(grid_deg)]
+    for i, point in enumerate(points):
+        _coincident(point.n, point.eta_deg, i)
     meta = {"model": mode, "n": str(n_per_angle), "seed": str(seed),
             "grid": format_grid(grid_deg), "kappa": str(kappa),
             "sampler": str(SAMPLER_VERSION)}

@@ -60,15 +60,23 @@ class CorrelationEstimate:
     e_analytic: float
 
 
-def _count(A, B) -> np.ndarray:
-    """3x3 int64 table: entry [i, j] counts the pairs with A = i - 1, B = j - 1.
+def _mask_counts(plus_a, plus_b, det_a, det_b) -> np.ndarray:
+    """3x3 int64 table: entry [i, j] counts the pairs with A = i - 1 and
+    B = j - 1, from bool masks of A = +1, B = +1 and detection at each wing,
+    by inclusion-exclusion over count_nonzero of the masks' ANDs."""
+    count = np.count_nonzero
+    pos_a, pos_b = plus_a & det_a, plus_b & det_b  # A = +1, B = +1
+    k, n_a, n_b, both = plus_a.size, count(det_a), count(det_b), count(det_a & det_b)
+    pp, pa, pb = count(pos_a & pos_b), count(pos_a & det_b), count(det_a & pos_b)
+    p0, zp = count(pos_a) - pa, count(pos_b) - pb  # A = +1 with B undetected; mirrored
+    return np.array([[both - pa - pb + pp, n_a - both - p0, pb - pp],
+                     [n_b - both - zp, k - n_a - n_b + both, zp],
+                     [pa - pp, p0, pp]], dtype=np.int64)
 
-    A and B are int64 outcome arrays; the cell index 3A + B + 4 stays in
-    their dtype. pearle counts its chunks from the kernel's masks instead."""
-    cell = A * 3
-    cell += B
-    cell += 4
-    return np.bincount(cell, minlength=9).reshape(3, 3)
+
+def _count(A, B) -> np.ndarray:
+    """The _mask_counts table of outcome arrays A and B (0 = no detection)."""
+    return _mask_counts(A > 0, B > 0, A != 0, B != 0)
 
 
 def _estimate(counts, e_analytic: float) -> CorrelationEstimate:

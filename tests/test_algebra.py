@@ -55,6 +55,14 @@ def test_axis_angle_rejects_non_unit_axis():
         quat_from_axis_angle([1.0, 1.0, 0.0], 1.0)
 
 
+def test_nan_component_is_not_unit_norm():
+    for q in ([np.nan, 0.0, 0.0, 0.0], [1.0, 0.0, np.nan, 0.0]):
+        with pytest.raises(ValueError, match="not unit norm"):
+            quat_mul(q, IDENTITY)
+        with pytest.raises(ValueError, match="not unit norm"):
+            quat_mul(IDENTITY, q)
+
+
 def test_spinorial_periodicity():
     rng = np.random.default_rng(3)
     for _ in range(50):

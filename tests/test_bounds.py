@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,6 +126,12 @@ def test_degenerate_quad_collapses():
     result = chsh(cosine_correlation, quad)
     assert abs(result.s - 2.0 * cosine_correlation(quad.a, quad.b)) < 1e-12
     assert abs(result.s) <= 2.0
+
+
+def test_quad_rejects_a_nan_setting():
+    for name in ("a", "a_prime", "b", "b_prime"):
+        with pytest.raises(ValueError, match="not unit norm"):
+            replace(canonical_quad(), **{name: np.array([np.nan, 0.0, 0.0])})
 
 
 def test_chsh_accepts_estimator_outputs():

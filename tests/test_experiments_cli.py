@@ -388,6 +388,18 @@ def test_cli_chsh_without_coincidences_is_numeric_failure(tmp_path, run_cli):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, pair", [
+    (("curve", "--seed", "2", "--grid", "0:180:90"), "setting pair 0 (eta = 0 deg)"),
+    (("chsh", "--seed", "1"), "setting pair 3 (eta = 135 deg)"),
+])
+def test_cli_numeric_failure_names_the_pair_and_its_angle(tmp_path, capsys, args, pair):
+    code = cli.main([*args, "--model", "pearle-reject", "--n", "1",
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        f"s3sim: numeric failure: no coincident detections in {pair}; increase n\n")
+
+
 def test_cli_value_error_is_not_a_numeric_failure(tmp_path, monkeypatch, capsys):
     def broken(config):
         raise ValueError("a bug, not a number")

@@ -9,6 +9,7 @@ from scipy import integrate
 
 from s3sim import experiments, pearle
 from s3sim.algebra import X_AXIS, Y_AXIS, Z_AXIS
+from s3sim.bounds import canonical_quad
 from s3sim.experiments import _pair_counts
 from s3sim.pearle import (CHUNK, MODES, InitialState, NumericError, PearleMapping, admissible,
                           candidate_counts, correlation_curve, correlation_from_probabilities,
@@ -16,10 +17,10 @@ from s3sim.pearle import (CHUNK, MODES, InitialState, NumericError, PearleMappin
                           ensemble_sample, estimate_pair, flat_mode_curve, outcome_counts,
                           pair_records, pearle_f, pearle_f_complement, probabilities,
                           probabilities_from_outcomes, run_pair)
-from s3sim.pearle import (_SCREEN, _decide, _fill_draws, _mask_counts, _masks, _project_b,
+from s3sim.pearle import (_SCREEN, _fill_draws, _masks, _outcomes, _project_b,
                           _table_from_counts, _threshold)
 from s3sim.rng import position, substream
-from s3sim.singlet import _count
+from s3sim.singlet import _mask_counts
 
 
 def planar(deg):
@@ -122,11 +123,12 @@ def test_threshold_one_admits_only_aligned_states():
     assert admissible(-e_exact, 1.0, X_AXIS)[()]
 
 
-def test_ensemble_sampler_cap():
+def test_ensemble_sampler_cap(monkeypatch):
+    monkeypatch.setattr(pearle, "_MAX_BATCHES", 1)
     with pytest.raises(RuntimeError):
         # settings 90 degrees apart and threshold pinned near 1 by a tiny
         # batch budget: cannot fill the request
-        ensemble_sample(10**6, seed=53, a=planar(0.0), b=planar(90.0), max_batches=1)
+        ensemble_sample(10**6, seed=53, a=planar(0.0), b=planar(90.0))
 
 
 @pytest.mark.parametrize("deg", [0.0, 90.0, 180.0])
@@ -351,6 +353,12 @@ def test_s3_returns_exactly_n_definite_outcomes(n):
     assert run.n_candidates >= n
 
 
+def _cell_counts(A, B):
+    """The count table of outcome arrays, one cell at a time: entry [i, j]
+    counts the pairs with A = i - 1 and B = j - 1."""
+    return np.array([[np.sum((A == i) & (B == j)) for j in (-1, 0, 1)] for i in (-1, 0, 1)])
+
+
 def _reference_table(eta, A, B):
     """Probability cells from one boolean mask per cell (0 = no detection)."""
     frac = lambda mask: float(np.sum(mask) / A.size)
@@ -378,9 +386,8 @@ def test_count_table_reductions_match_outcome_arrays(mode, deg, n):
     seed, index = 73, 2
     run = run_pair(planar(0.0), planar(deg), n, substream(seed, index), mode)
     A, B = run.A, run.B
-    expected = [[int(np.sum((A == i) & (B == j))) for j in (-1, 0, 1)] for i in (-1, 0, 1)]
     counts = outcome_counts(planar(0.0), planar(deg), n, substream(seed, index), mode)
-    assert counts.tolist() == expected
+    assert counts.tolist() == _cell_counts(A, B).tolist()
 
     # the mean, stderr and g of A*B over detected pairs, from the arrays
     both = (A != 0) & (B != 0)
@@ -392,7 +399,7 @@ def test_count_table_reductions_match_outcome_arrays(mode, deg, n):
     assert point.stderr == pytest.approx(stderr, rel=1e-15, abs=0.0)
     assert point.g == np.count_nonzero(both) / n
     if prod.size == 0:
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericError):
             estimate_pair(planar(0.0), planar(deg), n, substream(seed, index), mode)
     else:
         est = estimate_pair(planar(0.0), planar(deg), n, substream(seed, index), mode)
@@ -412,6 +419,22 @@ def test_correlation_curve_names_a_pair_without_coincidences():
         correlation_curve("pearle-reject", [0.0, 90.0], 1, 0)
     assert experiments.NumericError is NumericError
     assert np.isnan(curve_point("pearle-reject", 90.0, 1, 0, 1).e_hat)
+
+
+@pytest.mark.parametrize("call, pair", [
+    (lambda: estimate_pair(planar(0.0), planar(90.0), 1, 1, "pearle-reject"),
+     r"the setting pair \(eta = 90 deg\)"),
+    (lambda: experiments.chsh_monte_carlo(canonical_quad(), 1, 1, "pearle-reject"),
+     r"setting pair 3 \(eta = 135 deg\)"),
+    (lambda: correlation_from_probabilities(
+        _table_from_counts(np.radians(90.0), np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))),
+     r"the setting pair \(eta = 90 deg\)"),
+])
+def test_no_coincidences_is_one_numeric_error_naming_the_angle(call, pair):
+    # one emitted pair in rejection mode, or a table of one undetected pair;
+    # correlation_curve's message is checked above
+    with pytest.raises(NumericError, match=f"^no coincident detections in {pair}; increase n$"):
+        call()
 
 
 # run_pair's outcome-count table, n_candidates and n_admitted on substream
@@ -576,16 +599,15 @@ def test_screen_error_bound_holds(deg):
 
 
 def _decided(z, phi, u, heads, eta):
+    """The int8 (A, B) the kernel decides for drawn values."""
     scratch = [np.empty(z.size, dtype=np.float32) for _ in range(4)]
-    return _decide(z, phi, u, heads, float(np.cos(eta)), float(np.sin(eta)), scratch)
+    return _outcomes(*_masks(z, phi, u, heads, float(np.cos(eta)), float(np.sin(eta)), scratch))[1:]
 
 
-@pytest.mark.parametrize("deg", [1.0, 45.0, 90.0, 135.0])
-def test_screen_redoes_decisions_at_the_boundaries(monkeypatch, deg):
-    # drawn (z, phi, u) whose float64 e.b lies near 0, +f and -f, or with
-    # |z| near f: every decision is in the band and redone in float64
-    n, eta = 4_000, np.radians(deg)
-    rng = substream(78, int(deg))
+def _boundary_draws(rng, n, eta):
+    """n drawn (z, phi, u) whose float64 e.b lies near 0, +f and -f, or with
+    |z| near f, so every decision is in the band and redone in float64:
+    (z, phi, u, heads), and the float64 (A, B) of flat and of pearle-reject."""
     u = rng.random(n, dtype=np.float32)
     f = _f64(u)
     q = n // 4
@@ -606,8 +628,15 @@ def test_screen_redoes_decisions_at_the_boundaries(monkeypatch, deg):
     assert np.max(margin) < _SCREEN / 4
     heads = rng.random(n) < 0.5
     lam = np.where(heads, 1, -1)
-    expected = (lam * np.where(z >= 0, 1, -1) * (np.abs(z64) >= f),
-                -lam * np.where(eb >= 0, 1, -1) * (np.abs(eb) >= f))
+    flat = lam * np.where(z >= 0, 1, -1), -lam * np.where(eb >= 0, 1, -1)
+    return (z, phi, u, heads), flat, (flat[0] * (np.abs(z64) >= f), flat[1] * (np.abs(eb) >= f))
+
+
+@pytest.mark.parametrize("deg", [1.0, 45.0, 90.0, 135.0])
+def test_screen_redoes_decisions_at_the_boundaries(monkeypatch, deg):
+    # every decision is in the band and redone in float64
+    eta = np.radians(deg)
+    (z, phi, u, heads), _, expected = _boundary_draws(substream(78, int(deg)), 4_000, eta)
     A, B = _decided(z, phi, u, heads, eta)
     assert np.array_equal(A, expected[0]) and np.array_equal(B, expected[1])
     # without the band some float32 sign or cut differs from float64
@@ -625,8 +654,8 @@ def _mask_table(z, phi, u, heads, eta):
 @pytest.mark.parametrize("deg", [45.0, 180.0])
 @pytest.mark.parametrize("k", [1, 63, CHUNK])
 def test_mask_table_counts_the_decided_outcomes(mode, deg, k):
-    # the count path's table of a chunk's masks equals the bincount of the
-    # int8 outcomes _decide builds from the same draws
+    # the count path's table of a chunk's masks equals the cell-by-cell
+    # count of the int8 outcomes decided from the same draws
     rng = substream(9401, k)
     key, start = position(rng)
     z, phi, u = (np.empty(k, dtype=np.float32) for _ in range(3))
@@ -635,36 +664,18 @@ def test_mask_table_counts_the_decided_outcomes(mode, deg, k):
     eta = np.radians(deg)
     table = _mask_table(z, phi, u, heads, eta)
     assert table.dtype == np.int64 and table.sum() == k
-    assert np.array_equal(table, _count(*_decided(z, phi, u, heads, eta)))
+    assert np.array_equal(table, _cell_counts(*_decided(z, phi, u, heads, eta)))
 
 
 @pytest.mark.parametrize("deg", [1.0, 45.0, 90.0, 135.0])
 def test_mask_table_counts_the_redone_decisions(deg):
-    # drawn values whose every decision lies in the float64 redo band, as
-    # in test_screen_redoes_decisions_at_the_boundaries: the table counts
-    # the redone decisions, equal to the float64 outcomes' table
-    n, eta = 4_000, np.radians(deg)
-    rng = substream(9402, int(deg))
-    u = rng.random(n, dtype=np.float32)
-    f = _f64(u)
-    q = n // 4
-    target = np.concatenate([np.zeros(q), f[q:2 * q], -f[2 * q:3 * q], np.zeros(n - 3 * q)])
-    alpha = np.arccos(target)
-    lo, hi = np.abs(alpha - eta), np.minimum(np.minimum(alpha + eta, 2 * np.pi - alpha - eta), np.pi)
-    z = np.cos(lo + (hi - lo) * rng.uniform(0.05, 0.95, n)).astype(np.float32)
-    z[3 * q:] = (f[3 * q:] * rng.choice([-1.0, 1.0], n - 3 * q)).astype(np.float32)
-    z64 = z.astype(np.float64)
-    cos_phi = (target - z64 * np.cos(eta)) / (np.sqrt(1.0 - z64 * z64) * np.sin(eta))
-    phi = np.arccos(np.clip(cos_phi, -1.0, 1.0)).astype(np.float32)
-    eb = _eb64(z, phi, eta)
-    heads = rng.random(n) < 0.5
-    lam = np.where(heads, 1, -1)
-    A = lam * np.where(z >= 0, 1, -1) * (np.abs(z64) >= f)
-    B = -lam * np.where(eb >= 0, 1, -1) * (np.abs(eb) >= f)
-    assert np.array_equal(_mask_table(z, phi, u, heads, eta), _count(A, B))
+    # drawn values whose every decision lies in the float64 redo band: the
+    # table counts the redone decisions, equal to the float64 outcomes' table
+    eta = np.radians(deg)
+    (z, phi, u, heads), flat, reject = _boundary_draws(substream(9402, int(deg)), 4_000, eta)
+    assert np.array_equal(_mask_table(z, phi, u, heads, eta), _cell_counts(*reject))
     # flat: the same signs with every wing detecting
-    A, B = lam * np.where(z >= 0, 1, -1), -lam * np.where(eb >= 0, 1, -1)
-    assert np.array_equal(_mask_table(z, phi, None, heads, eta), _count(A, B))
+    assert np.array_equal(_mask_table(z, phi, None, heads, eta), _cell_counts(*flat))
 
 
 def _float64_reference(deg, n, rng_or_seed, mode):
@@ -820,10 +831,21 @@ def test_probabilities_from_outcomes_rejects_other_values():
         probabilities_from_outcomes(0.0, [0.5, 1.0], [1.0, 1.0])
 
 
-def test_s3_candidate_budget_runs_out():
+def test_s3_candidate_budget_runs_out(monkeypatch):
     # one batch allows max(1024, n) candidates; about half are admitted at 90 degrees
+    monkeypatch.setattr(pearle, "_MAX_BATCHES", 1)
     with pytest.raises(RuntimeError):
-        run_pair(planar(0.0), planar(90.0), 10_000, 70, mode="s3", max_batches=1)
+        run_pair(planar(0.0), planar(90.0), 10_000, 70, mode="s3")
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("call", [run_pair, outcome_counts, estimate_pair])
+def test_nan_setting_is_not_unit_norm(call, mode):
+    # a nan norm fails the unit check like any other: no run starts on it
+    nan = np.array([np.nan, 0.0, 0.0])
+    for a, b in ((nan, planar(90.0)), (planar(0.0), nan)):
+        with pytest.raises(ValueError, match="not unit norm"):
+            call(a, b, 1000, 1, mode)
 
 
 @pytest.mark.parametrize("mode", MODES)

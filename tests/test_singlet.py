@@ -73,6 +73,14 @@ def test_hidden_variable_validation():
     assert not ok.conservation
 
 
+def test_hidden_variable_rejects_a_nan_axis():
+    nan = np.array([np.nan, 0.0, 0.0])
+    with pytest.raises(ValueError, match="not unit norm"):
+        HiddenVariable(lam=1, s1=nan, s2=nan)
+    with pytest.raises(ValueError, match="not unit norm"):
+        HiddenVariable(lam=1, s1=X_AXIS, s2=nan, conservation=False)
+
+
 def test_marginals_are_fair():
     n = 1_000_000
     ens = simulate_outcomes(X_AXIS, Y_AXIS, n, seed=101)
