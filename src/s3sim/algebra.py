@@ -52,6 +52,29 @@ def _require_unit(v, name: str, dim: int) -> np.ndarray:
     return v
 
 
+def _require_in(x, name: str, lo: float = -np.inf, hi: float = np.inf) -> np.ndarray:
+    """x as a float array; ValueError unless every entry is finite and
+    within [lo, hi]. NaN fails the test, and so does +-inf for any bounds."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x) & (lo <= x) & (x <= hi)):
+        raise ValueError(f"{name} must be finite and within [{lo:.10g}, {hi:.10g}]")
+    return x
+
+
+def _require_int(x, name: str, lo: int, hi: float = np.inf) -> int:
+    """x as an int; ValueError unless it is a Python or numpy integer, not
+    a bool, within [lo, hi]."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not lo <= int(x) <= hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {x!r}")
+    return int(x)
+
+
+def _require_choice(x, name: str, choices: tuple) -> None:
+    """ValueError unless x is one of choices."""
+    if x not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {x!r}")
+
+
 def planar(deg: float) -> np.ndarray:
     """Unit vector in the x-y plane at `deg` degrees from the x axis."""
     rad = np.radians(deg)
@@ -59,9 +82,7 @@ def planar(deg: float) -> np.ndarray:
 
 
 def _safe_arccos(x, what: str = "arccos argument"):
-    x = np.asarray(x, dtype=float)
-    if np.any(x > 1.0 + ARC_CLAMP) or np.any(x < -1.0 - ARC_CLAMP):
-        raise ValueError(f"{what} outside [-1-{ARC_CLAMP:g}, 1+{ARC_CLAMP:g}]")
+    x = _require_in(x, what, -1.0 - ARC_CLAMP, 1.0 + ARC_CLAMP)
     return np.arccos(np.clip(x, -1.0, 1.0))
 
 
@@ -76,16 +97,14 @@ def quat_from_axis_angle(axis, psi) -> np.ndarray:
     Returns cos(psi/2) + (I.axis) sin(psi/2). The full 4*pi period is the
     spinorial domain: psi and psi + 2*pi map to antipodal quaternions.
     """
-    psi = np.asarray(psi, dtype=float)
-    if np.any(psi < 0.0) or np.any(psi >= 4.0 * np.pi):
-        raise ValueError("rotation angle psi must lie in [0, 4*pi)")
+    psi = _require_in(psi, "psi", 0.0, np.nextafter(4.0 * np.pi, 0.0))  # [0, 4*pi)
     return quat_from_half_angle(axis, psi / 2.0)
 
 
 def quat_from_half_angle(axis, eta) -> np.ndarray:
     """q(eta, r) = cos(eta) + (I.r) sin(eta); eta is half the rotation angle."""
     axis = _require_unit(axis, "axis", 3)
-    eta = np.asarray(eta, dtype=float)
+    eta = _require_in(eta, "eta")
     lead = np.broadcast_shapes(eta.shape, axis.shape[:-1])
     w = np.broadcast_to(np.cos(eta), lead)[..., np.newaxis]
     v = np.broadcast_to(np.sin(eta)[..., np.newaxis] * axis, lead + (3,))
@@ -135,8 +154,7 @@ def vector_part(q) -> np.ndarray:
 
 def spinorial_sign(q, kappa: int) -> np.ndarray:
     """Apply the sign change q(eta + kappa*pi, r) = (-1)**kappa q(eta, r)."""
-    if kappa < 0:
-        raise ValueError("winding count kappa must be >= 0")
+    kappa = _require_int(kappa, "kappa", 0)
     q = np.asarray(q, dtype=float)
     return q if kappa % 2 == 0 else -q
 
@@ -181,12 +199,13 @@ def composite_axis(a, s1, s2, b, eta_uv: float) -> np.ndarray:
     identically (exactly aligned limit); raises SingularAxisError when
     sin(eta_uv) is below 1e-12 with a nonzero numerator.
     """
+    eta_uv = float(_require_in(eta_uv, "eta_uv", 0.0, np.pi))
     num = composite_axis_numerator(a, s1, s2, b)
     if num.ndim != 1:
         raise ValueError("composite_axis takes single vectors; use composite_axis_numerator for batches")
     if np.all(num == 0.0):
         return np.zeros(3)
-    s = np.sin(float(eta_uv))
+    s = np.sin(eta_uv)
     if abs(s) < 1e-12:
         raise SingularAxisError("sin(eta_uv) below 1e-12: axis undefined", numerator=num)
     return num / s
@@ -202,10 +221,8 @@ class Bivector:
 
     def __post_init__(self):
         object.__setattr__(self, "axis", _require_unit(self.axis, "axis", 3))
-        if self.magnitude < 0:
-            raise ValueError("bivector magnitude must be >= 0")
-        if self.orientation not in (-1, 1):
-            raise ValueError("bivector orientation must be -1 or +1")
+        _require_in(self.magnitude, "magnitude", 0.0)
+        _require_choice(self.orientation, "orientation", (-1, 1))
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -215,8 +232,7 @@ class Bivector:
 def spin_bivector(n, lam: int) -> Bivector:
     """Spin bivector L(n, lam) = lam * D(n): orientation lam relative to the
     detector bivector about the same axis."""
-    if lam not in (-1, 1):
-        raise ValueError("lam must be -1 or +1")
+    _require_choice(lam, "lam", (-1, 1))
     return Bivector(axis=np.asarray(n, dtype=float), magnitude=1.0, orientation=lam)
 
 
@@ -286,8 +302,7 @@ def geodesic_sweep(steps: int = 180) -> list[GeodesicPoint]:
     the half-angle and the rotation angle psi = 2*half_angle parameterize
     the sweep; points carry the half angle.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = _require_int(steps, "steps", 1)
     half = np.linspace(0.0, np.pi, steps + 1)
     qs = quat_from_half_angle(Z_AXIS, half)
     d2 = dist_su2(np.broadcast_to(IDENTITY, qs.shape), qs)

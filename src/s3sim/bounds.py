@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import _require_unit, _safe_arccos, planar
+from .algebra import _require_choice, _require_in, _require_unit, _safe_arccos, planar
 from .singlet import CorrelationEstimate
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -61,8 +61,7 @@ class BinaryAssignment:
 
     def __post_init__(self):
         for name in ("A_a", "A_ap", "B_b", "B_bp"):
-            if getattr(self, name) not in (-1, 1):
-                raise ValueError(f"{name} must be -1 or +1")
+            _require_choice(getattr(self, name), name, (-1, 1))
 
 
 def single_average_value(asg: BinaryAssignment) -> int:
@@ -181,6 +180,8 @@ class CHSHResult:
 def classify_regime(abs_s: float, stderr: float = 0.0) -> str:
     """Bound regime of |S|; Monte Carlo values get 4*stderr of slack at each
     boundary so that statistical noise cannot promote the regime."""
+    _require_in(abs_s, "abs_s", 0.0)
+    _require_in(stderr, "stderr", 0.0)
     slack = 4.0 * stderr
     if abs_s <= 2.0 + max(1e-12, slack):
         return "classical (<= 2)"

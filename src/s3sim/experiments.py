@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pearle
-from .algebra import geodesic_sweep, planar
+from .algebra import _require_choice, _require_int, geodesic_sweep, planar
 from .bounds import (CANONICAL_QUAD_DEGREES, CHSHResult, SettingsQuad, bound_report,
                      canonical_quad, chsh, chsh_from_estimates, cosine_correlation,
                      sawtooth_correlation)
@@ -46,31 +46,17 @@ class ExperimentConfig:
     format: str = "csv"
 
     def validated(self) -> "ExperimentConfig":
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
         if self.seed is None:
             raise ConfigError("seed is mandatory (no wall-clock default)")
-        for name, value in (("seed", self.seed), ("n", self.n_per_point), ("kappa", self.kappa),
-                            ("steps", self.steps), ("workers", self.workers)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.model not in pearle.MODES:
-            raise ConfigError(f"unknown model {self.model!r}; choose from {pearle.MODES}")
-        if self.n_per_point < 1:
-            raise ConfigError("n must be >= 1")
-        if self.n_per_point >= 2**63:  # numpy sizes are int64
-            raise ConfigError(f"n must be < 2**63, got {self.n_per_point}")
-        if self.format not in FORMATS:
-            raise ConfigError(f"unknown format {self.format!r}; choose from {FORMATS}")
-        if self.kappa < 1:
-            raise ConfigError("kappa must be >= 1")
-        if not 1 <= self.steps <= MAX_POINTS:
-            raise ConfigError(f"steps must be in [1, {MAX_POINTS}], got {self.steps}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         try:
+            _require_choice(self.experiment, "experiment", EXPERIMENTS)
+            _require_int(self.seed, "seed", 0, 2**64 - 1)
+            _require_choice(self.model, "model", pearle.MODES)
+            _require_int(self.n_per_point, "n", 1, 2**63 - 1)  # numpy sizes are int64
+            _require_int(self.kappa, "kappa", 1)
+            _require_int(self.steps, "steps", 1, MAX_POINTS)
+            _require_int(self.workers, "workers", 1)
+            _require_choice(self.format, "format", FORMATS)
             parse_grid(self.grid)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -114,9 +100,10 @@ def parse_config_file(path) -> dict:
 
 def _pool_size(workers: int, tasks: int) -> int:
     """Processes that compute, the parent included: never more than the
-    tasks or the CPUs. A pool starts one fewer."""
+    tasks or the CPUs this process may run on. A pool starts one fewer."""
     import os  # loaded at interpreter start; kept local so module import stays unchanged
-    return min(workers, tasks, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(workers, tasks, cpus)
 
 
 def _pair_counts(task) -> np.ndarray:

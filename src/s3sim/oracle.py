@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .algebra import _require_choice
 from .pearle import MODES
 
 # Gauss-Legendre nodes per piece: 48 agree with 96 to about 1e-14
@@ -81,8 +82,7 @@ def expected_table(eta: float, mode: str) -> np.ndarray:
     """Expected 3x3 outcome-count table per emitted pair (s3: per admitted
     pair) at setting angle eta (radians): entry [i, j] is the probability
     of A = i - 1 and B = j - 1, as in pearle.outcome_counts."""
-    if mode not in MODES:
-        raise ValueError(f"unknown model mode {mode!r}; choose from {MODES}")
+    _require_choice(mode, "mode", MODES)
     if mode == "flat":
         diff = eta / np.pi
         same, fx, fy = 1.0 - diff, 1.0, 1.0

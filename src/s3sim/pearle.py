@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .algebra import _angle, _require_unit, planar
+from .algebra import _angle, _require_choice, _require_in, _require_int, _require_unit, planar
 from .curves import CorrelationCurve, CurvePoint, format_grid
 from .rng import philox, position, seek, substream
 from .singlet import CorrelationEstimate, _count, _estimate, _mask_counts
@@ -68,18 +68,10 @@ class NumericError(RuntimeError):
     """A reported quantity is undefined: a correlation with no coincidences."""
 
 
-def _check_kappa(kappa: int) -> int:
-    if isinstance(kappa, bool) or not isinstance(kappa, (int, np.integer)) or kappa < 1:
-        raise ValueError("winding index kappa must be a positive integer")
-    return int(kappa)
-
-
 def _scaled_eta(eta, kappa: int):
     """3*eta/(kappa*pi) for eta in the mapping domain [0, kappa*pi]."""
-    kappa = _check_kappa(kappa)
-    eta = np.asarray(eta, dtype=float)
-    if np.any(eta < -1e-12) or np.any(eta > kappa * np.pi + 1e-12):
-        raise ValueError("eta outside the mapping domain [0, kappa*pi]")
+    kappa = _require_int(kappa, "kappa", 1)
+    eta = _require_in(eta, "eta", -1e-12, kappa * np.pi + 1e-12)
     return 3.0 * np.clip(eta, 0.0, kappa * np.pi) / (kappa * np.pi)
 
 
@@ -103,7 +95,7 @@ class PearleMapping:
     kappa: int = 1
 
     def __post_init__(self):
-        _check_kappa(self.kappa)
+        _require_int(self.kappa, "kappa", 1)
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -119,7 +111,7 @@ class PearleMapping:
     @staticmethod
     def threshold_density(f):
         """Density of the threshold under uniform eta_z_so: (8/3)(1+f)^-3."""
-        f = np.asarray(f, dtype=float)
+        f = _require_in(f, "f", 0.0, 1.0)
         return (8.0 / 3.0) * (1.0 + f) ** -3
 
 
@@ -184,8 +176,8 @@ class EnsembleRun:
 
     n_candidates counts the candidate states drawn: in s3 mode every draw up
     to and including the n-th admitted one, in the other modes n.
-    n_detected_pairs, alias n_admitted, counts the pairs detected at both
-    wings (n in s3 mode).
+    n_detected_pairs counts the pairs detected at both wings (n in s3
+    mode).
     """
 
     A: np.ndarray
@@ -195,8 +187,6 @@ class EnsembleRun:
     @property
     def n_detected_pairs(self) -> int:
         return int(np.sum((self.A != 0) & (self.B != 0)))
-
-    n_admitted = n_detected_pairs
 
 
 def admissible(e_o, f, *settings) -> np.ndarray:
@@ -228,10 +218,8 @@ def _pair_setup(a, b, n: int, rng_or_seed, mode: str):
     """Validated (a, b, rng) for one setting pair's run."""
     a = _require_unit(a, "a", 3)
     b = _require_unit(b, "b", 3)
-    if n < 1:
-        raise ValueError("ensemble size n must be >= 1")
-    if mode not in MODES:
-        raise ValueError(f"unknown model mode {mode!r}; choose from {MODES}")
+    _require_int(n, "n", 1)
+    _require_choice(mode, "mode", MODES)
     rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) else substream(rng_or_seed)
     return a, b, philox(rng)
 
@@ -386,7 +374,7 @@ def _outcomes(plus_a, plus_b, det_a, det_b, mode: str | None = None):
     return rows, A, B
 
 
-def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1) -> EnsembleRun:
+def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3") -> EnsembleRun:
     """Simulate one setting pair and return outcome arrays.
 
     s3: n admitted states, all detected (A, B in {-1, +1}).
@@ -396,11 +384,9 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3", kappa: int = 1) -> Ens
     (TypeError for another bit generator), left at its first unused chunk.
 
     Outcomes depend on a state only through (e.a, e.b, f) and the coin, so
-    only those are drawn. kappa changes no outcome: it is validated and
-    used nowhere else. Every mode draws in chunks of CHUNK (see _chunks);
+    only those are drawn. Every mode draws in chunks of CHUNK (see _chunks);
     in s3 mode at most _MAX_BATCHES * max(1024, n) candidates in all.
     """
-    _check_kappa(kappa)
     a, b, rng = _pair_setup(a, b, n, rng_or_seed, mode)
     A, B = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     got = n_candidates = 0
@@ -453,7 +439,7 @@ def _admitted_states(a, b, n: int, seed: int, kappa: int):
     its float64 f, the one the kernel's decisions equal.
     substream(seed, 1) draws what no outcome depends on: s_o's azimuth, then
     the sign."""
-    kappa = _check_kappa(kappa)
+    kappa = _require_int(kappa, "kappa", 1)
     a, b, rng = _pair_setup(a, b, n, seed, "s3")
     chunks = []
     for masks, _, (z, phi, u) in _chunks(a, b, n, rng, "s3"):
@@ -479,7 +465,7 @@ def _admitted_states(a, b, n: int, seed: int, kappa: int):
 
 def pair_records(a, b, n: int, seed: int, kappa: int = 1) -> list[PairRecord]:
     """Admitted states with their outcomes, for the s3 ensemble. A and B
-    are the outcomes of run_pair(a, b, n, seed, "s3", kappa)."""
+    are the outcomes of run_pair(a, b, n, seed, "s3") for every kappa."""
     states, A, B = _admitted_states(a, b, n, seed, kappa)
     return [PairRecord(state=state, A=x, B=y)
             for state, x, y in zip(states, A.tolist(), B.tolist())]
@@ -487,6 +473,7 @@ def pair_records(a, b, n: int, seed: int, kappa: int = 1) -> list[PairRecord]:
 
 def probabilities_from_outcomes(eta: float, A, B) -> ProbabilityTable:
     """Empirical probability table from outcome arrays (0 = no detection)."""
+    _require_in(eta, "eta", 0.0, np.pi)
     A = np.asarray(A)
     B = np.asarray(B)
     if A.size == 0 or A.shape != B.shape:
@@ -549,15 +536,13 @@ def _analytic(eta: float, mode: str) -> float:
     return (-1.0 + 2.0 * eta / np.pi) if mode == "flat" else -np.cos(eta)
 
 
-def estimate_pair(a, b, n: int, rng_or_seed, mode: str = "s3",
-                  kappa: int = 1) -> CorrelationEstimate:
+def estimate_pair(a, b, n: int, rng_or_seed, mode: str = "s3") -> CorrelationEstimate:
     """Monte Carlo correlation for one setting pair in the given mode.
 
     The estimate averages A*B over detected pairs; e_analytic is -cos for
-    the sphere modes and the saw-tooth for flat. kappa is only validated.
-    A pair with no coincident detections is a NumericError.
+    the sphere modes and the saw-tooth for flat. A pair with no coincident
+    detections is a NumericError.
     """
-    _check_kappa(kappa)
     return _pair_estimate(a, b, mode, outcome_counts(a, b, n, rng_or_seed, mode))
 
 
@@ -587,9 +572,8 @@ def correlation_curve(mode: str, grid_deg, n_per_angle: int, seed: int,
     any parallel execution of its points. kappa only enters the meta. A
     point with no coincident detections is a NumericError.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown model mode {mode!r}; choose from {MODES}")
-    kappa = _check_kappa(kappa)
+    _require_choice(mode, "mode", MODES)
+    kappa = _require_int(kappa, "kappa", 1)
     grid_deg = np.asarray(grid_deg, dtype=float)
     points = [curve_point(mode, float(deg), n_per_angle, seed, i) for i, deg in enumerate(grid_deg)]
     for i, point in enumerate(points):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .algebra import _require_int
+
 _WORD = (1 << 64) - 1
 
 
@@ -20,7 +22,8 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     substream(seed) is the root stream; substream(seed, i) is the i-th
     task's stream; deeper paths nest the same way.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
+    ss = np.random.SeedSequence(entropy=_require_int(seed, "seed", 0),
+                                spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
 
 

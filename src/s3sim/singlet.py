@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _angle, _require_unit
+from .algebra import _angle, _require_choice, _require_in, _require_int, _require_unit
 from .curves import csv_text
 from .rng import fair_coin, substream, uniform_sphere
 
@@ -32,8 +32,7 @@ class HiddenVariable:
     conservation: bool = True
 
     def __post_init__(self):
-        if self.lam not in (-1, 1):
-            raise ValueError("lam must be -1 or +1")
+        _require_choice(self.lam, "lam", (-1, 1))
         object.__setattr__(self, "s1", _require_unit(self.s1, "s1", 3))
         object.__setattr__(self, "s2", _require_unit(self.s2, "s2", 3))
         if self.conservation and not np.array_equal(self.s1, self.s2):
@@ -153,10 +152,8 @@ def _wing(sign: int, axis, eta: float, kappa: int, parallel: str):
     """(sign * [cos(eta) + (I.r) sin(eta)], sign * (-1)**kappa) with
     r = axis/|axis|; at eta = 0 the quaternion is the scalar sign itself,
     and `parallel` names the degenerate settings of a zero axis."""
-    if eta < 0:
-        raise ValueError("detector-spin angle eta must be >= 0")
-    if kappa < 0:
-        raise ValueError("winding count kappa must be >= 0")
+    _require_in(eta, "eta", 0.0)
+    kappa = _require_int(kappa, "kappa", 0)
     if eta == 0.0:
         q = sign * np.array([1.0, 0.0, 0.0, 0.0])
     else:
@@ -211,8 +208,7 @@ def simulate_outcomes(a, b, n: int, seed: int, conservation: bool = True,
     """Draw n runs at fixed settings and evaluate all outcomes at the limit."""
     a = _require_unit(a, "a", 3)
     b = _require_unit(b, "b", 3)
-    if n < 1:
-        raise ValueError("ensemble size n must be >= 1")
+    _require_int(n, "n", 1)
     rng = substream(seed)
     lam = fair_coin(rng, n)
     s1 = uniform_sphere(rng, n)

@@ -89,6 +89,14 @@ def test_config_accepts_numpy_integers():
     assert config.meta()["seed"] == str(2**64 - 1) and config.meta()["kappa"] == "3"
 
 
+@pytest.mark.parametrize("field, value, name", [
+    ("kappa", 0, "kappa"), ("n_per_point", 2**63, "n"), ("steps", MAX_POINTS + 1, "steps"),
+], ids=repr)
+def test_config_rejects_out_of_range_integers(field, value, name):
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer in "):
+        cfg(experiment="geodesic", **{field: value}).validated()
+
+
 def test_point_limit_applies_to_grids_and_steps():
     assert parse_grid((0.0, 180.0, 180.0 / (MAX_POINTS - 1))).size == MAX_POINTS
     with pytest.raises(ValueError):
@@ -99,13 +107,28 @@ def test_point_limit_applies_to_grids_and_steps():
             cfg(experiment="geodesic", steps=steps).validated()
 
 
+def _usable_cpus(monkeypatch, n):
+    """Let the process run on n CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def test_pool_size_never_exceeds_tasks_or_cpus(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # the CPUs this process may run on count, not the machine's: under
+    # taskset -c 0, os.cpu_count() still counts every CPU
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    _usable_cpus(monkeypatch, 2)
     assert _pool_size(1, 37) == 1
     assert _pool_size(100_000, 37) == 2
     assert _pool_size(8, 1) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    _usable_cpus(monkeypatch, 64)
     assert _pool_size(100_000, 37) == 37
+
+
+def test_pool_size_falls_back_to_cpu_count(monkeypatch):
+    # a platform without sched_getaffinity caps at os.cpu_count(), or 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _pool_size(100_000, 37) == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _pool_size(4, 37) == 1
 
@@ -439,7 +462,7 @@ def _die(task):
 def test_cli_dead_worker_is_io_error(tmp_path, monkeypatch, capsys):
     # a worker process that exits mid-task breaks the pool: an I/O error,
     # not a numeric failure, and no artifact
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _usable_cpus(monkeypatch, 2)
     monkeypatch.setattr(experiments, "_pair_counts", _die)
     out = tmp_path / "x.csv"
     code = cli.main(["probabilities", "--model", "flat", "--n", "100", "--grid", "0:90:45",
@@ -471,7 +494,7 @@ def _logged_pair_counts(task):
 def test_pool_processes_take_one_share_each(experiment, model, shares, tmp_path, monkeypatch):
     # --workers 3 is three processes computing, the parent included, each
     # on a contiguous share; the artifact equals the serial one
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _usable_cpus(monkeypatch, 3)
     outputs = []
     for workers in (1, 3):
         if workers == 3:

@@ -1,0 +1,109 @@
+"""The input contract of the public API: a NaN, an infinity, a value out of
+its domain, or a bool or float where an integer is meant raises a
+ValueError that names the parameter, never a plausible-looking result.
+Every such check goes through the three helpers in s3sim.algebra."""
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from s3sim.algebra import (IDENTITY, X_AXIS, Y_AXIS, Z_AXIS, Bivector, _require_choice,
+                           _require_in, _require_int, _safe_arccos, composite_axis,
+                           geodesic_sweep, quat_from_axis_angle, quat_from_half_angle,
+                           spinorial_sign)
+from s3sim.bounds import chsh_from_estimates
+from s3sim.pearle import (PearleMapping, pearle_f, pearle_f_complement,
+                          probabilities_from_outcomes, run_pair)
+from s3sim.singlet import HiddenVariable, measure_alice, measure_bob, simulate_outcomes
+
+nan, inf = float("nan"), float("inf")
+HV = HiddenVariable(lam=1, s1=Y_AXIS, s2=Y_AXIS)
+
+# (call, the parameter its error must name)
+PROBES = {
+    "pearle_f(nan)": (lambda: pearle_f(nan), "eta"),
+    "pearle_f_complement(nan)": (lambda: pearle_f_complement(nan), "eta"),
+    "radial_coordinate(nan)": (lambda: PearleMapping().radial_coordinate(nan), "eta"),
+    "threshold_density(nan)": (lambda: PearleMapping.threshold_density(nan), "f"),
+    "threshold_density(-1)": (lambda: PearleMapping.threshold_density(-1.0), "f"),
+    "quat_from_axis_angle(Z, nan)": (lambda: quat_from_axis_angle(Z_AXIS, nan), "psi"),
+    "quat_from_half_angle(Z, nan)": (lambda: quat_from_half_angle(Z_AXIS, nan), "eta"),
+    "_safe_arccos(nan)": (lambda: _safe_arccos(nan), "arccos argument"),
+    "spinorial_sign(q, nan)": (lambda: spinorial_sign(IDENTITY, nan), "kappa"),
+    "spinorial_sign(q, 1.5)": (lambda: spinorial_sign(IDENTITY, 1.5), "kappa"),
+    "chsh_from_estimates([nan] * 4)": (lambda: chsh_from_estimates([nan] * 4), "abs_s"),
+    "measure_alice(eta=nan)": (lambda: measure_alice(X_AXIS, HV, nan), "eta"),
+    "measure_alice(kappa=nan)": (lambda: measure_alice(X_AXIS, HV, kappa=nan), "kappa"),
+    "measure_bob(eta=inf)": (lambda: measure_bob(X_AXIS, HV, inf), "eta"),
+    "Bivector(magnitude=nan)": (lambda: Bivector(axis=Z_AXIS, magnitude=nan), "magnitude"),
+    "geodesic_sweep(2.5)": (lambda: geodesic_sweep(2.5), "steps"),
+    "run_pair(n=2.5)": (lambda: run_pair(X_AXIS, Y_AXIS, 2.5, 1), "n"),
+    "simulate_outcomes(n=True)": (lambda: simulate_outcomes(X_AXIS, Y_AXIS, True, 1), "n"),
+    "composite_axis(eta_uv=nan)": (lambda: composite_axis(X_AXIS, Y_AXIS, Y_AXIS, Z_AXIS, nan),
+                                   "eta_uv"),
+    "probabilities_from_outcomes(nan)": (lambda: probabilities_from_outcomes(nan, [1], [1]),
+                                         "eta"),
+    # int(1.5) would silently run seed 1
+    "run_pair(seed=1.5)": (lambda: run_pair(X_AXIS, Y_AXIS, 10, 1.5), "seed"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_bad_input_raises_naming_the_parameter(probe):
+    call, name = PROBES[probe]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must "):
+        call()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FINITE, FINITE)
+def test_require_in_takes_the_closed_interval_and_nothing_else(x, y):
+    lo, hi = min(x, y), max(x, y)
+    for inside in (lo, hi, [lo, hi]):
+        assert np.array_equal(_require_in(inside, "x", lo, hi), inside)
+    for outside in (math.nextafter(lo, -inf), math.nextafter(hi, inf), nan, inf, -inf, [lo, nan]):
+        with pytest.raises(ValueError, match="^x must be finite"):
+            _require_in(outside, "x", lo, hi)
+    # finiteness is part of the rule whatever the bounds
+    for outside in (nan, inf, -inf):
+        with pytest.raises(ValueError, match="^x must be finite"):
+            _require_in(outside, "x")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2**70, 2**70), st.integers(0, 2**10))
+def test_require_int_takes_integers_in_range_only(lo, width):
+    hi = lo + width
+    for inside in (lo, hi):
+        assert _require_int(inside, "k", lo, hi) == inside
+    if -2**63 <= lo < 2**63:
+        assert _require_int(np.int64(lo), "k", lo, hi) == lo
+    assert _require_int(hi + 2**80, "k", lo) == hi + 2**80  # no upper bound by default
+    for outside in (lo - 1, hi + 1, float(lo), True, False, nan, inf, -inf):
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            _require_int(outside, "k", lo, hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text(max_size=5), min_size=1, max_size=5, unique=True), st.text(max_size=5))
+def test_require_choice_takes_members_only(choices, other):
+    choices = tuple(choices)
+    for choice in choices:
+        _require_choice(choice, "mode", choices)
+    for outside in ([] if other in choices else [other]) + [nan, inf, -inf, None]:
+        with pytest.raises(ValueError, match="^mode must be one of"):
+            _require_choice(outside, "mode", choices)
+
+
+def test_require_choice_of_a_sign():
+    for sign in (-1, 1):
+        _require_choice(sign, "lam", (-1, 1))
+    for outside in (0, 2, -2, nan, inf, -inf):
+        with pytest.raises(ValueError, match="^lam must be one of"):
+            _require_choice(outside, "lam", (-1, 1))
