@@ -848,7 +848,14 @@ def test_nan_setting_is_not_unit_norm(call, mode):
             call(a, b, 1000, 1, mode)
 
 
-def test_kappa_changes_no_outcome():
+@pytest.mark.parametrize("mode", MODES)
+def test_kappa_changes_no_outcome(mode):
+    one, three = (correlation_curve(mode, [0.0, 45.0, 135.0], 20_000, 71, kappa=kappa)
+                  for kappa in (1, 3))
+    assert one.points == three.points
+
+
+def test_kappa_changes_no_pair_record():
     one, three = (pair_records(planar(0.0), planar(45.0), 20_000, 71, kappa=kappa)
                   for kappa in (1, 3))
     assert [(r.A, r.B) for r in one] == [(r.A, r.B) for r in three]
