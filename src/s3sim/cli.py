@@ -13,7 +13,7 @@ import sys
 
 from .experiments import (EXPERIMENTS, FORMATS, ConfigError, ExperimentConfig,
                           NumericError, parse_config_file, run)
-from .pearle import MODES
+from .kernel import MODES
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import pearle
+from . import kernel, pearle
 from .algebra import _require_choice, _require_int, geodesic_sweep, planar
 from .bounds import (CANONICAL_QUAD_DEGREES, CHSHResult, SettingsQuad, bound_report,
                      canonical_quad, chsh, chsh_from_estimates, cosine_correlation,
@@ -51,7 +51,7 @@ class ExperimentConfig:
         try:
             _require_choice(self.experiment, "experiment", EXPERIMENTS)
             _require_int(self.seed, "seed", 0, 2**64 - 1)
-            _require_choice(self.model, "model", pearle.MODES)
+            _require_choice(self.model, "model", kernel.MODES)
             _require_int(self.n_per_point, "n", 1, 2**63 - 1)  # numpy sizes are int64
             _require_int(self.kappa, "kappa", 1)
             _require_int(self.steps, "steps", 1, MAX_POINTS)
@@ -74,7 +74,7 @@ class ExperimentConfig:
 
     def sampled_meta(self) -> dict:
         """meta() plus the sampler version, for the experiments that run pairs."""
-        return {**self.meta(), "sampler": str(pearle.SAMPLER_VERSION)}
+        return {**self.meta(), "sampler": str(kernel.SAMPLER_VERSION)}
 
     def default_out(self) -> str:
         return f"{self.experiment.replace('-', '_')}.{self.format}"
@@ -103,7 +103,7 @@ def _pool_size(workers: int, tasks: int) -> int:
     tasks or the CPUs this process may run on. A pool starts one fewer."""
     import os  # loaded at interpreter start; kept local so module import stays unchanged
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(workers, tasks, cpus)
+    return min(_require_int(workers, "workers", 1), tasks, cpus)
 
 
 def _pair_counts(task) -> np.ndarray:

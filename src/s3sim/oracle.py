@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import _require_choice
-from .pearle import MODES
+from .algebra import _require_choice, _require_in
+from .kernel import MODES
 
 # Gauss-Legendre nodes per piece: 48 agree with 96 to about 1e-14
 _NODES = 48
@@ -74,6 +74,7 @@ def acceptance(eta: float) -> float:
     """Probability that s3 admits a candidate at setting angle eta
     (radians): E F(min(|e.a|, |e.b|)), pearle-reject's coincidence
     fraction g(eta)."""
+    _require_in(eta, "eta", 0.0, np.pi)
     same, diff, _, _ = _moments(eta)
     return float(same + diff)
 
@@ -82,6 +83,7 @@ def expected_table(eta: float, mode: str) -> np.ndarray:
     """Expected 3x3 outcome-count table per emitted pair (s3: per admitted
     pair) at setting angle eta (radians): entry [i, j] is the probability
     of A = i - 1 and B = j - 1, as in pearle.outcome_counts."""
+    _require_in(eta, "eta", 0.0, np.pi)
     _require_choice(mode, "mode", MODES)
     if mode == "flat":
         diff = eta / np.pi

@@ -17,6 +17,7 @@ import numpy as np
 
 from .algebra import _angle, _require_choice, _require_in, _require_int, _require_unit
 from .curves import csv_text
+from .kernel import _mask_counts
 from .rng import fair_coin, substream, uniform_sphere
 
 WINDING_RULES = ("zero", "random-parity", "angle-threshold")
@@ -57,20 +58,6 @@ class CorrelationEstimate:
     stderr: float
     n: int
     e_analytic: float
-
-
-def _mask_counts(plus_a, plus_b, det_a, det_b) -> np.ndarray:
-    """3x3 int64 table: entry [i, j] counts the pairs with A = i - 1 and
-    B = j - 1, from bool masks of A = +1, B = +1 and detection at each wing,
-    by inclusion-exclusion over count_nonzero of the masks' ANDs."""
-    count = np.count_nonzero
-    pos_a, pos_b = plus_a & det_a, plus_b & det_b  # A = +1, B = +1
-    k, n_a, n_b, both = plus_a.size, count(det_a), count(det_b), count(det_a & det_b)
-    pp, pa, pb = count(pos_a & pos_b), count(pos_a & det_b), count(det_a & pos_b)
-    p0, zp = count(pos_a) - pa, count(pos_b) - pb  # A = +1 with B undetected; mirrored
-    return np.array([[both - pa - pb + pp, n_a - both - p0, pb - pp],
-                     [n_b - both - zp, k - n_a - n_b + both, zp],
-                     [pa - pp, p0, pp]], dtype=np.int64)
 
 
 def _count(A, B) -> np.ndarray:

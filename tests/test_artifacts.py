@@ -2,7 +2,10 @@
 top of them, the grid metadata, and the CLI's resolution of defaults."""
 import argparse
 import hashlib
+import json
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -293,3 +296,69 @@ def test_artifact_bytes_are_pinned(tmp_path, experiment, model, fmt):
         assert one in data
         assert _pinned_artifact(tmp_path, experiment, model, fmt, kappa=3) == \
             data.replace(one, three)
+
+
+# ---------------------------------------------------------------------------
+# bytes across numpy's CPU dispatch levels
+
+# numpy picks a SIMD code path for float32 cos, sqrt and divide at import;
+# NPY_DISABLE_CPU_FEATURES takes targets away. The kernel's float64 redo band
+# is meant to keep every decision, and so every byte, off that choice.
+DISPATCH_LEVELS = {
+    "no-avx512": "AVX512_SPR AVX512_ICL X86_V4",
+    "baseline": "AVX512_SPR AVX512_ICL X86_V4 X86_V3",
+}
+
+# the sampled pinned CSV cases, and two larger runs on a seed of their own
+DISPATCH_CASES = {
+    **{f"{experiment}/{model}": dict(experiment=experiment, seed=9173, model=model,
+                                     n_per_point=2000, grid="0:180:45", steps=30)
+       for experiment, model, fmt in sorted(PINNED) if experiment in SAMPLED and fmt == "csv"},
+    **{f"{experiment}/{model}/n=2e4": dict(experiment=experiment, seed=9907, model=model,
+                                           n_per_point=20_000, grid="0:180:15")
+       for experiment, model in (("curve", "s3"), ("probabilities", "pearle-reject"))},
+}
+
+# prints the dispatch targets numpy enabled, then the sha256 of each case
+_DISPATCH_CHILD = """
+import hashlib, json, sys
+from pathlib import Path
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+print(json.dumps([x for x in __cpu_dispatch__ if __cpu_features__.get(x)]), flush=True)
+from s3sim.experiments import ExperimentConfig, run
+cases, out = json.loads(sys.argv[1]), Path(sys.argv[2])
+print(json.dumps({key: hashlib.sha256(run(ExperimentConfig(**kw, out=str(out / "a.csv")))
+                                      .read_bytes()).hexdigest() for key, kw in cases.items()}))
+"""
+
+
+def _dispatch_hashes(cli_env, tmp_path, disabled):
+    """(targets, hashes) of a child run with the targets in `disabled` off
+    (native when None); skip if numpy did not start or left one of them on."""
+    env = {k: v for k, v in cli_env.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    res = subprocess.run([sys.executable, "-c", _DISPATCH_CHILD, json.dumps(DISPATCH_CASES),
+                          str(tmp_path)], capture_output=True, text=True, env=env, timeout=120)
+    lines = res.stdout.splitlines()
+    if disabled and not lines:
+        pytest.skip(f"numpy did not start with {disabled} disabled: {res.stderr.strip()}")
+    assert res.returncode == 0, res.stderr
+    targets = json.loads(lines[0])
+    if disabled and set(disabled.split()) & set(targets):
+        pytest.skip(f"numpy kept {sorted(set(disabled.split()) & set(targets))} enabled")
+    return targets, json.loads(lines[1])
+
+
+@pytest.fixture(scope="module")
+def native_hashes(cli_env, tmp_path_factory):
+    return _dispatch_hashes(cli_env, tmp_path_factory.mktemp("native"), None)[1]
+
+
+@pytest.mark.parametrize("level", sorted(DISPATCH_LEVELS))
+def test_artifact_bytes_hold_at_restricted_cpu_dispatch(cli_env, tmp_path, native_hashes, level):
+    targets, hashes = _dispatch_hashes(cli_env, tmp_path, DISPATCH_LEVELS[level])
+    assert hashes == native_hashes, targets
+    for key, kw in DISPATCH_CASES.items():
+        if kw["seed"] == 9173:
+            assert hashes[key] == PINNED[kw["experiment"], kw["model"], "csv"], (key, targets)

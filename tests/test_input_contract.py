@@ -14,9 +14,11 @@ from s3sim.algebra import (IDENTITY, X_AXIS, Y_AXIS, Z_AXIS, Bivector, _require_
                            _require_in, _require_int, _safe_arccos, composite_axis,
                            geodesic_sweep, quat_from_axis_angle, quat_from_half_angle,
                            spinorial_sign)
-from s3sim.bounds import chsh_from_estimates
-from s3sim.pearle import (PearleMapping, pearle_f, pearle_f_complement,
-                          probabilities_from_outcomes, run_pair)
+from s3sim.bounds import canonical_quad, chsh_from_estimates
+from s3sim.experiments import chsh_monte_carlo
+from s3sim.oracle import acceptance, expected_table
+from s3sim.pearle import (PearleMapping, correlation_curve, curve_point, pearle_f,
+                          pearle_f_complement, probabilities_from_outcomes, run_pair)
 from s3sim.singlet import HiddenVariable, measure_alice, measure_bob, simulate_outcomes
 
 nan, inf = float("nan"), float("inf")
@@ -48,6 +50,18 @@ PROBES = {
                                          "eta"),
     # int(1.5) would silently run seed 1
     "run_pair(seed=1.5)": (lambda: run_pair(X_AXIS, Y_AXIS, 10, 1.5), "seed"),
+    # the oracle is the tests' reference: nan gave a nan table, 7 negative cells
+    "expected_table(nan)": (lambda: expected_table(nan, "flat"), "eta"),
+    "expected_table(7.0)": (lambda: expected_table(7.0, "flat"), "eta"),
+    "acceptance(nan)": (lambda: acceptance(nan), "eta"),
+    # 0 divided by zero and -1 failed to unpack; 2.5 and True ran
+    **{f"chsh_monte_carlo(workers={w!r})":
+       (lambda w=w: chsh_monte_carlo(canonical_quad(), 100, 1, "flat", workers=w), "workers")
+       for w in (0, -1, 2.5, True)},
+    # settings 160 degrees apart reported against the analytic value at 200
+    "correlation_curve([200])": (lambda: correlation_curve("flat", [200.0], 2000, 1), "grid"),
+    "curve_point(200)": (lambda: curve_point("flat", 200.0, 2000, 1, 0), "deg"),
+    "curve_point(-30)": (lambda: curve_point("flat", -30.0, 2000, 1, 0), "deg"),
 }
 
 

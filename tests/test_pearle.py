@@ -7,20 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from s3sim import experiments, pearle
+from s3sim import experiments, kernel, pearle
 from s3sim.algebra import X_AXIS, Y_AXIS, Z_AXIS
 from s3sim.bounds import canonical_quad
 from s3sim.experiments import _pair_counts
-from s3sim.pearle import (CHUNK, MODES, InitialState, NumericError, PearleMapping, admissible,
+from s3sim.kernel import (CHUNK, MODES, _SCREEN, _fill_draws, _mask_counts, _masks, _outcomes,
+                          _project_b, _threshold)
+from s3sim.kernel import _position as position
+from s3sim.pearle import (InitialState, NumericError, PearleMapping, admissible,
                           candidate_counts, correlation_curve, correlation_from_probabilities,
                           curve_point, detection_fraction, detection_fraction_branches,
                           ensemble_sample, estimate_pair, flat_mode_curve, outcome_counts,
                           pair_records, pearle_f, pearle_f_complement, probabilities,
                           probabilities_from_outcomes, run_pair)
-from s3sim.pearle import (_SCREEN, _fill_draws, _masks, _outcomes, _project_b,
-                          _table_from_counts, _threshold)
-from s3sim.rng import position, substream
-from s3sim.singlet import _mask_counts
+from s3sim.pearle import _table_from_counts
+from s3sim.rng import substream
 
 
 def planar(deg):
@@ -124,7 +125,7 @@ def test_threshold_one_admits_only_aligned_states():
 
 
 def test_ensemble_sampler_cap(monkeypatch):
-    monkeypatch.setattr(pearle, "_MAX_BATCHES", 1)
+    monkeypatch.setattr(kernel, "_MAX_BATCHES", 1)
     with pytest.raises(RuntimeError):
         # settings 90 degrees apart and threshold pinned near 1 by a tiny
         # batch budget: cannot fill the request
@@ -640,7 +641,7 @@ def test_screen_redoes_decisions_at_the_boundaries(monkeypatch, deg):
     A, B = _decided(z, phi, u, heads, eta)
     assert np.array_equal(A, expected[0]) and np.array_equal(B, expected[1])
     # without the band some float32 sign or cut differs from float64
-    monkeypatch.setattr(pearle, "_SCREEN", -1.0)
+    monkeypatch.setattr(kernel, "_SCREEN", -1.0)
     A, B = _decided(z, phi, u, heads, eta)
     assert not (np.array_equal(A, expected[0]) and np.array_equal(B, expected[1]))
 
@@ -833,7 +834,7 @@ def test_probabilities_from_outcomes_rejects_other_values():
 
 def test_s3_candidate_budget_runs_out(monkeypatch):
     # one batch allows max(1024, n) candidates; about half are admitted at 90 degrees
-    monkeypatch.setattr(pearle, "_MAX_BATCHES", 1)
+    monkeypatch.setattr(kernel, "_MAX_BATCHES", 1)
     with pytest.raises(RuntimeError):
         run_pair(planar(0.0), planar(90.0), 10_000, 70, mode="s3")
 
