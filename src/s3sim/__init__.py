@@ -6,8 +6,9 @@ Library layout:
                SU(2) vs SO(3) geodesics
 * singlet      measurement functions, limit-of-product joint values, the
                exact correlation estimator, winding diagnostics
-* kernel       sampler v2: the Philox block layout, the decision masks of
-               every pair mode and their two readers (outcomes, count table)
+* kernel       sampler v3: the Philox block layout, the one rejection loop
+               over a run's settings, the decision masks of every pair mode
+               and their two readers (outcomes, count table)
 * pearle       the unit-ball state-space bridge: threshold mapping,
                pre-selected ensembles, probability tables, flat baseline
 * bounds       exhaustive CHSH-type bound enumeration, Boole row checks,

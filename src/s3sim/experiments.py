@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernel, pearle
-from .algebra import _require_choice, _require_int, geodesic_sweep, planar
+from .algebra import _require_choice, _require_int, geodesic_sweep
 from .bounds import (CANONICAL_QUAD_DEGREES, CHSHResult, SettingsQuad, bound_report,
                      canonical_quad, chsh, chsh_from_estimates, cosine_correlation,
                      sawtooth_correlation)
@@ -106,36 +106,36 @@ def _pool_size(workers: int, tasks: int) -> int:
     return min(_require_int(workers, "workers", 1), tasks, cpus)
 
 
-def _pair_counts(task) -> np.ndarray:
-    """The pair task: the 3x3 outcome-count table of one setting pair."""
-    a, b, n, seed, index, mode = task
-    return pearle.outcome_counts(a, b, n, substream(seed, index), mode)
+def _pair_counts(task) -> list:
+    """The pool task: the 3x3 outcome-count table of each setting pair
+    (a, b), b in bs, from one pass over substream (seed, index). A task is
+    (a, bs, n, seed, index, mode) of plain floats, ints and strings: kappa
+    changes no outcome, and settings cross as float tuples, which pickle
+    ~20 times faster than ndarrays."""
+    a, bs, n, seed, index, mode = task
+    return pearle._outcome_tables(a, bs, n, substream(seed, index), mode)
 
 
 def _share_counts(share) -> list:
-    """The pool task: the count tables of a share of pair tasks, in order."""
-    return [_pair_counts(t) for t in share]
+    """The count tables of a share of pool tasks, in order."""
+    return [counts for task in share for counts in _pair_counts(task)]
 
 
-def _pair_tables(pairs, n: int, seed: int, mode: str, workers: int) -> list:
-    """The count table of each setting pair (a, b), pair i on substream
-    (seed, i), on _pool_size(workers, len(pairs)) processes. A task is
-    (a, b, n, seed, i, mode): kappa changes no outcome.
+def _split(items, parts: int) -> list:
+    """items in `parts` contiguous shares whose sizes differ by at most
+    one, the larger first."""
+    size, extra = divmod(len(items), parts)
+    return [items[i * size + min(i, extra):(i + 1) * size + min(i + 1, extra)]
+            for i in range(parts)]
 
-    The tasks split into that many contiguous shares, whose sizes differ by
-    at most one, the larger first. The parent computes the first share while
-    a pool with one process per other share computes the rest, one share
-    per pool task, so no pool process starts idle. Every task carries its
-    own substream index, so the tables do not depend on the split. Settings
-    cross as float tuples, which pickle ~20 times faster than ndarrays. A
-    serial run never imports the pool module. A pool process that dies
-    breaks the pool: that is an OSError."""
-    tasks = [(tuple(a.tolist()), tuple(b.tolist()), n, seed, i, mode)
-             for i, (a, b) in enumerate(pairs)]
-    procs = _pool_size(workers, len(tasks))
-    size, extra = divmod(len(tasks), procs)
-    first, *rest = (tasks[i * size + min(i, extra):(i + 1) * size + min(i + 1, extra)]
-                    for i in range(procs))
+
+def _pooled(shares) -> list:
+    """The count tables of every task of the shares, in order, one process
+    per share. The parent computes the first share while a pool with one
+    process per other share computes the rest, one share per pool task, so
+    no pool process starts idle. A serial run never imports the pool
+    module. A pool process that dies breaks the pool: that is an OSError."""
+    first, *rest = shares
     if not rest:
         return _share_counts(first)
     from concurrent.futures import ProcessPoolExecutor
@@ -148,11 +148,29 @@ def _pair_tables(pairs, n: int, seed: int, mode: str, workers: int) -> list:
         raise OSError(f"a worker process died: {exc}") from exc
 
 
+def _pair_tables(pairs, n: int, seed: int, mode: str, workers: int) -> list:
+    """The count table of each setting pair (a, b), pair i in its own task
+    on substream (seed, i), on _pool_size(workers, len(pairs)) processes,
+    each with a contiguous share of the tasks (see _split and _pooled).
+    Every task carries its own substream index, so the tables do not depend
+    on the split."""
+    tasks = [(tuple(a.tolist()), (tuple(b.tolist()),), n, seed, i, mode)
+             for i, (a, b) in enumerate(pairs)]
+    return _pooled(_split(tasks, _pool_size(workers, len(tasks))))
+
+
 def _grid_tables(config: ExperimentConfig) -> tuple[np.ndarray, list]:
-    """The grid and its count tables: point i has a at 0 and b at grid[i] degrees."""
-    grid = config.grid_degrees()
-    return grid, _pair_tables([(planar(0.0), planar(deg)) for deg in grid], config.n_per_point,
-                              config.seed, config.model, config.workers)
+    """The grid and its count tables: point i has a at 0 and b at grid[i]
+    degrees, and every point reads substream (seed, 0). The grid splits
+    into _pool_size(workers, len(grid)) contiguous shares (see _split), one
+    task per process, each of which reads the same blocks for its share's
+    settings. A point's table depends only on (seed, angle, n, mode), so
+    the tables do not depend on the split."""
+    grid, a, bs = pearle._grid_settings(config.grid_degrees())
+    bs = [tuple(b.tolist()) for b in bs]
+    shares = _split(bs, _pool_size(config.workers, len(bs)))
+    return grid, _pooled([[(tuple(a.tolist()), tuple(share), config.n_per_point, config.seed,
+                            0, config.model)] for share in shares])
 
 
 # ---------------------------------------------------------------------------

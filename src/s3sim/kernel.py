@@ -1,12 +1,16 @@
-"""Sampler v2: the candidate kernel that every pair mode runs through.
+"""Sampler v3: the candidate kernel that every pair mode runs through.
 
-A setting pair's candidates are drawn in chunks of CHUNK. Chunk c reads its
-own Philox block (Salmon et al., SC'11): the pair generator's key with its
-counter advanced by c * 2**64, so a chunk's draws depend only on the pair
-and c. Each candidate is (z = e.a, phi, u) and a fair coin; _masks decides
-its signs and cuts, equal to their float64 evaluation on the drawn values,
-as four bool masks. _outcomes and _mask_counts are the two readers of those
-masks: int8 outcomes and the 3x3 count table.
+A run's candidates are drawn in chunks of CHUNK. Chunk c reads its own
+Philox block (Salmon et al., SC'11): the run generator's key with its
+counter advanced by c * 2**64, so a chunk's draws depend only on the
+stream and c. Each candidate is (z = e.a, phi, u) and a fair coin. One run
+serves every setting b of a half-plane through a: _wing_a decides a
+chunk's a-wing once, and _wing_b each setting's b-wing, every sign and cut
+equal to its float64 evaluation on the drawn values, as four bool masks
+per setting. _outcomes and _mask_counts are the two readers of those
+masks: int8 outcomes and the 3x3 count table. Version 3 keeps version 2's
+stream of a single pair byte for byte; a grid of settings now reads one
+stream for all of its points.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from .rng import substream
 MODES = ("s3", "pearle-reject", "flat")
 
 # the random stream and kernel that run_pair draws with; artifacts record it
-SAMPLER_VERSION = 2
+SAMPLER_VERSION = 3
 
 # candidates per chunk: small enough that a chunk's arrays stay in cache
 CHUNK = 1 << 14
@@ -32,8 +36,9 @@ _STEPS = CHUNK // 8
 _SCALES = (np.float32(2.0**-23), np.float32(np.pi * 2.0**-24), np.float32(2.0**-24))
 
 # half-width of the band around a sign or cut decision in which e.b and f
-# are redone in float64 (see _masks): 10 times the measured float32 error,
-# at most 1.7e-7 in e.b plus 2.4e-7 in f (all 2**24 values of u)
+# are redone in float64 (see _wing_a and _wing_b): 10 times the measured
+# float32 error, at most 1.7e-7 in e.b plus 2.4e-7 in f (all 2**24 values
+# of u)
 _SCREEN = 4e-6
 
 # s3 draws at most _MAX_BATCHES * max(1024, n) candidates for n admitted pairs
@@ -57,17 +62,17 @@ def _seek(rng: np.random.Generator, key, counter: int) -> None:
         "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
-def _pair_setup(a, b, n: int, rng_or_seed, mode: str):
-    """Validated (a, b, rng) for one setting pair's run; TypeError unless
-    rng draws from Philox."""
+def _pair_setup(a, bs, n: int, rng_or_seed, mode: str):
+    """Validated (a, bs, rng) for a run of the setting pairs (a, b), b in
+    bs; TypeError unless rng draws from Philox."""
     a = _require_unit(a, "a", 3)
-    b = _require_unit(b, "b", 3)
+    bs = tuple(_require_unit(b, "b", 3) for b in bs)
     _require_int(n, "n", 1)
     _require_choice(mode, "mode", MODES)
     rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) else substream(rng_or_seed)
     if not isinstance(rng.bit_generator, np.random.Philox):
         raise TypeError(f"expected a Philox Generator, got {type(rng.bit_generator).__name__}")
-    return a, b, rng
+    return a, bs, rng
 
 
 def _fill_draws(rng, key, start: int, z, phi, u=None):
@@ -114,50 +119,86 @@ def _threshold(u, f):
     return f
 
 
+def _root(z, out, tmp):
+    """sqrt(1 - z^2) into out, as sqrt((1 - z)(1 + z)): exact factors for a
+    float32 z, and an exact product in float64; tmp is scratch of z's size
+    and dtype."""
+    np.subtract(1.0, z, out=out)
+    np.add(1.0, z, out=tmp)
+    out *= tmp
+    return np.sqrt(out, out=out)
+
+
+def _project(z, cos_phi, root, cos_ab: float, sin_ab: float, out, tmp):
+    """e.b for directions with e.a = z and azimuth phi, into out, from
+    root = _root(z): cos(phi)*sin(eta_ab), then times root, then plus
+    z*cos(eta_ab), in the precision of z. out may be cos_phi; tmp is
+    scratch of z's size and dtype."""
+    np.multiply(cos_phi, sin_ab, out=out)
+    out *= root
+    np.multiply(z, cos_ab, out=tmp)
+    out += tmp
+    return out
+
+
 def _project_b(z, cos_phi, cos_ab: float, sin_ab: float, tmp, tmp2):
     """e.b for directions with e.a = z and azimuth phi, in place in cos_phi.
 
     With a at the pole, e.a = z ~ U(-1, 1) (Archimedes' theorem) and
     e.b = z*cos(eta_ab) + sqrt(1 - z^2)*sin(eta_ab)*cos(phi); the azimuth
-    enters only through cos(phi), so phi ~ U(0, pi) suffices. 1 - z^2 is
-    (1 - z)(1 + z), exact factors for a float32 z (and an exact product in
-    float64); tmp and tmp2 are scratch of z's size and dtype.
+    enters only through cos(phi), so phi ~ U(0, pi) suffices. It is _root
+    then _project, the two steps _chunks runs once per chunk and once per
+    setting; _wing_b's float64 redo and the tests call it. tmp and tmp2 are
+    scratch of z's size and dtype.
     """
-    cos_phi *= sin_ab
-    np.subtract(1.0, z, out=tmp)
-    np.add(1.0, z, out=tmp2)
-    tmp *= tmp2
-    np.sqrt(tmp, out=tmp)
-    cos_phi *= tmp
-    np.multiply(z, cos_ab, out=tmp)
-    cos_phi += tmp
-    return cos_phi
+    return _project(z, cos_phi, _root(z, tmp, tmp2), cos_ab, sin_ab, cos_phi, tmp2)
 
 
-def _masks(z, phi, u, heads, cos_ab: float, sin_ab: float, scratch):
-    """Bool masks (plus_a, plus_b, det_a, det_b) of a chunk's candidates:
-    A = lam*sign(e.a), B = -lam*sign(e.b) are +1 (e.a = z, sign(0) := +1,
-    lam = +1 for heads); |e.n| >= f at wing a, b (everywhere without u).
+def _wing_a(z, phi, u, heads, cos_phi, root, f, tmp):
+    """The setting-free part of a chunk's decisions: cos(phi), _root(z) and,
+    with u, f into the float32 arrays cos_phi, root and f, and the bool
+    masks (plus_a, det_a): A = lam*sign(e.a) is +1 (e.a = z, sign(0) :=
+    +1, lam = +1 for heads), and |e.a| >= f (everywhere without u).
 
-    e.b and f are computed in float32, in four float32 scratch arrays of
-    at least k. Where the sign of e.b or a cut |e.n| >= f is within _SCREEN
-    of flipping, they are redone in float64, so every sign and cut equals
-    its float64 evaluation on the drawn values.
+    A cut within _SCREEN of flipping is redone in float64, so every cut
+    equals its float64 evaluation on the drawn values; tmp is scratch.
     """
-    k = z.size
-    eb, f, tmp, abs_eb = (x[:k] for x in scratch)
-    np.cos(phi, out=eb)
-    _project_b(z, eb, cos_ab, sin_ab, tmp, abs_eb)
+    np.cos(phi, out=cos_phi)
+    _root(z, root, tmp)
     plus_a = np.equal(heads, z >= 0.0)
+    if u is None:  # flat's f = 0
+        return plus_a, np.ones(z.size, dtype=bool)
+    _threshold(u, f)
+    margin = np.abs(z, out=tmp)
+    margin -= f
+    det_a = margin >= 0.0
+    redo = np.flatnonzero(np.abs(margin, out=margin) < _SCREEN)
+    if redo.size:
+        f64 = _threshold(u[redo].astype(np.float64), np.empty(redo.size))
+        det_a[redo] = np.abs(z[redo].astype(np.float64)) >= f64
+    return plus_a, det_a
+
+
+def _wing_b(z, phi, u, heads, cos_phi, root, f, cos_ab: float, sin_ab: float, eb, tmp):
+    """The bool masks (plus_b, det_b) of a chunk's candidates at setting b,
+    from _wing_a's cos_phi, root and f: B = -lam*sign(e.b) is +1, and
+    |e.b| >= f (everywhere without u).
+
+    e.b is computed in float32 into eb, with tmp as scratch. Where the sign
+    of e.b or the cut is within _SCREEN of flipping, e.b and f are redone
+    in float64, so every sign and cut equals its float64 evaluation on the
+    drawn values.
+    """
+    _project(z, cos_phi, root, cos_ab, sin_ab, eb, tmp)
     plus_b = np.not_equal(heads, eb >= 0.0)
-    near = np.abs(eb, out=abs_eb) < _SCREEN
-    detected = [] if u is not None else [np.ones(k, dtype=bool)] * 2  # flat's f = 0
-    if u is not None:
-        _threshold(u, f)
-        for margin in (np.abs(z, out=tmp), abs_eb):
-            margin -= f
-            detected.append(margin >= 0.0)
-            near |= np.abs(margin, out=margin) < _SCREEN
+    margin = np.abs(eb, out=eb)
+    near = margin < _SCREEN
+    if u is None:
+        det_b = np.ones(z.size, dtype=bool)
+    else:
+        margin -= f
+        det_b = margin >= 0.0
+        near |= np.abs(margin, out=margin) < _SCREEN
     redo = np.flatnonzero(near)
     if redo.size:
         z64 = z[redo].astype(np.float64)
@@ -165,48 +206,75 @@ def _masks(z, phi, u, heads, cos_ab: float, sin_ab: float, scratch):
                           np.empty(redo.size), np.empty(redo.size))
         plus_b[redo] = heads[redo] != (eb64 >= 0.0)
         if u is not None:
-            f64 = _threshold(u[redo].astype(np.float64), np.empty(redo.size))
-            detected[0][redo] = np.abs(z64) >= f64
-            detected[1][redo] = np.abs(eb64) >= f64
-    return plus_a, plus_b, *detected
+            det_b[redo] = np.abs(eb64) >= _threshold(u[redo].astype(np.float64),
+                                                      np.empty(redo.size))
+    return plus_b, det_b
 
 
-def _chunks(a, b, n: int, rng, mode: str):
-    """Yield (masks, k, draws) chunk by chunk for one setting pair: the
-    _masks of the k candidates the chunk drew and its buffers draws =
-    (z, phi, u), both valid until the next chunk.
+def _masks(z, phi, u, heads, cos_ab: float, sin_ab: float, scratch):
+    """Bool masks (plus_a, plus_b, det_a, det_b) of a chunk's candidates at
+    one setting pair: _wing_a, then _wing_b. _chunks runs the two parts
+    itself, _wing_a once per chunk; this one-pair composition is what the
+    tests check against float64. scratch holds four float32 arrays of at
+    least z.size; _wing_b's second scratch array is allocated."""
+    cos_phi, root, f, eb = (x[:z.size] for x in scratch)
+    plus_a, det_a = _wing_a(z, phi, u, heads, cos_phi, root, f, eb)
+    plus_b, det_b = _wing_b(z, phi, u, heads, cos_phi, root, f, cos_ab, sin_ab, eb,
+                            np.empty_like(eb))
+    return plus_a, plus_b, det_a, det_b
 
-    Chunk c reads its own Philox block: rng's key with its counter advanced
-    by c * 2**64 (see _fill_draws), and rng is left at the first unused
-    chunk. Every mode runs the same candidates through _masks. flat and
-    pearle-reject stop at the n-th candidate; s3 stops at the n-th detected
-    at both wings, its last chunk's masks cut just after it, and draws at
-    most _MAX_BATCHES * max(1024, n) candidates in all.
+
+def _chunks(a, bs, n: int, rng, mode: str):
+    """Yield (j, masks, k, draws) chunk by chunk for the setting pairs
+    (a, b), b = bs[j], of one run: for each setting still short of n, the
+    _masks of the k candidates the chunk drew at that setting, and the
+    chunk's buffers draws = (z, phi, u), all valid until the next yield.
+
+    The settings lie in one half-plane through a (planar(deg) for deg in
+    [0, 180] against planar(0) do), so every candidate is one direction
+    e, with e.b from the same z and phi at every b. Chunk c reads its own
+    Philox block: rng's key with its counter advanced by c * 2**64 (see
+    _fill_draws). Its fill and _wing_a run once; each unfinished setting
+    adds its own _wing_b and cut. Every mode runs the same candidates.
+    flat and pearle-reject stop at the n-th candidate; in s3 each setting
+    stops at its own n-th detected at both wings, its last chunk's masks
+    cut just after it, and the run draws at most _MAX_BATCHES * max(1024, n)
+    candidates. rng is left at the first chunk that no setting used.
     """
-    cos_ab = float(np.clip(a @ b, -1.0, 1.0))
-    sin_ab = float(np.sqrt(1.0 - cos_ab * cos_ab))
+    settings = []
+    for b in bs:
+        cos_ab = float(np.clip(a @ b, -1.0, 1.0))
+        settings.append((cos_ab, float(np.sqrt(1.0 - cos_ab * cos_ab))))
     key, base = _position(rng)
-    z, phi, u, *scratch = (np.empty(CHUNK, dtype=np.float32) for _ in range(7))
+    z, phi, u, cos_phi, root, f, eb, tmp = (np.empty(CHUNK, dtype=np.float32) for _ in range(8))
     budget = _MAX_BATCHES * max(1024, n) if mode == "s3" else n
-    got = drawn = chunk = 0
-    while got < n:
+    got = [0] * len(settings)
+    drawn = chunk = 0
+    while min(got) < n:
         k = min(CHUNK, budget - drawn)
         if k <= 0:
             raise RuntimeError(f"rejection sampling did not yield {n} admissible states "
                                f"within {_MAX_BATCHES} batches")
-        u_k = None if mode == "flat" else u[:k]
-        heads = _fill_draws(rng, key, base + (chunk << 64), z[:k], phi[:k], u_k)
-        masks = _masks(z[:k], phi[:k], u_k, heads, cos_ab, sin_ab, scratch)
+        z_k, phi_k, u_k = z[:k], phi[:k], None if mode == "flat" else u[:k]
+        heads = _fill_draws(rng, key, base + (chunk << 64), z_k, phi_k, u_k)
+        shared = cos_phi[:k], root[:k], f[:k]
+        plus_a, det_a = _wing_a(z_k, phi_k, u_k, heads, *shared, eb[:k])
         chunk += 1
         drawn += k
-        if mode == "s3":  # count the coincidences; cut just after the n-th
-            both = masks[2] & masks[3]
-            hits = np.count_nonzero(both)
-            if got + hits >= n:
-                k = int(np.flatnonzero(both)[n - got - 1]) + 1
-                masks = tuple(x[:k] for x in masks)
-        got += hits if mode == "s3" else k
-        yield masks, k, (z, phi, u)
+        for j, (cos_ab, sin_ab) in enumerate(settings):
+            if got[j] >= n:
+                continue
+            plus_b, det_b = _wing_b(z_k, phi_k, u_k, heads, *shared, cos_ab, sin_ab,
+                                    eb[:k], tmp[:k])
+            masks, used = (plus_a, plus_b, det_a, det_b), k
+            if mode == "s3":  # count the coincidences; cut just after the n-th
+                both = det_a & det_b
+                hits = np.count_nonzero(both)
+                if got[j] + hits >= n:
+                    used = int(np.flatnonzero(both)[n - got[j] - 1]) + 1
+                    masks = tuple(x[:used] for x in masks)
+            got[j] += hits if mode == "s3" else k
+            yield j, masks, used, (z, phi, u)
     _seek(rng, key, base + (chunk << 64))
 
 

@@ -205,10 +205,10 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3") -> EnsembleRun:
     only those are drawn. Every mode draws in chunks of CHUNK (see _chunks);
     in s3 mode at most _MAX_BATCHES * max(1024, n) candidates in all.
     """
-    a, b, rng = _pair_setup(a, b, n, rng_or_seed, mode)
+    a, bs, rng = _pair_setup(a, (b,), n, rng_or_seed, mode)
     A, B = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     got = n_candidates = 0
-    for masks, k, _ in _chunks(a, b, n, rng, mode):
+    for _, masks, k, _ in _chunks(a, bs, n, rng, mode):
         _, chunk_A, chunk_B = _outcomes(*masks, mode)
         A[got:got + chunk_A.size], B[got:got + chunk_A.size] = chunk_A, chunk_B
         got += chunk_A.size
@@ -221,8 +221,7 @@ def candidate_counts(a, b, n: int, rng_or_seed, mode: str = "s3") -> np.ndarray:
     run_pair(a, b, n, rng_or_seed, mode) draws, summed from the kernel's
     masks chunk by chunk. It sums to n_candidates, and in s3 mode equals
     pearle-reject's table at n = n_candidates on the same stream."""
-    a, b, rng = _pair_setup(a, b, n, rng_or_seed, mode)
-    return sum(_mask_counts(*masks) for masks, *_ in _chunks(a, b, n, rng, mode))
+    return _candidate_tables(a, (b,), n, rng_or_seed, mode)[0]
 
 
 def outcome_counts(a, b, n: int, rng_or_seed, mode: str = "s3") -> np.ndarray:
@@ -231,10 +230,27 @@ def outcome_counts(a, b, n: int, rng_or_seed, mode: str = "s3") -> np.ndarray:
     with A = i - 1 and B = j - 1. Every estimate, table and fraction of a
     setting pair is a function of it. It is candidate_counts with s3's
     cells where a wing does not detect set to 0: s3 keeps its admitted pairs."""
-    counts = candidate_counts(a, b, n, rng_or_seed, mode)
+    return _outcome_tables(a, (b,), n, rng_or_seed, mode)[0]
+
+
+def _candidate_tables(a, bs, n: int, rng_or_seed, mode: str) -> list:
+    """candidate_counts(a, b, n, rng_or_seed, mode) for each b of bs, which
+    lie in one half-plane through a, from one pass over the chunks."""
+    a, bs, rng = _pair_setup(a, bs, n, rng_or_seed, mode)
+    tables = [np.zeros((3, 3), dtype=np.int64) for _ in bs]
+    for j, masks, _, _ in _chunks(a, bs, n, rng, mode):
+        tables[j] += _mask_counts(*masks)
+    return tables
+
+
+def _outcome_tables(a, bs, n: int, rng_or_seed, mode: str) -> list:
+    """outcome_counts(a, b, n, rng_or_seed, mode) for each b of bs, which
+    lie in one half-plane through a, from one pass over the chunks."""
+    tables = _candidate_tables(a, bs, n, rng_or_seed, mode)
     if mode == "s3":
-        counts[1, :] = counts[:, 1] = 0
-    return counts
+        for counts in tables:
+            counts[1, :] = counts[:, 1] = 0
+    return tables
 
 
 def _frame(a, b):
@@ -258,9 +274,9 @@ def _admitted_states(a, b, n: int, seed: int, kappa: int):
     substream(seed, 1) draws what no outcome depends on: s_o's azimuth, then
     the sign."""
     kappa = _require_int(kappa, "kappa", 1)
-    a, b, rng = _pair_setup(a, b, n, seed, "s3")
+    a, (b,), rng = _pair_setup(a, (b,), n, seed, "s3")
     chunks = []
-    for masks, _, (z, phi, u) in _chunks(a, b, n, rng, "s3"):
+    for _, masks, _, (z, phi, u) in _chunks(a, (b,), n, rng, "s3"):
         rows, A, B = _outcomes(*masks, "s3")
         chunks.append((z[rows], phi[rows], u[rows], A, B))
     z, phi, u, A, B = (np.concatenate(c) for c in zip(*chunks))
@@ -382,29 +398,45 @@ def _pair_estimate(a, b, mode: str, counts, index: int | None = None) -> Correla
     return est
 
 
+def _grid_settings(grid_deg):
+    """(grid, a, bs) of a grid of setting angles in degrees: the grid as a
+    float array, a = planar(0) and b = planar(deg) for each angle. The grid
+    must be a non-empty 1-D sequence of angles in [0, 180], so every b lies
+    in one half-plane through a; ValueError naming grid otherwise."""
+    grid = _require_in(grid_deg, "grid", 0.0, 180.0)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"grid must be a non-empty 1-D sequence of angles, "
+                         f"got shape {grid.shape}")
+    return grid, planar(0.0), [planar(deg) for deg in grid]
+
+
 def correlation_curve(mode: str, grid_deg, n_per_angle: int, seed: int,
                       kappa: int = 1) -> CorrelationCurve:
     """Correlation sweep over planar settings separated by the grid angles.
 
-    Point i uses the (seed, i) substream, so the curve is reproducible for
-    any parallel execution of its points. kappa only enters the meta. A
-    point with no coincident detections is a NumericError.
+    Every point reads substream (seed, 0), in one pass over its chunks:
+    point i is curve_point(mode, grid[i], n_per_angle, seed, 0). The points
+    share candidates, so they are positively correlated, and the curve is
+    the same for any split of the grid over processes. kappa only enters
+    the meta. A point with no coincident detections is a NumericError.
     """
     _require_choice(mode, "mode", MODES)
     kappa = _require_int(kappa, "kappa", 1)
-    grid_deg = _require_in(grid_deg, "grid", 0.0, 180.0)
-    points = [curve_point(mode, float(deg), n_per_angle, seed, i) for i, deg in enumerate(grid_deg)]
+    grid, a, bs = _grid_settings(grid_deg)
+    tables = _outcome_tables(a, bs, n_per_angle, substream(seed, 0), mode)
+    points = [_point_from_counts(mode, float(deg), counts) for deg, counts in zip(grid, tables)]
     for i, point in enumerate(points):
         _coincident(point.n, point.eta_deg, i)
     meta = {"model": mode, "n": str(n_per_angle), "seed": str(seed),
-            "grid": format_grid(grid_deg), "kappa": str(kappa),
+            "grid": format_grid(grid), "kappa": str(kappa),
             "sampler": str(SAMPLER_VERSION)}
     return CorrelationCurve(points=tuple(points), meta=meta)
 
 
 def curve_point(mode: str, deg: float, n: int, seed: int, index: int) -> CurvePoint:
     """One grid point of a correlation sweep, on the (seed, index) substream;
-    e_hat is nan when no pair was detected."""
+    e_hat is nan when no pair was detected. A grid reads index 0 at every
+    point, so its point at deg is curve_point(mode, deg, n, seed, 0)."""
     _require_in(deg, "deg", 0.0, 180.0)
     counts = outcome_counts(planar(0.0), planar(deg), n, substream(seed, index), mode)
     return _point_from_counts(mode, deg, counts)

@@ -86,9 +86,17 @@ def test_api_curves_record_n_and_grid_like_cli_artifacts(make):
     grid = [0.0, 33.33333333, 90.0]
     meta = make(grid).meta
     assert sorted(meta) == ["grid", "kappa", "model", "n", "sampler", "seed"]
-    assert (meta["n"], meta["seed"], meta["kappa"], meta["sampler"]) == ("100", "1", "1", "2")
+    assert (meta["n"], meta["seed"], meta["kappa"], meta["sampler"]) == ("100", "1", "1", "3")
     assert meta["grid"] == "0,33.33333333,90"
     assert np.array_equal(parse_grid(meta["grid"]), grid)
+
+
+@pytest.mark.parametrize("grid", [(0.0, 33.33333333, 90.0), (0.0, 45.0, 90.0)])
+def test_api_curve_meta_keeps_a_tuple_grid_explicit(grid):
+    # a tuple of angles is the grid's points, not a start:stop:step range
+    curve = correlation_curve("flat", grid, 10, 1)
+    assert [p.eta_deg for p in curve.points] == list(grid)
+    assert np.array_equal(parse_grid(curve.meta["grid"]), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -227,49 +235,49 @@ PINNED = {
     ("bounds", "s3", "json"):
         "e7cc91880ba477518d301fdbc88fa1177c6bc7b19f8fc88db72c7caa98433cbb",
     ("chsh", "flat", "csv"):
-        "53649cedb2159274f2bfaf707525aad8fd6727cd6cae43ba5a0df7d3685c1b3a",
+        "ae533fe29d526bd899dc059715bf86deac9078b07b5b5514c6b54badc00b9e7c",
     ("chsh", "flat", "json"):
-        "1d0393cf76828a6c7c81cb065c46c09937054d5cdb2ba3db6001b984f1d39cc4",
+        "080c5f60f28fc735e8de3acd66612f8ded5c4c404088f49d8c2cd2946ddf4be5",
     ("chsh", "pearle-reject", "csv"):
-        "f9b295913ba5a9661e11e0ebaf38fd186992fc8bbd0db5408d12e4e2f9b997e4",
+        "b230592d6b67e2476c740730722639c4698e2786d98eaba0b06cc22036c6640d",
     ("chsh", "pearle-reject", "json"):
-        "8bd5a689b32a7d463fab8b414d4aba6b4d2d93bacda3f925dab6e389786b3d33",
+        "ebd4a8272d4fbfffb4407b5c175113dd79d84a5e11053c04947dff5505181e37",
     ("chsh", "s3", "csv"):
-        "3c3e4f7ebdeecc7f93b5bc0581a6cbabe57ce373fb622d8475315ae0297e13fb",
+        "b049119ca9cbabae57d7ad41259b49468bf37579f3289834790eb2fe7bf76087",
     ("chsh", "s3", "json"):
-        "284c65d28568b26b876f01696ae884f12592220e9dd8e45505718434bcb84f8e",
+        "d47e02be31004fd25daf4b3f2ae51b874db8dc53fdec79060a094169f402b9fe",
     ("curve", "flat", "csv"):
-        "1d59f79652bf0d79d2496b04b588dc5661f9026d0e7e1b333eb8b618d14c260a",
+        "80851f0622f3a9275c84582e488755e0656d213b1f3b2efc1e92afd38654d9bb",
     ("curve", "flat", "json"):
-        "b1b7e0d8c30b08e9f6a07768d04666d3369d16cf2870898321472d14806e1cb6",
+        "ed0ad5c41ed377d3c709593f60a83ba684a921c36a6da060436ae25cda61d7c3",
     ("curve", "pearle-reject", "csv"):
-        "47a7257bfeca61c57be558295d803429c8b2b31b2fa553f7a47151e22785981c",
+        "a5b47bbdca0a58afb9b6ecad7ff5ef3b70c62372051b9df21e7b2849fc93f333",
     ("curve", "pearle-reject", "json"):
-        "d9b54b34ed3b20a00c759968c9004578f586eeb0b4150426d27ce4590ce2987a",
+        "10bf12edc66b6f3022899f9826b32b07e236a16e11282af5f86366107b43bf6b",
     ("curve", "s3", "csv"):
-        "34ecd115793b244c8fe11153b75dac1370566675d1e6ba29330104d29b874f37",
+        "8a279dc1411399e31debde9a4c0aa07506dad32e25d4918b1f48ed5cf1ca10b8",
     ("curve", "s3", "json"):
-        "9e691ed86576dee1dd470d3fb30d2c2d5581e4bc53a12ac1791be706ebd8c45b",
+        "e8e0fe29d297d001be36509fcd79689dcab2b3083b9e6ab1476028fd7d1c815a",
     ("flat-vs-s3", "s3", "csv"):
-        "179a636c22198501ed1dbc732225babf6fe66c0a11edcb02b918f36aeb34287f",
+        "ce210bff8d4a65663f07e54ebed073aaab057dfb43c37ded06c9a67c2856a50e",
     ("flat-vs-s3", "s3", "json"):
-        "8cc2d9216c03d1146b2c9fe10f141e5a1541c5c8e99f536a5e7cbb936cecb9f4",
+        "3b2b487f279497ecc60eb18b93941b1369883ed0594c727f493de330f7bc00dd",
     ("geodesic", "s3", "csv"):
         "351b5ed7a4e03568f1c7e1bf759fe5d977a4c578ae57799f253522fa5506a162",
     ("geodesic", "s3", "json"):
         "bbd4dc0d50875de5637fefdbfb137068d2998e3a4f992d2c067ff471650c0324",
     ("probabilities", "flat", "csv"):
-        "ce7c187273b823b58cf5de20d38c88bc3fbe51daf9d45ad419ade385fdf0c5b0",
+        "d48309b440f82ca13ad7bfd25754ace60e5e204b44a1e89488b4abc005cfab6d",
     ("probabilities", "flat", "json"):
-        "9af82c340048192217dde03b73d663d1f290f5ea1eb5da72960ad15f5991afae",
+        "54602bb03f4307ac7add0ef075ac8e91c103a1ad9e90f09dd23434d631dd0992",
     ("probabilities", "pearle-reject", "csv"):
-        "876f0fdf116fa762f1d3973f7e2980220ad417fbed111b1a59f8b41e302eb4cc",
+        "701b0b29f572d8224febb5dae5c2e6ebb6176d1e3c3573804c92ad5930bc56a3",
     ("probabilities", "pearle-reject", "json"):
-        "f0a89d376cbbbd66e254ad9265127862714d61c8e31211ce36b3df8af480c8f9",
+        "70a3aaeaff65688c92b583bf5522974a46a856e05ace8e1085bfa393d96ccbbd",
     ("probabilities", "s3", "csv"):
-        "b3e46778b4a742baa1c29aec5457740144673920c1dd82078b7545a545b9febf",
+        "3d65b9b2c0070cab4d45fb82b01bfb409b1e15cead48bb5ba0aa7c7cfbfb9f34",
     ("probabilities", "s3", "json"):
-        "f0edc99dceca7e6c7ef1fe6fa2d63b6254d6b3f5c7bae815545e7098b12b6d03",
+        "6c5493b21a20da23f65d7c576d0bc751bd13921b6ad7edb5cf975369a5a58354",
 }
 
 SAMPLED = ("curve", "chsh", "probabilities", "flat-vs-s3")

@@ -135,7 +135,8 @@ def test_pool_size_falls_back_to_cpu_count(monkeypatch):
 
 @pytest.mark.parametrize("experiment", ["curve", "chsh", "probabilities", "flat-vs-s3"])
 def test_every_sampled_experiment_maps_the_one_pair_task(experiment, monkeypatch):
-    # tasks hold plain numbers, which pickle cheaply, and return count tables
+    # tasks hold plain numbers, which pickle cheaply, and return one count
+    # table per setting b: a serial grid is one task, chsh one per pair
     seen = []
 
     def spy(task):
@@ -147,12 +148,16 @@ def test_every_sampled_experiment_maps_the_one_pair_task(experiment, monkeypatch
     runners = {"curve": run_curve, "chsh": run_chsh, "probabilities": run_probabilities,
                "flat-vs-s3": compare_models}
     runners[experiment](cfg(experiment=experiment, n_per_point=200, grid="0:90:45"))
-    assert len(seen) == {"curve": 3, "chsh": 4, "probabilities": 3, "flat-vs-s3": 14}[experiment]
-    for task, counts in seen:
-        a, b, *rest = task
-        assert all(type(x) is float for x in a + b) and len(a) == len(b) == 3
+    settings = {"curve": [3], "chsh": [1] * 4, "probabilities": [3],
+                "flat-vs-s3": [1] * 8 + [3] * 2}[experiment]
+    assert sorted(len(task[1]) for task, _ in seen) == settings
+    for task, tables in seen:
+        a, bs, *rest = task
+        assert all(type(x) is float for x in a) and len(a) == 3
+        assert all(type(x) is float for b in bs for x in b) and {len(b) for b in bs} == {3}
         assert all(type(x) in (int, str) for x in rest)
-        assert counts.shape == (3, 3) and counts.dtype == np.int64
+        assert len(tables) == len(bs)
+        assert all(t.shape == (3, 3) and t.dtype == np.int64 for t in tables)
 
 
 def test_parse_config_file(tmp_path):
@@ -478,13 +483,20 @@ _PID_LOG = {}
 
 
 def _logged_pair_counts(task):
-    # one file per process, one line per task: the task's substream index.
-    # The sleep outlasts a pool process's start, so no process can finish
-    # its share and take another before every process has taken one.
+    # one file per process, one line per setting pair of a task: its
+    # substream index and the angle of b in degrees. The sleep outlasts a
+    # pool process's start, so no process can finish its share and take
+    # another before every process has taken one.
     with open(_PID_LOG["dir"] / str(os.getpid()), "a") as f:
-        f.write(f"{task[4]}\n")
+        for b in task[1]:
+            f.write(f"{task[4]}:{round(float(np.degrees(np.arctan2(b[1], b[0]))))}\n")
     time.sleep(0.05)
     return _real_pair_counts(task)
+
+
+# the setting pairs of each run below in order, as _logged_pair_counts logs them
+_RUN_PAIRS = {"probabilities": [f"0:{deg}" for deg in range(0, 181, 5)],
+              "chsh": ["0:45", "1:-45", "2:45", "3:-45"]}
 
 
 @pytest.mark.parametrize("experiment, model, shares", [
@@ -493,7 +505,8 @@ def _logged_pair_counts(task):
 ])
 def test_pool_processes_take_one_share_each(experiment, model, shares, tmp_path, monkeypatch):
     # --workers 3 is three processes computing, the parent included, each
-    # on a contiguous share; the artifact equals the serial one
+    # on a contiguous share: a grid's share is one task on substream
+    # (seed, 0), chsh's one task per pair. The artifact equals the serial one
     _usable_cpus(monkeypatch, 3)
     outputs = []
     for workers in (1, 3):
@@ -506,12 +519,12 @@ def test_pool_processes_take_one_share_each(experiment, model, shares, tmp_path,
                 out=str(out)))
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
-    ran = {int(f.name): [int(i) for i in f.read_text().split()]
-           for f in (tmp_path / "pids").iterdir()}
+    ran = {int(f.name): f.read_text().split() for f in (tmp_path / "pids").iterdir()}
+    pairs = _RUN_PAIRS[experiment]
     assert len(ran) == min(3, sum(shares))
-    assert sorted(ran.values()) == [list(range(start, start + size)) for start, size in
-                                    zip(np.cumsum([0, *shares[:-1]]).tolist(), shares)]
-    assert ran[os.getpid()] == list(range(shares[0]))
+    assert sorted(ran.values()) == sorted(pairs[start:start + size] for start, size in
+                                          zip(np.cumsum([0, *shares[:-1]]).tolist(), shares))
+    assert ran[os.getpid()] == pairs[:shares[0]]
 
 
 def test_cli_config_file_with_flag_override(tmp_path, run_cli):
@@ -639,4 +652,4 @@ def test_artifacts_name_the_sampler(tmp_path, run_cli, experiment, sampled):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     meta, _ = read_rows_csv(tmp_path / f"{experiment}_w1.csv")
-    assert meta.get("sampler") == ("2" if sampled else None)
+    assert meta.get("sampler") == ("3" if sampled else None)

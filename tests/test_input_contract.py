@@ -60,6 +60,12 @@ PROBES = {
        for w in (0, -1, 2.5, True)},
     # settings 160 degrees apart reported against the analytic value at 200
     "correlation_curve([200])": (lambda: correlation_curve("flat", [200.0], 2000, 1), "grid"),
+    # an empty grid gave a curve with no points; a scalar or nested grid
+    # raised numpy's TypeError
+    "correlation_curve([])": (lambda: correlation_curve("flat", [], 100, 1), "grid"),
+    "correlation_curve(45.0)": (lambda: correlation_curve("flat", 45.0, 100, 1), "grid"),
+    "correlation_curve([[10, 20]])": (lambda: correlation_curve("flat", [[10, 20]], 100, 1),
+                                      "grid"),
     "curve_point(200)": (lambda: curve_point("flat", 200.0, 2000, 1, 0), "deg"),
     "curve_point(-30)": (lambda: curve_point("flat", -30.0, 2000, 1, 0), "deg"),
 }

@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,6 +25,7 @@ from s3sim.pearle import (InitialState, NumericError, PearleMapping, admissible,
                           probabilities_from_outcomes, run_pair)
 from s3sim.pearle import _table_from_counts
 from s3sim.rng import substream
+from test_artifacts import DISPATCH_LEVELS
 
 
 def planar(deg):
@@ -409,15 +413,17 @@ def test_count_table_reductions_match_outcome_arrays(mode, deg, n):
     eta = np.radians(deg)
     reference = _reference_table(eta, A, B)
     assert probabilities_from_outcomes(eta, A, B).to_dict() == reference
-    task = (tuple(planar(0.0).tolist()), tuple(planar(deg).tolist()), n, seed, index, mode)
-    assert _table_from_counts(eta, _pair_counts(task)).to_dict() == reference
+    task = (tuple(planar(0.0).tolist()), (tuple(planar(deg).tolist()),), n, seed, index, mode)
+    assert _table_from_counts(eta, _pair_counts(task)[0]).to_dict() == reference
 
 
 def test_correlation_curve_names_a_pair_without_coincidences():
-    # the API states the CLI's rule: one emitted pair at 90 degrees is
-    # undetected, so that point's correlation is undefined
-    with pytest.raises(NumericError, match=r"setting pair 1 \(eta = 90 deg\)"):
-        correlation_curve("pearle-reject", [0.0, 90.0], 1, 0)
+    # the API states the CLI's rule: one emitted pair at 60 degrees is
+    # undetected, so that point's correlation is undefined. Every point of
+    # a grid reads substream (seed, 0), whose first candidate at seed 0 is
+    # detected at both wings at 0 degrees and not at 60
+    with pytest.raises(NumericError, match=r"setting pair 1 \(eta = 60 deg\)"):
+        correlation_curve("pearle-reject", [0.0, 60.0], 1, 0)
     assert experiments.NumericError is NumericError
     assert np.isnan(curve_point("pearle-reject", 90.0, 1, 0, 1).e_hat)
 
@@ -439,9 +445,10 @@ def test_no_coincidences_is_one_numeric_error_naming_the_angle(call, pair):
 
 
 # run_pair's outcome-count table, n_candidates and n_admitted on substream
-# (2022, 5), for a at 0 degrees and b at eta: a pin of sampler version 2
-# (pearle.SAMPLER_VERSION). Any change to the draws, their order or the
-# outcome rule changes some of these numbers.
+# (2022, 5), for a at 0 degrees and b at eta: a pin of sampler version 2,
+# whose stream of a single pair version 3 keeps (pearle.SAMPLER_VERSION).
+# Any change to the draws, their order or the outcome rule changes some of
+# these numbers.
 PINNED_RUNS = {
     ("s3", 0, 1): ([[0, 0, 0], [0, 0, 0], [1, 0, 0]], 1, 1),
     ("s3", 0, 16385): ([[0, 0, 8214], [0, 0, 0], [8171, 0, 0]], 24685, 16385),
@@ -484,7 +491,7 @@ PINNED_RUNS = {
 
 @pytest.mark.parametrize("mode, deg, n", sorted(PINNED_RUNS))
 def test_run_pair_stream_is_pinned(mode, deg, n):
-    assert pearle.SAMPLER_VERSION == 2  # a new stream bumps the version and these pins
+    assert pearle.SAMPLER_VERSION == 3  # a new pair stream bumps the version and these pins
     table, n_candidates, n_admitted = PINNED_RUNS[mode, deg, n]
     run = run_pair(planar(0.0), planar(deg), n, substream(2022, 5), mode)
     assert run.A.dtype == run.B.dtype == np.int64
@@ -644,6 +651,66 @@ def test_screen_redoes_decisions_at_the_boundaries(monkeypatch, deg):
     monkeypatch.setattr(kernel, "_SCREEN", -1.0)
     A, B = _decided(z, phi, u, heads, eta)
     assert not (np.array_equal(A, expected[0]) and np.array_equal(B, expected[1]))
+
+
+BOUNDARY_DEGREES = [1.0, 45.0, 90.0, 135.0]
+
+# prints the dispatch targets numpy enabled, then how many outcomes that
+# _masks (_wing_a, then _wing_b) decides on the saved boundary draws differ
+# from float64: with the kernel's band, and with none (_SCREEN = -1)
+_MASK_CHILD = """
+import json, sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+print(json.dumps([x for x in __cpu_dispatch__ if __cpu_features__.get(x)]), flush=True)
+from s3sim import kernel
+cases, degrees = np.load(sys.argv[1]), json.loads(sys.argv[2])
+mismatches = []
+for screen in (kernel._SCREEN, -1.0):
+    kernel._SCREEN, bad = screen, 0
+    for i, deg in enumerate(degrees):
+        z, phi, u, heads = (cases[f"{x}{i}"] for x in ("z", "phi", "u", "heads"))
+        cos_ab, sin_ab = float(np.cos(np.radians(deg))), float(np.sin(np.radians(deg)))
+        scratch = [np.empty(z.size, dtype=np.float32) for _ in range(4)]
+        for mode, wing_u in (("reject", u), ("flat", None)):
+            masks = kernel._masks(z, phi, wing_u, heads, cos_ab, sin_ab, scratch)
+            _, A, B = kernel._outcomes(*masks)
+            bad += int(np.count_nonzero(A != cases[f"{mode}_A{i}"]))
+            bad += int(np.count_nonzero(B != cases[f"{mode}_B{i}"]))
+    mismatches.append(bad)
+print(json.dumps(mismatches))
+"""
+
+
+@pytest.mark.parametrize("level", ["native", *sorted(DISPATCH_LEVELS)])
+def test_boundary_decisions_equal_float64_at_every_dispatch_level(cli_env, tmp_path, level):
+    # the mask-level check of the redo band at each numpy dispatch level the
+    # byte test sets: on draws whose every decision lies in the band, the
+    # decisions equal float64, and without the band some do not
+    cases = {}
+    for i, deg in enumerate(BOUNDARY_DEGREES):
+        draws, flat, reject = _boundary_draws(substream(78, int(deg)), 4_000, np.radians(deg))
+        cases.update({f"{x}{i}": v for x, v in zip(("z", "phi", "u", "heads"), draws)})
+        cases.update({f"flat_A{i}": flat[0], f"flat_B{i}": flat[1],
+                      f"reject_A{i}": reject[0], f"reject_B{i}": reject[1]})
+    np.savez(tmp_path / "draws.npz", **cases)
+    env = {k: v for k, v in cli_env.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    disabled = DISPATCH_LEVELS.get(level)
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    res = subprocess.run([sys.executable, "-c", _MASK_CHILD, str(tmp_path / "draws.npz"),
+                          json.dumps(BOUNDARY_DEGREES)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    lines = res.stdout.splitlines()
+    if disabled and not lines:
+        pytest.skip(f"numpy did not start with {disabled} disabled: {res.stderr.strip()}")
+    assert res.returncode == 0, res.stderr
+    targets = json.loads(lines[0])
+    if disabled and set(disabled.split()) & set(targets):
+        pytest.skip(f"numpy kept {sorted(set(disabled.split()) & set(targets))} enabled")
+    banded, unbanded = json.loads(lines[1])
+    assert banded == 0, targets
+    assert unbanded > 0, targets
 
 
 def _mask_table(z, phi, u, heads, eta):
@@ -817,6 +884,80 @@ def test_first_outcomes_do_not_depend_on_n(mode, n):
     a, b, seed = planar(0.0), planar(70.0), 86
     short, longer = (run_pair(a, b, m, seed, mode) for m in (n, n + 1))
     assert np.array_equal(short.A, longer.A[:n]) and np.array_equal(short.B, longer.B[:n])
+
+
+# ---------------------------------------------------------------------------
+# one stream per grid: every point reads the chunks of substream (seed, 0)
+
+GRID_ANGLES = [0.0, 1e-3, 5.0, 45.0, 90.0, 135.0, 179.999, 180.0]
+
+
+def _grid_task(grid, n, seed, mode):
+    """The pool task of a grid share: a at 0 and b at each angle."""
+    return (tuple(planar(0.0).tolist()), tuple(tuple(planar(deg).tolist()) for deg in grid),
+            n, seed, 0, mode)
+
+
+@pytest.mark.parametrize("n", [1, 7, 5000, CHUNK - 1, CHUNK + 3, 100_000])
+@pytest.mark.parametrize("mode", MODES)
+def test_grid_tables_are_the_pair_tables_on_the_grid_stream(mode, n):
+    # one pass over a grid gives each point the table of its setting pair
+    # run alone on substream (seed, 0), the per-pair stream pinned above
+    tables = _pair_counts(_grid_task(GRID_ANGLES, n, 23, mode))
+    assert len(tables) == len(GRID_ANGLES)
+    for deg, counts in zip(GRID_ANGLES, tables):
+        pair = outcome_counts(planar(0.0), planar(deg), n, substream(23, 0), mode)
+        assert np.array_equal(counts, pair), deg
+
+
+def _count_fills(monkeypatch) -> list:
+    """Spy on the kernel's chunk fill; the list grows by one per call."""
+    calls, fill = [], kernel._fill_draws
+    monkeypatch.setattr(kernel, "_fill_draws", lambda *args: calls.append(1) or fill(*args))
+    return calls
+
+
+def test_a_grid_reads_each_block_once(monkeypatch):
+    # a serial 37-point grid fills each chunk of its stream once for all of
+    # its points, not once per point
+    slowest = max(run_pair(planar(0.0), planar(deg), 20_000, substream(41, 0), "s3").n_candidates
+                  for deg in range(0, 181, 5))
+    calls = _count_fills(monkeypatch)
+    experiments.run_probabilities(experiments.ExperimentConfig(
+        "probabilities", seed=41, model="pearle-reject", n_per_point=100_000, grid="0:180:5"))
+    assert len(calls) == -(-100_000 // CHUNK) == 7
+    # s3: as many fills as its slowest point needs chunks
+    calls.clear()
+    correlation_curve("s3", list(range(0, 181, 5)), 20_000, 41)
+    assert len(calls) == -(-slowest // CHUNK)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_shares_of_a_grid_do_not_change_a_table(mode):
+    # every contiguous split of a grid into 1 to 7 shares, one task each,
+    # gives the one-pass tables
+    grid, n, seed = [0.0, 30.0, 60.0, 90.0, 120.0, 150.0, 180.0], CHUNK + 3, 97
+    whole = _pair_counts(_grid_task(grid, n, seed, mode))
+    for cuts in range(2 ** (len(grid) - 1)):
+        ends = [0, *(i for i in range(1, len(grid)) if cuts >> (i - 1) & 1), len(grid)]
+        split = [counts for lo, hi in zip(ends, ends[1:])
+                 for counts in _pair_counts(_grid_task(grid[lo:hi], n, seed, mode))]
+        assert len(split) == len(whole)
+        assert all(np.array_equal(x, y) for x, y in zip(split, whole)), ends
+    # the API curve is the CLI's
+    config = experiments.ExperimentConfig("curve", seed=seed, model=mode, n_per_point=n,
+                                          grid=grid)
+    assert correlation_curve(mode, grid, n, seed).points == experiments.run_curve(config).points
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_curve_and_chsh_share_the_pair_at_45_degrees(mode):
+    # a curve's 45-degree point and chsh's pair (0, 45) read substream (seed, 0)
+    quad, n, seed = canonical_quad(), 5000, 98
+    assert np.array_equal(quad.a, planar(0.0)) and np.array_equal(quad.b, planar(45.0))
+    chsh_table = experiments._pair_tables(quad.pairs(), n, seed, mode, 1)[0]
+    curve_table = _pair_counts(_grid_task([0.0, 45.0, 90.0], n, seed, mode))[1]
+    assert np.array_equal(chsh_table, curve_table)
 
 
 @pytest.mark.parametrize("mode", MODES)
