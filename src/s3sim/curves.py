@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .algebra import _require_in
+
 CSV_COLUMNS = ("eta_deg", "e_hat", "e_analytic", "stderr", "g", "n")
 
 # most points a grid range may give, and most steps a geodesic run may take:
@@ -146,38 +148,38 @@ def format_grid(spec) -> str:
 
 
 def parse_grid(spec) -> np.ndarray:
-    """Angle grid in degrees from 'start:stop:step', a comma list of angles,
-    a (start, stop, step) triple, or an explicit sequence; every number must
-    be finite and every angle within [0, 180]. A range may give at most
-    MAX_POINTS points, checked before the grid is built."""
-    if isinstance(spec, str):
-        parts = spec.split(":")
-        if len(parts) == 1:
-            spec = [float(p) for p in spec.split(",")]
-        elif len(parts) != 3:
-            raise ValueError("grid spec must be start:stop:step")
-        else:
-            spec = tuple(float(p) for p in parts)
-    values = np.asarray(list(spec), dtype=float)
+    """Angle grid in degrees from 'start:stop:step', a comma list, a (start,
+    stop, step) triple or any other 1-D sequence of numbers, its points: all
+    finite, strictly increasing and within [0, 180]. A range may give at most
+    MAX_POINTS points, checked before the grid is built. The one grid check:
+    every rejection is a ValueError whose message starts 'grid must'."""
+    try:
+        if isinstance(spec, str):
+            # a text that is neither a range nor a comma list fails float()
+            parts = spec.split(":")
+            spec = tuple(map(float, parts)) if len(parts) == 3 else [*map(float, spec.split(","))]
+        values = np.asarray(list(spec), dtype=float)
+        if values.ndim != 1:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError("grid must be start:stop:step, a comma list or a 1-D sequence of "
+                         f"numbers, got {spec!r}") from None
     # NaN fails every range and order test below, so it is caught here
     non_finite = values[~np.isfinite(values)]
     if non_finite.size:
-        raise ValueError(f"grid values must be finite, got {non_finite[0]}")
+        raise ValueError(f"grid must be finite, got {non_finite[0]}")
     if isinstance(spec, tuple) and len(spec) == 3:
-        start, stop, step = spec
+        start, stop, step = values.tolist()
         if step <= 0:
-            raise ValueError("grid step must be positive")
+            raise ValueError("grid must have a positive step")
         stop += 0.5 * step
         # the unrounded arange length
         if not (stop - start) / step <= MAX_POINTS:
             raise ValueError(f"grid must have at most {MAX_POINTS} points")
-        grid = np.arange(start, stop, step, dtype=float)
-    else:
-        grid = values
-    if grid.size == 0:
-        raise ValueError("empty angle grid")
-    if np.any(grid < 0.0) or np.any(grid > 180.0):
-        raise ValueError("grid angles must lie within [0, 180] degrees")
-    if np.any(np.diff(grid) <= 0):
+        values = np.arange(start, stop, step, dtype=float)
+    if values.size == 0:
+        raise ValueError("grid must have at least one angle")
+    _require_in(values, "grid", 0.0, 180.0)
+    if np.any(np.diff(values) <= 0):
         raise ValueError("grid must be strictly increasing")
-    return grid
+    return values

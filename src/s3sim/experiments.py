@@ -1,9 +1,9 @@
 """Named, seeded, reproducible experiments and their file artifacts.
 
-Each experiment resolves a configuration, fans per-point work out over
-index-keyed random substreams (so the same seed gives byte-identical
-artifacts for any worker count), and writes CSV or JSON with the resolved
-configuration embedded as a metadata block.
+Each experiment resolves a configuration, runs its tasks on up to --workers
+processes and writes CSV or JSON with that configuration as a metadata
+block. Every grid point reads substream (seed, 0) and chsh setting pair i
+reads (seed, i), so a seed gives byte-identical artifacts for any --workers.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .bounds import (CANONICAL_QUAD_DEGREES, CHSHResult, SettingsQuad, bound_rep
 from .curves import (CSV_COLUMNS, MAX_POINTS, CorrelationCurve, curve_to_dict,
                      fmt9, format_grid, parse_grid, read_rows_csv, write_json, write_rows_csv)
 # NumericError is re-exported: cli catches it from here
-from .pearle import NumericError, _coincident
+from .pearle import NumericError
 from .rng import substream
 
 EXPERIMENTS = ("curve", "chsh", "geodesic", "bounds", "probabilities", "flat-vs-s3")
@@ -81,9 +81,9 @@ class ExperimentConfig:
 
 
 def parse_config_file(path) -> dict:
-    """Flat key=value UTF-8 text; '#' starts a comment; keys match the CLI flags."""
+    """Flat key=value UTF-8 text, a leading BOM ignored; '#' starts a comment; keys are flags."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {str(path)!r} is not UTF-8 text: {exc}") from exc
     out: dict = {}
@@ -148,29 +148,29 @@ def _pooled(shares) -> list:
         raise OSError(f"a worker process died: {exc}") from exc
 
 
+def _tables(tasks, workers: int) -> list:
+    """The count tables of every task, in order, on _pool_size(workers,
+    len(tasks)) processes with a contiguous share of the tasks each (see
+    _split and _pooled). A task names its substream: no split moves a table."""
+    return _pooled(_split(tasks, _pool_size(workers, len(tasks))))
+
+
 def _pair_tables(pairs, n: int, seed: int, mode: str, workers: int) -> list:
     """The count table of each setting pair (a, b), pair i in its own task
-    on substream (seed, i), on _pool_size(workers, len(pairs)) processes,
-    each with a contiguous share of the tasks (see _split and _pooled).
-    Every task carries its own substream index, so the tables do not depend
-    on the split."""
-    tasks = [(tuple(a.tolist()), (tuple(b.tolist()),), n, seed, i, mode)
-             for i, (a, b) in enumerate(pairs)]
-    return _pooled(_split(tasks, _pool_size(workers, len(tasks))))
+    on substream (seed, i)."""
+    return _tables([(tuple(a.tolist()), (tuple(b.tolist()),), n, seed, i, mode)
+                    for i, (a, b) in enumerate(pairs)], workers)
 
 
 def _grid_tables(config: ExperimentConfig) -> tuple[np.ndarray, list]:
     """The grid and its count tables: point i has a at 0 and b at grid[i]
-    degrees, and every point reads substream (seed, 0). The grid splits
-    into _pool_size(workers, len(grid)) contiguous shares (see _split), one
-    task per process, each of which reads the same blocks for its share's
-    settings. A point's table depends only on (seed, angle, n, mode), so
-    the tables do not depend on the split."""
+    degrees, and every point reads substream (seed, 0), so its table does
+    not depend on how the grid splits into _pool_size(workers, len(grid))
+    contiguous shares, one task each (see _split)."""
     grid, a, bs = pearle._grid_settings(config.grid_degrees())
-    bs = [tuple(b.tolist()) for b in bs]
-    shares = _split(bs, _pool_size(config.workers, len(bs)))
-    return grid, _pooled([[(tuple(a.tolist()), tuple(share), config.n_per_point, config.seed,
-                            0, config.model)] for share in shares])
+    shares = _split([tuple(b.tolist()) for b in bs], _pool_size(config.workers, len(bs)))
+    return grid, _tables([(tuple(a.tolist()), tuple(share), config.n_per_point, config.seed,
+                           0, config.model) for share in shares], config.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +179,7 @@ def _grid_tables(config: ExperimentConfig) -> tuple[np.ndarray, list]:
 def run_curve(config: ExperimentConfig) -> CorrelationCurve:
     """Correlation sweep for the configured model over the angle grid."""
     grid, tables = _grid_tables(config)
-    points = [pearle._point_from_counts(config.model, float(deg), counts)
-              for deg, counts in zip(grid, tables)]
-    for i, point in enumerate(points):
-        _coincident(point.n, point.eta_deg, i)
-    return CorrelationCurve(points=tuple(points), meta=config.sampled_meta())
+    return pearle._curve(config.model, grid, tables, config.sampled_meta())
 
 
 # ---------------------------------------------------------------------------

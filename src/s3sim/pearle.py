@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .algebra import _angle, _require_choice, _require_in, _require_int, _require_unit, planar
-from .curves import CorrelationCurve, CurvePoint, format_grid
+from .curves import CorrelationCurve, CurvePoint, format_grid, parse_grid
 from .kernel import (MODES, SAMPLER_VERSION, _chunks, _mask_counts, _outcomes, _pair_setup,
                      _threshold)
 from .rng import substream
@@ -399,38 +399,39 @@ def _pair_estimate(a, b, mode: str, counts, index: int | None = None) -> Correla
 
 
 def _grid_settings(grid_deg):
-    """(grid, a, bs) of a grid of setting angles in degrees: the grid as a
-    float array, a = planar(0) and b = planar(deg) for each angle. The grid
-    must be a non-empty 1-D sequence of angles in [0, 180], so every b lies
-    in one half-plane through a; ValueError naming grid otherwise."""
-    grid = _require_in(grid_deg, "grid", 0.0, 180.0)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError(f"grid must be a non-empty 1-D sequence of angles, "
-                         f"got shape {grid.shape}")
+    """(grid, a, bs) of a grid of setting angles in degrees: the grid read
+    by parse_grid, a tuple as its points, a = planar(0) and b = planar(deg)
+    for each angle, so every b lies in one half-plane through a."""
+    grid = parse_grid(list(grid_deg) if isinstance(grid_deg, tuple) else grid_deg)
     return grid, planar(0.0), [planar(deg) for deg in grid]
+
+
+def _curve(mode: str, grid, tables, meta: dict) -> CorrelationCurve:
+    """The curve of the count table of each grid angle; NumericError naming
+    the first point with no coincident detections."""
+    points = [_point_from_counts(mode, float(deg), counts) for deg, counts in zip(grid, tables)]
+    for i, point in enumerate(points):
+        _coincident(point.n, point.eta_deg, i)
+    return CorrelationCurve(points=tuple(points), meta=meta)
 
 
 def correlation_curve(mode: str, grid_deg, n_per_angle: int, seed: int,
                       kappa: int = 1) -> CorrelationCurve:
-    """Correlation sweep over planar settings separated by the grid angles.
+    """Correlation sweep over planar settings separated by the angles of
+    grid_deg, read by parse_grid with a tuple as its points.
 
     Every point reads substream (seed, 0), in one pass over its chunks:
     point i is curve_point(mode, grid[i], n_per_angle, seed, 0). The points
     share candidates, so they are positively correlated, and the curve is
     the same for any split of the grid over processes. kappa only enters
-    the meta. A point with no coincident detections is a NumericError.
-    """
+    the meta; a point with no coincident detections is a NumericError."""
     _require_choice(mode, "mode", MODES)
     kappa = _require_int(kappa, "kappa", 1)
     grid, a, bs = _grid_settings(grid_deg)
     tables = _outcome_tables(a, bs, n_per_angle, substream(seed, 0), mode)
-    points = [_point_from_counts(mode, float(deg), counts) for deg, counts in zip(grid, tables)]
-    for i, point in enumerate(points):
-        _coincident(point.n, point.eta_deg, i)
-    meta = {"model": mode, "n": str(n_per_angle), "seed": str(seed),
-            "grid": format_grid(grid), "kappa": str(kappa),
-            "sampler": str(SAMPLER_VERSION)}
-    return CorrelationCurve(points=tuple(points), meta=meta)
+    meta = {"model": mode, "n": str(n_per_angle), "seed": str(seed), "grid": format_grid(grid),
+            "kappa": str(kappa), "sampler": str(SAMPLER_VERSION)}
+    return _curve(mode, grid, tables, meta)
 
 
 def curve_point(mode: str, deg: float, n: int, seed: int, index: int) -> CurvePoint:

@@ -15,6 +15,7 @@ from s3sim.experiments import (ConfigError, ExperimentConfig, _pool_size, chsh_m
                                compare_models, parse_config_file, read_rows_csv, run,
                                run_bounds, run_chsh, run_curve, run_geodesic,
                                run_probabilities)
+from s3sim.pearle import correlation_curve
 
 
 def cfg(**kw):
@@ -110,6 +111,32 @@ def test_point_limit_applies_to_grids_and_steps():
 def _usable_cpus(monkeypatch, n):
     """Let the process run on n CPUs, whatever the machine has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.mark.parametrize("mode", ["s3", "pearle-reject", "flat"])
+def test_api_curve_is_the_cli_curve_for_every_grid_form(mode, monkeypatch):
+    # correlation_curve and run_curve read a grid through parse_grid and
+    # build the curve with one builder, whatever the grid's form or the
+    # worker count
+    _usable_cpus(monkeypatch, 2)
+    forms = ([0.0, 45.0, 90.0, 135.0, 180.0], (0.0, 45.0, 90.0, 135.0, 180.0),
+             np.arange(0.0, 181.0, 45.0), range(0, 181, 45))
+    n, seed = 3000, 17
+    for workers in (1, 2):
+        for grid in forms:
+            config = cfg(model=mode, n_per_point=n, seed=seed, workers=workers,
+                         grid=",".join(str(deg) for deg in grid))
+            assert (correlation_curve(mode, grid, n, seed).points
+                    == run_curve(config).points), (workers, grid)
+
+
+def test_a_bad_grid_is_a_config_error_before_any_run(tmp_path):
+    # a nested grid reached format_grid (geodesic) or the kernel (probabilities)
+    for experiment in ("geodesic", "probabilities"):
+        out = tmp_path / f"{experiment}.csv"
+        with pytest.raises(ConfigError, match="^grid must "):
+            run(cfg(experiment=experiment, grid=[[0, 90]], out=str(out)))
+        assert not out.exists()
 
 
 def test_pool_size_never_exceeds_tasks_or_cpus(monkeypatch):
@@ -351,7 +378,7 @@ def test_cli_non_finite_grid_is_usage_error(tmp_path, run_cli, args, bad):
     out = tmp_path / "x.csv"
     res = run_cli(*args, "--n", "20000", "--seed", "1", "--out", str(out))
     assert res.returncode == 2
-    assert f"usage error: grid values must be finite, got {bad}" in res.stderr
+    assert f"usage error: grid must be finite, got {bad}" in res.stderr
     assert not out.exists()
 
 
@@ -537,6 +564,18 @@ def test_cli_config_file_with_flag_override(tmp_path, run_cli):
     curve = read_curve_csv(out)
     assert curve.meta["model"] == "s3"  # flag overrides file
     assert curve.meta["seed"] == "5"
+
+
+def test_config_file_with_a_bom_is_the_plain_file(tmp_path):
+    # a BOM written by an editor read as part of the first key
+    text = "seed=7\nn=100\ngrid=0:90:45\nmodel=flat\n"
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    args = [cli.build_parser().parse_args(["curve", "--config", str(path)])
+            for path in (plain, bom)]
+    assert cli.resolve_config(args[1]) == cli.resolve_config(args[0])
 
 
 def test_cli_undecodable_config_file_is_usage_error(tmp_path, run_cli):

@@ -15,7 +15,8 @@ from s3sim.algebra import (IDENTITY, X_AXIS, Y_AXIS, Z_AXIS, Bivector, _require_
                            geodesic_sweep, quat_from_axis_angle, quat_from_half_angle,
                            spinorial_sign)
 from s3sim.bounds import canonical_quad, chsh_from_estimates
-from s3sim.experiments import chsh_monte_carlo
+from s3sim.curves import parse_grid
+from s3sim.experiments import ExperimentConfig, chsh_monte_carlo
 from s3sim.oracle import acceptance, expected_table
 from s3sim.pearle import (PearleMapping, correlation_curve, curve_point, pearle_f,
                           pearle_f_complement, probabilities_from_outcomes, run_pair)
@@ -66,6 +67,18 @@ PROBES = {
     "correlation_curve(45.0)": (lambda: correlation_curve("flat", 45.0, 100, 1), "grid"),
     "correlation_curve([[10, 20]])": (lambda: correlation_curve("flat", [[10, 20]], 100, 1),
                                       "grid"),
+    # parse_grid is the one grid check, for the API, a config and the CLI
+    # text alike: a nested config grid passed validated() and a scalar one
+    # raised TypeError, and these messages named no parameter
+    "ExperimentConfig(grid=[[0, 90]])":
+        (lambda: ExperimentConfig("geodesic", seed=1, grid=[[0, 90]]).validated(), "grid"),
+    "ExperimentConfig(grid=45.0)":
+        (lambda: ExperimentConfig("curve", seed=1, grid=45.0).validated(), "grid"),
+    "parse_grid('a,b')": (lambda: parse_grid("a,b"), "grid"),
+    "parse_grid('')": (lambda: parse_grid(""), "grid"),
+    "parse_grid('0:90')": (lambda: parse_grid("0:90"), "grid"),
+    "parse_grid('0,nan')": (lambda: parse_grid("0,nan"), "grid"),
+    "parse_grid([[0, 90], [1]])": (lambda: parse_grid([[0, 90], [1]]), "grid"),
     "curve_point(200)": (lambda: curve_point("flat", 200.0, 2000, 1, 0), "deg"),
     "curve_point(-30)": (lambda: curve_point("flat", -30.0, 2000, 1, 0), "deg"),
 }

@@ -932,6 +932,15 @@ def test_a_grid_reads_each_block_once(monkeypatch):
     assert len(calls) == -(-slowest // CHUNK)
 
 
+def test_a_bad_api_grid_samples_nothing(monkeypatch):
+    # a decreasing grid fails parse_grid before the kernel draws a chunk,
+    # not in CorrelationCurve once every point is sampled
+    calls = _count_fills(monkeypatch)
+    with pytest.raises(ValueError, match="^grid must be strictly increasing"):
+        correlation_curve("s3", [90.0, 0.0], 1000, 1)
+    assert len(calls) == 0
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_shares_of_a_grid_do_not_change_a_table(mode):
     # every contiguous split of a grid into 1 to 7 shares, one task each,
