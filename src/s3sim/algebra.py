@@ -77,7 +77,7 @@ def _require_choice(x, name: str, choices: tuple) -> None:
 
 def planar(deg: float) -> np.ndarray:
     """Unit vector in the x-y plane at `deg` degrees from the x axis."""
-    rad = np.radians(deg)
+    rad = np.radians(_require_in(deg, "deg"))
     return np.array([np.cos(rad), np.sin(rad), 0.0])
 
 

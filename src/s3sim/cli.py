@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
-from .experiments import (EXPERIMENTS, FORMATS, ConfigError, ExperimentConfig,
-                          NumericError, parse_config_file, run)
-from .kernel import MODES
+from .experiments import (CONFIG_KEYS, EXPERIMENTS, ConfigError, ExperimentConfig, NumericError,
+                          parse_config_file, run)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -27,26 +27,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Seeded, reproducible singlet-correlation experiments "
                     "(CSV/JSON artifacts).")
     sub = parser.add_subparsers(dest="experiment", metavar="EXPERIMENT")
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="flat key=value config file; flags override")
-        p.add_argument("--model", choices=MODES, help="ensemble model (default s3)")
-        p.add_argument("--n", type=int, dest="n", help="samples per grid point")
-        p.add_argument("--seed", type=int, help="64-bit seed (mandatory)")
-        p.add_argument("--grid", help="angle grid start:stop:step or a comma list, in degrees")
-        p.add_argument("--kappa", type=int, help="winding index (default 1)")
-        p.add_argument("--steps", type=int, help="geodesic sweep steps (default 180)")
-        p.add_argument("--workers", type=int,
-                       help="processes that compute the grid points or CHSH setting pairs, "
-                            "the parent included (default 1)")
-        p.add_argument("--out", help="output path (default <experiment>.<format>)")
-        p.add_argument("--format", choices=FORMATS, help="artifact format (default csv)")
+        for key, (field, type_, choices, help_) in CONFIG_KEYS.items():
+            p.add_argument(f"--{key}", type=type_, choices=choices,
+                           help=help_.format(defaults[field]))
     return parser
-
-
-# every config key and its type; each is also the dest of a flag
-_KEYS = {"model": str, "n": int, "seed": int, "grid": str, "kappa": int, "steps": int,
-         "workers": int, "out": str, "format": str}
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -58,23 +46,22 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                 if raw != args.experiment:
                     raise ConfigError(
                         f"config file is for experiment {raw!r}, not {args.experiment!r}")
-            elif key not in _KEYS:
+            elif key not in CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
             else:
                 try:
-                    values[key] = _KEYS[key](raw)
+                    values[key] = CONFIG_KEYS[key][1](raw)
                 except ValueError as exc:
                     raise ConfigError(f"config key {key!r}: {exc}") from exc
-    for key in _KEYS:
+    for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
     if "seed" not in values:
         raise ConfigError("--seed is mandatory (no wall-clock default)")
-    if "n" in values:
-        values["n_per_point"] = values.pop("n")
     # absent keys take the ExperimentConfig defaults
-    return ExperimentConfig(experiment=args.experiment, **values).validated()
+    return ExperimentConfig(experiment=args.experiment,
+                            **{CONFIG_KEYS[key][0]: v for key, v in values.items()}).validated()
 
 
 def main(argv=None) -> int:

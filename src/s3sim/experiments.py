@@ -7,6 +7,7 @@ reads (seed, i), so a seed gives byte-identical artifacts for any --workers.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -18,14 +19,33 @@ from .bounds import (CANONICAL_QUAD_DEGREES, CHSHResult, SettingsQuad, bound_rep
                      canonical_quad, chsh, chsh_from_estimates, cosine_correlation,
                      sawtooth_correlation)
 # read_rows_csv is re-exported: callers read row artifacts from here
-from .curves import (CSV_COLUMNS, MAX_POINTS, CorrelationCurve, curve_to_dict,
-                     fmt9, format_grid, parse_grid, read_rows_csv, write_json, write_rows_csv)
+from .curves import (CSV_COLUMNS, MAX_POINTS, CorrelationCurve, curve_to_dict, fmt9,
+                     format_grid, parse_grid, read_rows_csv, write_curve_csv, write_curve_json,
+                     write_json, write_rows_csv)
 # NumericError is re-exported: cli catches it from here
 from .pearle import NumericError
 from .rng import substream
 
 EXPERIMENTS = ("curve", "chsh", "geodesic", "bounds", "probabilities", "flat-vs-s3")
 FORMATS = ("csv", "json")
+# the models flat-vs-s3 runs side by side, in the order it runs and writes them
+COMPARED_MODELS = ("s3", "flat")
+
+# The one list of flags and config keys: each key names a flag of every
+# subcommand and maps to its ExperimentConfig field, its type, its choices
+# and its flag help, in which {} is the field's default.
+CONFIG_KEYS = {
+    "model": ("model", str, kernel.MODES, "ensemble model (default {})"),
+    "n": ("n_per_point", int, None, "samples per grid point"),
+    "seed": ("seed", int, None, "64-bit seed (mandatory)"),
+    "grid": ("grid", str, None, "angle grid start:stop:step or a comma list, in degrees"),
+    "kappa": ("kappa", int, None, "winding index (default {})"),
+    "steps": ("steps", int, None, "geodesic sweep steps (default {})"),
+    "workers": ("workers", int, None, "processes that compute the grid points or CHSH "
+                "setting pairs, the parent included (default {})"),
+    "out": ("out", str, None, "output path (default <experiment>.<format>)"),
+    "format": ("format", str, FORMATS, "artifact format (default {})"),
+}
 
 
 class ConfigError(ValueError):
@@ -42,7 +62,7 @@ class ExperimentConfig:
     kappa: int = 1
     steps: int = 180
     workers: int = 1
-    out: str | None = None
+    out: str | os.PathLike | None = None
     format: str = "csv"
 
     def validated(self) -> "ExperimentConfig":
@@ -58,6 +78,8 @@ class ExperimentConfig:
             _require_int(self.workers, "workers", 1)
             _require_choice(self.format, "format", FORMATS)
             parse_grid(self.grid)
+            if not isinstance(self.out, (str, os.PathLike, type(None))):
+                raise ValueError(f"out must be None, a str or an os.PathLike, got {self.out!r}")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return self
@@ -66,11 +88,11 @@ class ExperimentConfig:
         return parse_grid(self.grid)
 
     def meta(self) -> dict:
-        return {
-            "experiment": self.experiment, "model": self.model,
-            "n": str(self.n_per_point), "seed": str(self.seed), "grid": format_grid(self.grid),
-            "kappa": str(self.kappa), "steps": str(self.steps), "format": self.format,
-        }
+        """The experiment and every config key but workers and out, which
+        change no artifact byte, as text."""
+        return {"experiment": self.experiment,
+                **{key: format_grid(self.grid) if key == "grid" else str(getattr(self, field))
+                   for key, (field, *_) in CONFIG_KEYS.items() if key not in ("workers", "out")}}
 
     def sampled_meta(self) -> dict:
         """meta() plus the sampler version, for the experiments that run pairs."""
@@ -94,6 +116,8 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"config line is not key=value: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ConfigError(f"config key {key!r} is set more than once")
         out[key] = value
     return out
 
@@ -101,7 +125,6 @@ def parse_config_file(path) -> dict:
 def _pool_size(workers: int, tasks: int) -> int:
     """Processes that compute, the parent included: never more than the
     tasks or the CPUs this process may run on. A pool starts one fewer."""
-    import os  # loaded at interpreter start; kept local so module import stays unchanged
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(_require_int(workers, "workers", 1), tasks, cpus)
 
@@ -129,13 +152,15 @@ def _split(items, parts: int) -> list:
             for i in range(parts)]
 
 
-def _pooled(shares) -> list:
-    """The count tables of every task of the shares, in order, one process
-    per share. The parent computes the first share while a pool with one
-    process per other share computes the rest, one share per pool task, so
-    no pool process starts idle. A serial run never imports the pool
-    module. A pool process that dies breaks the pool: that is an OSError."""
-    first, *rest = shares
+def _tables(tasks, workers: int) -> list:
+    """The count tables of every task, in order, on _pool_size(workers,
+    len(tasks)) processes with a contiguous share of the tasks each (see
+    _split). A task names its substream: no split moves a table. The parent
+    computes the first share while a pool with one process per other share
+    computes the rest, one share per pool task, so no pool process starts
+    idle. A serial run never imports the pool module. A pool process that
+    dies breaks the pool: that is an OSError."""
+    first, *rest = _split(tasks, _pool_size(workers, len(tasks)))
     if not rest:
         return _share_counts(first)
     from concurrent.futures import ProcessPoolExecutor
@@ -146,13 +171,6 @@ def _pooled(shares) -> list:
             return _share_counts(first) + [t for share in pooled for t in share]
     except BrokenProcessPool as exc:
         raise OSError(f"a worker process died: {exc}") from exc
-
-
-def _tables(tasks, workers: int) -> list:
-    """The count tables of every task, in order, on _pool_size(workers,
-    len(tasks)) processes with a contiguous share of the tasks each (see
-    _split and _pooled). A task names its substream: no split moves a table."""
-    return _pooled(_split(tasks, _pool_size(workers, len(tasks))))
 
 
 def _pair_tables(pairs, n: int, seed: int, mode: str, workers: int) -> list:
@@ -248,21 +266,16 @@ def run_probabilities(config: ExperimentConfig) -> dict:
 def compare_models(config: ExperimentConfig) -> dict:
     """Both curves on one grid plus their CHSH values at the canonical quad,
     with a summary line per model naming its bound regime."""
-    curve_s3 = run_curve(replace(config, model="s3"))
-    curve_flat = run_curve(replace(config, model="flat"))
-    chsh_s3 = chsh_monte_carlo(canonical_quad(), config.n_per_point, config.seed, "s3",
-                               workers=config.workers)
-    chsh_flat = chsh_monte_carlo(canonical_quad(), config.n_per_point, config.seed, "flat",
-                                 workers=config.workers)
-    summary = [
-        f"s3: |S| = {abs(chsh_s3.s):.6f} -> {chsh_s3.regime}",
-        f"flat: |S| = {abs(chsh_flat.s):.6f} -> {chsh_flat.regime}",
-    ]
+    # both curves, then both CHSH runs, in COMPARED_MODELS order
+    curves = {model: run_curve(replace(config, model=model)) for model in COMPARED_MODELS}
+    results = {model: chsh_monte_carlo(canonical_quad(), config.n_per_point, config.seed, model,
+                                       workers=config.workers) for model in COMPARED_MODELS}
     return {
         "meta": config.sampled_meta(),
-        "curves": {"s3": curve_to_dict(curve_s3), "flat": curve_to_dict(curve_flat)},
-        "chsh": {"s3": chsh_s3.to_dict(), "flat": chsh_flat.to_dict()},
-        "summary": summary,
+        "curves": {model: curve_to_dict(curve) for model, curve in curves.items()},
+        "chsh": {model: result.to_dict() for model, result in results.items()},
+        "summary": [f"{model}: |S| = {abs(result.s):.6f} -> {result.regime}"
+                    for model, result in results.items()],
     }
 
 
@@ -271,27 +284,26 @@ def compare_models(config: ExperimentConfig) -> dict:
 
 def write_artifact(experiment: str, payload, path: Path, fmt: str) -> None:
     if isinstance(payload, CorrelationCurve):
-        payload = curve_to_dict(payload)
+        (write_curve_json if fmt == "json" else write_curve_csv)(payload, path)
+        return
     if fmt == "json":
         write_json(payload, path)
         return
     meta = payload["meta"]
-    if experiment == "curve":
-        columns, rows = CSV_COLUMNS, payload["points"]
-    elif experiment == "geodesic":
+    if experiment == "geodesic":
         columns, rows = ("half_angle_deg", "psi_deg", "d_su2", "d_so3"), payload["rows"]
     elif experiment == "probabilities":
         columns, rows = pearle.TABLE_COLUMNS, payload["tables"]
     elif experiment == "flat-vs-s3":
         meta = dict(meta)
-        for model in ("s3", "flat"):
+        for model in COMPARED_MODELS:
             meta[f"{model}_abs_s"] = fmt9(abs(payload["chsh"][model]["s"]))
             meta[f"{model}_regime"] = payload["chsh"][model]["regime"]
         for line in payload["summary"]:
             meta.setdefault("summary_" + line.split(":")[0], line)
         columns = ("model", *CSV_COLUMNS)
         rows = [{"model": model, **point}
-                for model in ("s3", "flat") for point in payload["curves"][model]["points"]]
+                for model in COMPARED_MODELS for point in payload["curves"][model]["points"]]
     else:
         # chsh and bounds reports flatten to key,value rows
         columns = ("key", "value")

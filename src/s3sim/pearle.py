@@ -172,7 +172,7 @@ def admissible(e_o, f, *settings) -> np.ndarray:
     every realized setting n. At f = 1 the admissibility cone collapses to
     e_o exactly (anti)parallel to each setting."""
     e_o = np.asarray(e_o, dtype=float)
-    f = np.asarray(f, dtype=float)
+    f = _require_in(f, "f", 0.0, 1.0)
     ok = np.ones(np.broadcast_shapes(e_o.shape[:-1], f.shape), dtype=bool)
     for n_vec in settings:
         n_vec = _require_unit(n_vec, "setting", 3)
@@ -341,15 +341,15 @@ def probabilities(eta: float, records) -> ProbabilityTable:
 def detection_fraction(eta: float, table: ProbabilityTable) -> float:
     """Detected-pair fraction g(eta) via the ratio estimator
     P12(+-)/(cos^2(eta/2)/2), cross-checked against P12(++)/(sin^2(eta/2)/2);
-    the well-conditioned branch is used near the endpoints."""
-    for g in detection_fraction_branches(eta, table):
-        if not np.isnan(g):
-            return g
-    raise ValueError("both ratio-estimator branches are ill-conditioned")
+    the well-conditioned branch is used near the endpoints: for eta in
+    [0, pi] at least one of the two is."""
+    g_pm, g_pp = detection_fraction_branches(eta, table)
+    return g_pp if np.isnan(g_pm) else g_pm
 
 
 def detection_fraction_branches(eta: float, table: ProbabilityTable):
     """(g from +- branch, g from ++ branch); nan where ill-conditioned."""
+    _require_in(eta, "eta", 0.0, np.pi)
     denom_pm = 0.5 * np.cos(eta / 2.0) ** 2
     denom_pp = 0.5 * np.sin(eta / 2.0) ** 2
     g_pm = table.p_pm / denom_pm if denom_pm >= _DENOM_TOL else float("nan")

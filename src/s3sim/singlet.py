@@ -180,14 +180,13 @@ def _windings(rule: str, rng: np.random.Generator, a, b, s: np.ndarray):
     if rule == "random-parity":
         k = rng.integers(0, 2, size=n)
         return k, k
-    if rule == "angle-threshold":
-        chi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        eta_a = np.arccos(np.clip(s @ a, -1.0, 1.0))
-        eta_b = np.arccos(np.clip(s @ b, -1.0, 1.0))
-        ka = np.floor((chi + 2.0 * eta_a) / np.pi).astype(int) % 4
-        kb = np.floor((chi + 2.0 * eta_b) / np.pi).astype(int) % 4
-        return ka, kb
-    raise ValueError(f"unknown winding rule {rule!r}; choose from {WINDING_RULES}")
+    # angle-threshold: simulate_outcomes checked that rule is one of WINDING_RULES
+    chi = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    eta_a = np.arccos(np.clip(s @ a, -1.0, 1.0))
+    eta_b = np.arccos(np.clip(s @ b, -1.0, 1.0))
+    ka = np.floor((chi + 2.0 * eta_a) / np.pi).astype(int) % 4
+    kb = np.floor((chi + 2.0 * eta_b) / np.pi).astype(int) % 4
+    return ka, kb
 
 
 def simulate_outcomes(a, b, n: int, seed: int, conservation: bool = True,
@@ -196,6 +195,7 @@ def simulate_outcomes(a, b, n: int, seed: int, conservation: bool = True,
     a = _require_unit(a, "a", 3)
     b = _require_unit(b, "b", 3)
     _require_int(n, "n", 1)
+    _require_choice(winding_rule, "winding_rule", WINDING_RULES)
     rng = substream(seed)
     lam = fair_coin(rng, n)
     s1 = uniform_sphere(rng, n)

@@ -1,17 +1,20 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from s3sim import cli, experiments
+from s3sim import cli, experiments, kernel
 from s3sim.bounds import TSIRELSON, canonical_quad
 from s3sim.curves import (MAX_POINTS, CorrelationCurve, CurvePoint, parse_grid,
                           read_curve_csv, read_curve_json, write_curve_csv, write_curve_json)
-from s3sim.experiments import (ConfigError, ExperimentConfig, _pool_size, chsh_monte_carlo,
+from s3sim.experiments import (CONFIG_KEYS, ConfigError, ExperimentConfig, _pool_size,
+                               chsh_monte_carlo,
                                compare_models, parse_config_file, read_rows_csv, run,
                                run_bounds, run_chsh, run_curve, run_geodesic,
                                run_probabilities)
@@ -137,6 +140,45 @@ def test_a_bad_grid_is_a_config_error_before_any_run(tmp_path):
         with pytest.raises(ConfigError, match="^grid must "):
             run(cfg(experiment=experiment, grid=[[0, 90]], out=str(out)))
         assert not out.exists()
+
+
+def test_a_bad_out_is_a_config_error_before_any_draw(tmp_path, monkeypatch):
+    # out=5 sampled the whole grid, then failed in Path(5) with a TypeError
+    calls, fill = [], kernel._fill_draws
+    monkeypatch.setattr(kernel, "_fill_draws", lambda *args: calls.append(1) or fill(*args))
+    for out in (5, 2.5, b"c.csv"):
+        with pytest.raises(ConfigError, match="^out must "):
+            run(cfg(out=out))
+    assert len(calls) == 0
+    out = tmp_path / "c.csv"  # a path is an out too
+    assert run(cfg(model="flat", n_per_point=100, grid="0:90:90", out=out)) == out
+
+
+def test_config_keys_map_each_field_once():
+    # CONFIG_KEYS is the one map between config keys, flags and fields
+    keyed = [field for field, *_ in CONFIG_KEYS.values()]
+    assert sorted(keyed) == sorted(f.name for f in fields(ExperimentConfig)
+                                   if f.name != "experiment")
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(experiments.EXPERIMENTS)
+    for name, parser in sub.choices.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert flags == {"-h", "--help", "--config", *(f"--{key}" for key in CONFIG_KEYS)}, name
+
+
+def test_every_config_key_is_a_file_key_and_all_but_two_are_meta(tmp_path):
+    text = {"model": "flat", "n": "7", "seed": "3", "grid": "0:90:45", "kappa": "2",
+            "steps": "9", "workers": "2", "out": "x.csv", "format": "json"}
+    assert set(text) == set(CONFIG_KEYS)
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"{key}={value}\n" for key, value in text.items()))
+    config = cli.resolve_config(cli.build_parser().parse_args(["chsh", "--config", str(path)]))
+    for key, (field, type_, *_) in CONFIG_KEYS.items():
+        assert getattr(config, field) == type_(text[key]), key
+    # workers and out change no artifact byte, so the metadata leaves them out
+    assert config.meta() == {"experiment": "chsh",
+                             **{k: v for k, v in text.items() if k not in ("workers", "out")}}
 
 
 def test_pool_size_never_exceeds_tasks_or_cpus(monkeypatch):
@@ -576,6 +618,17 @@ def test_config_file_with_a_bom_is_the_plain_file(tmp_path):
     args = [cli.build_parser().parse_args(["curve", "--config", str(path)])
             for path in (plain, bom)]
     assert cli.resolve_config(args[1]) == cli.resolve_config(args[0])
+
+
+def test_cli_config_key_set_twice_is_usage_error(tmp_path, capsys):
+    # the last value won: n=100 then n=200 ran n = 200 and exited 0
+    cfg_file = tmp_path / "twice.cfg"
+    cfg_file.write_text("seed=5\nn=100\ngrid=0:90:45\nn=200\n")
+    out = tmp_path / "c.csv"
+    assert cli.main(["curve", "--config", str(cfg_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "config key 'n' is set more than once" in err
+    assert not out.exists()
 
 
 def test_cli_undecodable_config_file_is_usage_error(tmp_path, run_cli):

@@ -12,18 +12,21 @@ from hypothesis import strategies as st
 
 from s3sim.algebra import (IDENTITY, X_AXIS, Y_AXIS, Z_AXIS, Bivector, _require_choice,
                            _require_in, _require_int, _safe_arccos, composite_axis,
-                           geodesic_sweep, quat_from_axis_angle, quat_from_half_angle,
+                           geodesic_sweep, planar, quat_from_axis_angle, quat_from_half_angle,
                            spinorial_sign)
 from s3sim.bounds import canonical_quad, chsh_from_estimates
 from s3sim.curves import parse_grid
 from s3sim.experiments import ExperimentConfig, chsh_monte_carlo
 from s3sim.oracle import acceptance, expected_table
-from s3sim.pearle import (PearleMapping, correlation_curve, curve_point, pearle_f,
+from s3sim.pearle import (PearleMapping, admissible, correlation_curve, curve_point,
+                          detection_fraction, detection_fraction_branches, pearle_f,
                           pearle_f_complement, probabilities_from_outcomes, run_pair)
-from s3sim.singlet import HiddenVariable, measure_alice, measure_bob, simulate_outcomes
+from s3sim.singlet import (HiddenVariable, measure_alice, measure_bob, sign_product_diagnostic,
+                           simulate_outcomes, simulate_runs)
 
 nan, inf = float("nan"), float("inf")
 HV = HiddenVariable(lam=1, s1=Y_AXIS, s2=Y_AXIS)
+TABLE = probabilities_from_outcomes(np.pi / 2, [1, -1, 1, 0], [-1, 1, 1, -1])
 
 # (call, the parameter its error must name)
 PROBES = {
@@ -81,6 +84,22 @@ PROBES = {
     "parse_grid([[0, 90], [1]])": (lambda: parse_grid([[0, 90], [1]]), "grid"),
     "curve_point(200)": (lambda: curve_point("flat", 200.0, 2000, 1, 0), "deg"),
     "curve_point(-30)": (lambda: curve_point("flat", -30.0, 2000, 1, 0), "deg"),
+    # eta outside [0, pi] gave a plausible fraction (0.456 at 7, 0.519 at -1)
+    # and nan gave (nan, nan); f outside [0, 1] or nan admitted no state
+    "detection_fraction(7.0)": (lambda: detection_fraction(7.0, TABLE), "eta"),
+    "detection_fraction(-1.0)": (lambda: detection_fraction(-1.0, TABLE), "eta"),
+    "detection_fraction_branches(nan)": (lambda: detection_fraction_branches(nan, TABLE),
+                                         "eta"),
+    "admissible(f=2.0)": (lambda: admissible(Z_AXIS, 2.0, X_AXIS), "f"),
+    "admissible(f=nan)": (lambda: admissible(Z_AXIS, nan, X_AXIS), "f"),
+    # a nan angle gave the vector [nan, nan, 0]
+    "planar(nan)": (lambda: planar(nan), "deg"),
+    "planar(inf)": (lambda: planar(inf), "deg"),
+    # an unknown rule drew n coins and n sphere points, then raised a
+    # message that named no parameter
+    **{f"{fn.__name__}(winding_rule='bad')":
+       (lambda fn=fn: fn(X_AXIS, Y_AXIS, 10, 1, winding_rule="bad"), "winding_rule")
+       for fn in (simulate_outcomes, simulate_runs, sign_product_diagnostic)},
 }
 
 
