@@ -78,8 +78,10 @@ class ExperimentConfig:
             _require_int(self.workers, "workers", 1)
             _require_choice(self.format, "format", FORMATS)
             parse_grid(self.grid)
-            if not isinstance(self.out, (str, os.PathLike, type(None))):
-                raise ValueError(f"out must be None, a str or an os.PathLike, got {self.out!r}")
+            if self.out is not None and (not isinstance(self.out, (str, os.PathLike))
+                                         or os.fspath(self.out) == ""):
+                raise ValueError(f"out must be None or a non-empty str or os.PathLike, "
+                                 f"got {self.out!r}")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return self
@@ -296,11 +298,10 @@ def write_artifact(experiment: str, payload, path: Path, fmt: str) -> None:
         columns, rows = pearle.TABLE_COLUMNS, payload["tables"]
     elif experiment == "flat-vs-s3":
         meta = dict(meta)
-        for model in COMPARED_MODELS:
+        for model, line in zip(COMPARED_MODELS, payload["summary"]):
             meta[f"{model}_abs_s"] = fmt9(abs(payload["chsh"][model]["s"]))
             meta[f"{model}_regime"] = payload["chsh"][model]["regime"]
-        for line in payload["summary"]:
-            meta.setdefault("summary_" + line.split(":")[0], line)
+            meta[f"summary_{model}"] = line
         columns = ("model", *CSV_COLUMNS)
         rows = [{"model": model, **point}
                 for model in COMPARED_MODELS for point in payload["curves"][model]["points"]]
@@ -339,6 +340,6 @@ def run(config: ExperimentConfig) -> Path:
         "flat-vs-s3": compare_models,
     }
     payload = runners[config.experiment](config)
-    out = Path(config.out) if config.out else Path(config.default_out())
+    out = Path(config.default_out() if config.out is None else config.out)
     write_artifact(config.experiment, payload, out, config.format)
     return out

@@ -4,11 +4,11 @@ A run's candidates are drawn in chunks of CHUNK. Chunk c reads its own
 Philox block (Salmon et al., SC'11): the run generator's key with its
 counter advanced by c * 2**64, so a chunk's draws depend only on the
 stream and c. Each candidate is (z = e.a, phi, u) and a fair coin. One run
-serves every setting b of a half-plane through a: _wing_a decides a
-chunk's a-wing once, and _wing_b each setting's b-wing, every sign and cut
-equal to its float64 evaluation on the drawn values, as four bool masks
-per setting. _outcomes and _mask_counts are the two readers of those
-masks: int8 outcomes and the 3x3 count table. Version 3 keeps version 2's
+serves every setting b of a half-plane through a: _wing decides a chunk's
+a-wing once and each setting's b-wing, every sign and cut equal to its
+float64 evaluation on the drawn values, as four bool masks per setting.
+_outcomes and _mask_counts are the two readers of those masks: int8
+outcomes and the 3x3 count table. Version 3 keeps version 2's
 stream of a single pair byte for byte; a grid of settings now reads one
 stream for all of its points.
 """
@@ -35,10 +35,9 @@ _STEPS = CHUNK // 8
 # is m * 2**-24, so z = m * 2**-23 - 1, phi = m * float32(pi * 2**-24), u = m * 2**-24
 _SCALES = (np.float32(2.0**-23), np.float32(np.pi * 2.0**-24), np.float32(2.0**-24))
 
-# half-width of the band around a sign or cut decision in which e.b and f
-# are redone in float64 (see _wing_a and _wing_b): 10 times the measured
-# float32 error, at most 1.7e-7 in e.b plus 2.4e-7 in f (all 2**24 values
-# of u)
+# half-width of the band around a sign or cut decision in which e.n and f
+# are redone in float64 (see _wing): 10 times the measured float32 error,
+# at most 1.7e-7 in e.n plus 2.4e-7 in f (all 2**24 values of u)
 _SCREEN = 4e-6
 
 # s3 draws at most _MAX_BATCHES * max(1024, n) candidates for n admitted pairs
@@ -90,19 +89,15 @@ def _fill_draws(rng, key, start: int, z, phi, u=None):
     uniform like eta_z_so/(kappa*pi).
     """
     k = z.size
-    at = None  # the counter the generator has reached, when known
     for i, (x, scale) in enumerate(zip((z, phi, u), _SCALES)):
         if x is not None:
-            if at != start + i * _STEPS:
-                _seek(rng, key, start + i * _STEPS)
+            _seek(rng, key, start + i * _STEPS)
             words = rng.bit_generator.random_raw(-(-k // 2))
             m = words.astype("<u8", copy=False).view("<u4")[:k]
             m >>= 8
             x[...] = m.view("<i4")  # m < 2**24: exact in float32, so x * scale rounds once
             x *= scale
-            at = start + (i + 1) * _STEPS if k == CHUNK else None
-    if at != start + 3 * _STEPS:
-        _seek(rng, key, start + 3 * _STEPS)
+    _seek(rng, key, start + 3 * _STEPS)
     words = rng.bit_generator.random_raw(-(-k // 64)).astype("<u8", copy=False)
     z -= 1.0
     return np.unpackbits(words.view(np.uint8), count=k, bitorder="little").view(bool)
@@ -148,98 +143,85 @@ def _project_b(z, cos_phi, cos_ab: float, sin_ab: float, tmp, tmp2):
     e.b = z*cos(eta_ab) + sqrt(1 - z^2)*sin(eta_ab)*cos(phi); the azimuth
     enters only through cos(phi), so phi ~ U(0, pi) suffices. It is _root
     then _project, the two steps _chunks runs once per chunk and once per
-    setting; _wing_b's float64 redo and the tests call it. tmp and tmp2 are
+    setting; _wing's float64 redo and the tests call it. tmp and tmp2 are
     scratch of z's size and dtype.
     """
     return _project(z, cos_phi, _root(z, tmp, tmp2), cos_ab, sin_ab, cos_phi, tmp2)
 
 
-def _wing_a(z, phi, u, heads, cos_phi, root, f, tmp):
-    """The setting-free part of a chunk's decisions: cos(phi), _root(z) and,
-    with u, f into the float32 arrays cos_phi, root and f, and the bool
-    masks (plus_a, det_a): A = lam*sign(e.a) is +1 (e.a = z, sign(0) :=
-    +1, lam = +1 for heads), and |e.a| >= f (everywhere without u).
-
-    A cut within _SCREEN of flipping is redone in float64, so every cut
-    equals its float64 evaluation on the drawn values; tmp is scratch.
-    """
+def _setting_free(z, phi, u, cos_phi, root, f, tmp):
+    """A chunk's work that no setting changes: cos(phi), _root(z) and, with
+    u, f into the float32 arrays cos_phi, root and f; tmp is scratch."""
     np.cos(phi, out=cos_phi)
     _root(z, root, tmp)
-    plus_a = np.equal(heads, z >= 0.0)
-    if u is None:  # flat's f = 0
-        return plus_a, np.ones(z.size, dtype=bool)
-    _threshold(u, f)
-    margin = np.abs(z, out=tmp)
-    margin -= f
-    det_a = margin >= 0.0
-    redo = np.flatnonzero(np.abs(margin, out=margin) < _SCREEN)
-    if redo.size:
-        f64 = _threshold(u[redo].astype(np.float64), np.empty(redo.size))
-        det_a[redo] = np.abs(z[redo].astype(np.float64)) >= f64
-    return plus_a, det_a
+    if u is not None:  # flat's f = 0
+        _threshold(u, f)
 
 
-def _wing_b(z, phi, u, heads, cos_phi, root, f, cos_ab: float, sin_ab: float, eb, tmp):
-    """The bool masks (plus_b, det_b) of a chunk's candidates at setting b,
-    from _wing_a's cos_phi, root and f: B = -lam*sign(e.b) is +1, and
-    |e.b| >= f (everywhere without u).
+def _wing(z, phi, u, heads, f, e, cos_t: float, sin_t: float, plus_if, out):
+    """The bool masks (plus, det) of a chunk's candidates at one wing's
+    setting n, from e = e.n in float32, n at angle t from a: the outcome
+    is +1 where plus_if(heads, e >= 0), and |e| >= f (everywhere without
+    u). Wing a is n = a, t = 0 and e = z with np.equal: A = lam*sign(e.a),
+    sign(0) := +1, lam = +1 for heads. Wing b is np.not_equal: B =
+    -lam*sign(e.b).
 
-    e.b is computed in float32 into eb, with tmp as scratch. Where the sign
-    of e.b or the cut is within _SCREEN of flipping, e.b and f are redone
-    in float64, so every sign and cut equals its float64 evaluation on the
-    drawn values.
+    Where the sign of e or the cut is within _SCREEN of flipping, e and f
+    are redone in float64 (e through _project_b at (cos_t, sin_t)), so
+    every sign and cut equals its float64 evaluation on the drawn values.
+    out is float32 scratch of z's size; it may be e.
     """
-    _project(z, cos_phi, root, cos_ab, sin_ab, eb, tmp)
-    plus_b = np.not_equal(heads, eb >= 0.0)
-    margin = np.abs(eb, out=eb)
+    plus = plus_if(heads, e >= 0.0)
+    margin = np.abs(e, out=out)
     near = margin < _SCREEN
     if u is None:
-        det_b = np.ones(z.size, dtype=bool)
+        det = np.ones(z.size, dtype=bool)
     else:
         margin -= f
-        det_b = margin >= 0.0
+        det = margin >= 0.0
         near |= np.abs(margin, out=margin) < _SCREEN
     redo = np.flatnonzero(near)
     if redo.size:
-        z64 = z[redo].astype(np.float64)
-        eb64 = _project_b(z64, np.cos(phi[redo], dtype=np.float64), cos_ab, sin_ab,
-                          np.empty(redo.size), np.empty(redo.size))
-        plus_b[redo] = heads[redo] != (eb64 >= 0.0)
+        e64 = _project_b(z[redo].astype(np.float64), np.cos(phi[redo], dtype=np.float64),
+                         cos_t, sin_t, np.empty(redo.size), np.empty(redo.size))
+        plus[redo] = plus_if(heads[redo], e64 >= 0.0)
         if u is not None:
-            det_b[redo] = np.abs(eb64) >= _threshold(u[redo].astype(np.float64),
-                                                      np.empty(redo.size))
-    return plus_b, det_b
+            det[redo] = np.abs(e64) >= _threshold(u[redo].astype(np.float64),
+                                                  np.empty(redo.size))
+    return plus, det
 
 
 def _masks(z, phi, u, heads, cos_ab: float, sin_ab: float, scratch):
     """Bool masks (plus_a, plus_b, det_a, det_b) of a chunk's candidates at
-    one setting pair: _wing_a, then _wing_b. _chunks runs the two parts
-    itself, _wing_a once per chunk; this one-pair composition is what the
-    tests check against float64. scratch holds four float32 arrays of at
-    least z.size; _wing_b's second scratch array is allocated."""
-    cos_phi, root, f, eb = (x[:z.size] for x in scratch)
-    plus_a, det_a = _wing_a(z, phi, u, heads, cos_phi, root, f, eb)
-    plus_b, det_b = _wing_b(z, phi, u, heads, cos_phi, root, f, cos_ab, sin_ab, eb,
-                            np.empty_like(eb))
+    one setting pair: _setting_free, then _wing at a and at b, as _chunks
+    runs them; this one-pair composition is what the tests check against
+    float64. scratch holds four float32 arrays of at least z.size; e.b
+    overwrites cos_phi."""
+    cos_phi, root, f, tmp = (x[:z.size] for x in scratch)
+    _setting_free(z, phi, u, cos_phi, root, f, tmp)
+    plus_a, det_a = _wing(z, phi, u, heads, f, z, 1.0, 0.0, np.equal, tmp)
+    eb = _project(z, cos_phi, root, cos_ab, sin_ab, cos_phi, tmp)
+    plus_b, det_b = _wing(z, phi, u, heads, f, eb, cos_ab, sin_ab, np.not_equal, eb)
     return plus_a, plus_b, det_a, det_b
 
 
 def _chunks(a, bs, n: int, rng, mode: str):
-    """Yield (j, masks, k, draws) chunk by chunk for the setting pairs
-    (a, b), b = bs[j], of one run: for each setting still short of n, the
-    _masks of the k candidates the chunk drew at that setting, and the
-    chunk's buffers draws = (z, phi, u), all valid until the next yield.
+    """Yield (j, masks, draws) chunk by chunk for the setting pairs (a, b),
+    b = bs[j], of one run: for each setting still short of n, the _masks
+    of the candidates the chunk drew at that setting, and the chunk's
+    buffers draws = (z, phi, u), all valid until the next yield.
 
     The settings lie in one half-plane through a (planar(deg) for deg in
     [0, 180] against planar(0) do), so every candidate is one direction
     e, with e.b from the same z and phi at every b. Chunk c reads its own
     Philox block: rng's key with its counter advanced by c * 2**64 (see
-    _fill_draws). Its fill and _wing_a run once; each unfinished setting
-    adds its own _wing_b and cut. Every mode runs the same candidates.
-    flat and pearle-reject stop at the n-th candidate; in s3 each setting
-    stops at its own n-th detected at both wings, its last chunk's masks
-    cut just after it, and the run draws at most _MAX_BATCHES * max(1024, n)
-    candidates. rng is left at the first chunk that no setting used.
+    _fill_draws). Its fill, _setting_free and wing a run once; each
+    unfinished setting adds its own wing b and cut. Every mode runs the
+    same candidates. flat and pearle-reject stop at the n-th candidate; in
+    s3 each setting stops at its own n-th detected at both wings, its last
+    chunk's masks cut just after it, and the run draws at most
+    _MAX_BATCHES * max(1024, n) candidates. rng is left at the first chunk
+    that no setting used.
     """
     settings = []
     for b in bs:
@@ -257,24 +239,25 @@ def _chunks(a, bs, n: int, rng, mode: str):
                                f"within {_MAX_BATCHES} batches")
         z_k, phi_k, u_k = z[:k], phi[:k], None if mode == "flat" else u[:k]
         heads = _fill_draws(rng, key, base + (chunk << 64), z_k, phi_k, u_k)
-        shared = cos_phi[:k], root[:k], f[:k]
-        plus_a, det_a = _wing_a(z_k, phi_k, u_k, heads, *shared, eb[:k])
+        cos_k, root_k, f_k, eb_k, tmp_k = (x[:k] for x in (cos_phi, root, f, eb, tmp))
+        _setting_free(z_k, phi_k, u_k, cos_k, root_k, f_k, tmp_k)
+        plus_a, det_a = _wing(z_k, phi_k, u_k, heads, f_k, z_k, 1.0, 0.0, np.equal, tmp_k)
         chunk += 1
         drawn += k
         for j, (cos_ab, sin_ab) in enumerate(settings):
             if got[j] >= n:
                 continue
-            plus_b, det_b = _wing_b(z_k, phi_k, u_k, heads, *shared, cos_ab, sin_ab,
-                                    eb[:k], tmp[:k])
-            masks, used = (plus_a, plus_b, det_a, det_b), k
+            e = _project(z_k, cos_k, root_k, cos_ab, sin_ab, eb_k, tmp_k)
+            plus_b, det_b = _wing(z_k, phi_k, u_k, heads, f_k, e, cos_ab, sin_ab, np.not_equal, e)
+            masks = (plus_a, plus_b, det_a, det_b)
             if mode == "s3":  # count the coincidences; cut just after the n-th
                 both = det_a & det_b
                 hits = np.count_nonzero(both)
                 if got[j] + hits >= n:
-                    used = int(np.flatnonzero(both)[n - got[j] - 1]) + 1
+                    used = np.flatnonzero(both)[n - got[j] - 1] + 1
                     masks = tuple(x[:used] for x in masks)
             got[j] += hits if mode == "s3" else k
-            yield j, masks, used, (z, phi, u)
+            yield j, masks, (z, phi, u)
     _seek(rng, key, base + (chunk << 64))
 
 

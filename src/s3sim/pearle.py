@@ -208,11 +208,11 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3") -> EnsembleRun:
     a, bs, rng = _pair_setup(a, (b,), n, rng_or_seed, mode)
     A, B = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     got = n_candidates = 0
-    for _, masks, k, _ in _chunks(a, bs, n, rng, mode):
+    for _, masks, _ in _chunks(a, bs, n, rng, mode):
         _, chunk_A, chunk_B = _outcomes(*masks, mode)
         A[got:got + chunk_A.size], B[got:got + chunk_A.size] = chunk_A, chunk_B
         got += chunk_A.size
-        n_candidates += k
+        n_candidates += masks[0].size
     return EnsembleRun(A=A, B=B, n_candidates=n_candidates)
 
 
@@ -238,7 +238,7 @@ def _candidate_tables(a, bs, n: int, rng_or_seed, mode: str) -> list:
     lie in one half-plane through a, from one pass over the chunks."""
     a, bs, rng = _pair_setup(a, bs, n, rng_or_seed, mode)
     tables = [np.zeros((3, 3), dtype=np.int64) for _ in bs]
-    for j, masks, _, _ in _chunks(a, bs, n, rng, mode):
+    for j, masks, _ in _chunks(a, bs, n, rng, mode):
         tables[j] += _mask_counts(*masks)
     return tables
 
@@ -276,7 +276,7 @@ def _admitted_states(a, b, n: int, seed: int, kappa: int):
     kappa = _require_int(kappa, "kappa", 1)
     a, (b,), rng = _pair_setup(a, (b,), n, seed, "s3")
     chunks = []
-    for _, masks, _, (z, phi, u) in _chunks(a, (b,), n, rng, "s3"):
+    for _, masks, (z, phi, u) in _chunks(a, (b,), n, rng, "s3"):
         rows, A, B = _outcomes(*masks, "s3")
         chunks.append((z[rows], phi[rows], u[rows], A, B))
     z, phi, u, A, B = (np.concatenate(c) for c in zip(*chunks))

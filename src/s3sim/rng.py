@@ -19,7 +19,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     task's stream; deeper paths nest the same way.
     """
     ss = np.random.SeedSequence(entropy=_require_int(seed, "seed", 0),
-                                spawn_key=tuple(int(p) for p in path))
+                                spawn_key=tuple(_require_int(p, "index", 0) for p in path))
     return np.random.Generator(np.random.Philox(ss))
 
 

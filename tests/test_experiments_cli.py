@@ -154,6 +154,16 @@ def test_a_bad_out_is_a_config_error_before_any_draw(tmp_path, monkeypatch):
     assert run(cfg(model="flat", n_per_point=100, grid="0:90:90", out=out)) == out
 
 
+def test_cli_empty_out_is_usage_error(tmp_path, monkeypatch, capsys):
+    # an empty out wrote the default <experiment>.<format> and exited 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.cfg").write_text("seed=1\nout=\n")
+    for argv in (["geodesic", "--seed", "1", "--out", ""], ["geodesic", "--config", "empty.cfg"]):
+        assert cli.main(argv) == 2
+        assert "usage error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.cfg"]
+
+
 def test_config_keys_map_each_field_once():
     # CONFIG_KEYS is the one map between config keys, flags and fields
     keyed = [field for field, *_ in CONFIG_KEYS.values()]

@@ -95,6 +95,13 @@ PROBES = {
     # a nan angle gave the vector [nan, nan, 0]
     "planar(nan)": (lambda: planar(nan), "deg"),
     "planar(inf)": (lambda: planar(inf), "deg"),
+    # an empty out wrote the default <experiment>.<format>
+    "ExperimentConfig(out='')":
+        (lambda: ExperimentConfig("geodesic", seed=1, out="").validated(), "out"),
+    # int(1.5) and int(True) ran the index-1 point; -1 and nan raised
+    # numpy's messages, which named no parameter
+    **{f"curve_point(index={i!r})": (lambda i=i: curve_point("s3", 45.0, 1000, 1, i), "index")
+       for i in (1.5, True, -1, nan)},
     # an unknown rule drew n coins and n sphere points, then raised a
     # message that named no parameter
     **{f"{fn.__name__}(winding_rule='bad')":

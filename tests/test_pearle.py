@@ -15,7 +15,7 @@ from s3sim.algebra import X_AXIS, Y_AXIS, Z_AXIS
 from s3sim.bounds import canonical_quad
 from s3sim.experiments import _pair_counts
 from s3sim.kernel import (CHUNK, MODES, _SCREEN, _fill_draws, _mask_counts, _masks, _outcomes,
-                          _project_b, _threshold)
+                          _project, _project_b, _setting_free, _threshold, _wing)
 from s3sim.kernel import _position as position
 from s3sim.pearle import (InitialState, NumericError, PearleMapping, admissible,
                           candidate_counts, correlation_curve, correlation_from_probabilities,
@@ -656,7 +656,7 @@ def test_screen_redoes_decisions_at_the_boundaries(monkeypatch, deg):
 BOUNDARY_DEGREES = [1.0, 45.0, 90.0, 135.0]
 
 # prints the dispatch targets numpy enabled, then how many outcomes that
-# _masks (_wing_a, then _wing_b) decides on the saved boundary draws differ
+# _masks (_wing at a, then at b) decides on the saved boundary draws differ
 # from float64: with the kernel's band, and with none (_SCREEN = -1)
 _MASK_CHILD = """
 import json, sys
@@ -711,6 +711,26 @@ def test_boundary_decisions_equal_float64_at_every_dispatch_level(cli_env, tmp_p
     banded, unbanded = json.loads(lines[1])
     assert banded == 0, targets
     assert unbanded > 0, targets
+
+
+def test_the_pole_is_an_ordinary_setting():
+    # projected to the pole, (cos, sin) = (1, 0), e.n is z bit for bit, so
+    # _wing decides wing a as it decides any setting: the same masks as on
+    # z itself, and with np.not_equal the opposite sign and the same cut
+    rng = substream(4242, 0)
+    key, base = position(rng)
+    z, phi, u, cos_phi, root, f, e, tmp = (np.empty(CHUNK, dtype=np.float32) for _ in range(8))
+    for c in range(50):
+        heads = _fill_draws(rng, key, base + (c << 64), z, phi, u)
+        _setting_free(z, phi, u, cos_phi, root, f, tmp)
+        _project(z, cos_phi, root, 1.0, 0.0, e, tmp)
+        assert np.array_equal(e.view(np.uint32), z.view(np.uint32))
+        for wing_u in (u, None):
+            plus, det = _wing(z, phi, wing_u, heads, f, z, 1.0, 0.0, np.equal, tmp)
+            at_pole = _wing(z, phi, wing_u, heads, f, e, 1.0, 0.0, np.equal, tmp)
+            assert np.array_equal(at_pole[0], plus) and np.array_equal(at_pole[1], det)
+            minus, det_b = _wing(z, phi, wing_u, heads, f, e, 1.0, 0.0, np.not_equal, tmp)
+            assert np.array_equal(minus, ~plus) and np.array_equal(det_b, det)
 
 
 def _mask_table(z, phi, u, heads, eta):
