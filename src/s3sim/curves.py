@@ -66,14 +66,14 @@ def csv_text(meta: dict, columns, rows) -> str:
 
 def write_rows_csv(meta: dict, columns, rows, path) -> None:
     """Write csv_text(meta, columns, rows) to path."""
-    Path(path).write_text(csv_text(meta, columns, rows))
+    Path(path).write_text(csv_text(meta, columns, rows), encoding="utf-8")
 
 
 def _parse_csv(path) -> tuple[dict, list[str], list[dict]]:
     meta: dict = {}
     rows: list[dict] = []
     columns: list[str] | None = None
-    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -99,7 +99,7 @@ def read_rows_csv(path) -> tuple[dict, list[dict]]:
 
 
 def write_json(payload: dict, path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def curve_to_dict(curve: CorrelationCurve) -> dict:
@@ -133,7 +133,7 @@ def write_curve_json(curve: CorrelationCurve, path) -> None:
 
 
 def read_curve_json(path) -> CorrelationCurve:
-    data = json.loads(Path(path).read_text())
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
     return CorrelationCurve(points=tuple(map(_point, data["points"])), meta=data["meta"])
 
 

@@ -5,10 +5,11 @@ Philox block (Salmon et al., SC'11): the run generator's key with its
 counter advanced by c * 2**64, so a chunk's draws depend only on the
 stream and c. Each candidate is (z = e.a, phi, u) and a fair coin. One run
 serves every setting b of a half-plane through a: _wing decides a chunk's
-a-wing once and each setting's b-wing, every sign and cut equal to its
-float64 evaluation on the drawn values, as four bool masks per setting.
-_outcomes and _mask_counts are the two readers of those masks: int8
-outcomes and the 3x3 count table. Version 3 keeps version 2's
+a-wing once and each setting's b-wing, every cut, and every sign where
+its wing detects, equal to its float64 evaluation on the drawn values, as
+four bool masks per setting. _chunks counts them as it goes: wing a once
+per chunk, six counts per setting, summed into the one 3x3 _table.
+_outcomes reads the masks as int8 outcomes. Version 3 keeps version 2's
 stream of a single pair byte for byte; a grid of settings now reads one
 stream for all of its points.
 """
@@ -35,9 +36,10 @@ _STEPS = CHUNK // 8
 # is m * 2**-24, so z = m * 2**-23 - 1, phi = m * float32(pi * 2**-24), u = m * 2**-24
 _SCALES = (np.float32(2.0**-23), np.float32(np.pi * 2.0**-24), np.float32(2.0**-24))
 
-# half-width of the band around a sign or cut decision in which e.n and f
-# are redone in float64 (see _wing): 10 times the measured float32 error,
-# at most 1.7e-7 in e.n plus 2.4e-7 in f (all 2**24 values of u)
+# half-width of the band around a cut (or, without one, a sign) in which
+# e.n and f are redone in float64 (see _wing): 10 times the measured float32
+# error, at most 1.5e-7 in e.n (60 chunks at 4 angles) plus 2.4e-7 in f (all
+# 2**24 values of u)
 _SCREEN = 4e-6
 
 # s3 draws at most _MAX_BATCHES * max(1024, n) candidates for n admitted pairs
@@ -124,13 +126,12 @@ def _root(z, out, tmp):
     return np.sqrt(out, out=out)
 
 
-def _project(z, cos_phi, root, cos_ab: float, sin_ab: float, out, tmp):
-    """e.b for directions with e.a = z and azimuth phi, into out, from
-    root = _root(z): cos(phi)*sin(eta_ab), then times root, then plus
-    z*cos(eta_ab), in the precision of z. out may be cos_phi; tmp is
-    scratch of z's size and dtype."""
-    np.multiply(cos_phi, sin_ab, out=out)
-    out *= root
+def _project(z, w, cos_ab: float, sin_ab: float, out, tmp):
+    """e.b for directions with e.a = z and w = cos(phi)*sqrt(1 - z^2), into
+    out: w*sin(eta_ab) plus z*cos(eta_ab), in the precision of z. At the
+    pole, (cos, sin) = (1, 0), it is z bit for bit. tmp is scratch of z's
+    size and dtype."""
+    np.multiply(w, sin_ab, out=out)
     np.multiply(z, cos_ab, out=tmp)
     out += tmp
     return out
@@ -141,19 +142,27 @@ def _project_b(z, cos_phi, cos_ab: float, sin_ab: float, tmp, tmp2):
 
     With a at the pole, e.a = z ~ U(-1, 1) (Archimedes' theorem) and
     e.b = z*cos(eta_ab) + sqrt(1 - z^2)*sin(eta_ab)*cos(phi); the azimuth
-    enters only through cos(phi), so phi ~ U(0, pi) suffices. It is _root
-    then _project, the two steps _chunks runs once per chunk and once per
-    setting; _wing's float64 redo and the tests call it. tmp and tmp2 are
-    scratch of z's size and dtype.
+    enters only through cos(phi), so phi ~ U(0, pi) suffices. It is
+    cos(phi)*sin(eta_ab), then times _root(z), then plus z*cos(eta_ab):
+    _wing's float64 redo and the tests call it. The float32 kernel forms w
+    = cos(phi)*_root(z) once per chunk instead (_setting_free, _project),
+    so its e.b may differ from this order's in the last bit. tmp and tmp2
+    are scratch of z's size and dtype.
     """
-    return _project(z, cos_phi, _root(z, tmp, tmp2), cos_ab, sin_ab, cos_phi, tmp2)
+    root = _root(z, tmp, tmp2)
+    cos_phi *= sin_ab
+    cos_phi *= root
+    np.multiply(z, cos_ab, out=tmp2)
+    cos_phi += tmp2
+    return cos_phi
 
 
-def _setting_free(z, phi, u, cos_phi, root, f, tmp):
-    """A chunk's work that no setting changes: cos(phi), _root(z) and, with
-    u, f into the float32 arrays cos_phi, root and f; tmp is scratch."""
-    np.cos(phi, out=cos_phi)
-    _root(z, root, tmp)
+def _setting_free(z, phi, u, w, f, tmp):
+    """A chunk's work that no setting changes: w = cos(phi)*sqrt(1 - z^2)
+    and, with u, f into the float32 arrays w and f; tmp is scratch."""
+    _root(z, tmp, w)
+    np.cos(phi, out=w)
+    w *= tmp
     if u is not None:  # flat's f = 0
         _threshold(u, f)
 
@@ -161,27 +170,29 @@ def _setting_free(z, phi, u, cos_phi, root, f, tmp):
 def _wing(z, phi, u, heads, f, e, cos_t: float, sin_t: float, plus_if, out):
     """The bool masks (plus, det) of a chunk's candidates at one wing's
     setting n, from e = e.n in float32, n at angle t from a: the outcome
-    is +1 where plus_if(heads, e >= 0), and |e| >= f (everywhere without
-    u). Wing a is n = a, t = 0 and e = z with np.equal: A = lam*sign(e.a),
-    sign(0) := +1, lam = +1 for heads. Wing b is np.not_equal: B =
-    -lam*sign(e.b).
+    is +1 where det and plus_if(heads, e >= 0), and det where |e| >= f
+    (everywhere without u). Wing a is n = a, t = 0 and e = z with
+    np.equal: A = lam*sign(e.a), sign(0) := +1, lam = +1 for heads. Wing b
+    is np.not_equal: B = -lam*sign(e.b).
 
-    Where the sign of e or the cut is within _SCREEN of flipping, e and f
-    are redone in float64 (e through _project_b at (cos_t, sin_t)), so
-    every sign and cut equals its float64 evaluation on the drawn values.
-    out is float32 scratch of z's size; it may be e.
+    Where a decision is within _SCREEN of flipping, e and f are redone in
+    float64 (e through _project_b at (cos_t, sin_t)), so det, and plus
+    wherever det, equal their float64 evaluation on the drawn values. With
+    a cut that is the band ||e| - f| < _SCREEN alone: a wing that may
+    detect has |e| > f - _SCREEN, so its |e| < _SCREEN lies in that band
+    too. Without u the band is |e| < _SCREEN. out is float32 scratch of
+    z's size; it may be e.
     """
     plus = plus_if(heads, e >= 0.0)
     margin = np.abs(e, out=out)
-    near = margin < _SCREEN
     if u is None:
         det = np.ones(z.size, dtype=bool)
     else:
         margin -= f
         det = margin >= 0.0
-        near |= np.abs(margin, out=margin) < _SCREEN
-    redo = np.flatnonzero(near)
-    if redo.size:
+        np.abs(margin, out=margin)
+    if margin.min() < _SCREEN:  # the band is almost always empty
+        redo = np.flatnonzero(margin < _SCREEN)
         e64 = _project_b(z[redo].astype(np.float64), np.cos(phi[redo], dtype=np.float64),
                          cos_t, sin_t, np.empty(redo.size), np.empty(redo.size))
         plus[redo] = plus_if(heads[redo], e64 >= 0.0)
@@ -195,40 +206,40 @@ def _masks(z, phi, u, heads, cos_ab: float, sin_ab: float, scratch):
     """Bool masks (plus_a, plus_b, det_a, det_b) of a chunk's candidates at
     one setting pair: _setting_free, then _wing at a and at b, as _chunks
     runs them; this one-pair composition is what the tests check against
-    float64. scratch holds four float32 arrays of at least z.size; e.b
-    overwrites cos_phi."""
-    cos_phi, root, f, tmp = (x[:z.size] for x in scratch)
-    _setting_free(z, phi, u, cos_phi, root, f, tmp)
+    float64. scratch holds four float32 arrays of at least z.size."""
+    w, f, eb, tmp = (x[:z.size] for x in scratch)
+    _setting_free(z, phi, u, w, f, tmp)
     plus_a, det_a = _wing(z, phi, u, heads, f, z, 1.0, 0.0, np.equal, tmp)
-    eb = _project(z, cos_phi, root, cos_ab, sin_ab, cos_phi, tmp)
-    plus_b, det_b = _wing(z, phi, u, heads, f, eb, cos_ab, sin_ab, np.not_equal, eb)
+    e = _project(z, w, cos_ab, sin_ab, eb, tmp)
+    plus_b, det_b = _wing(z, phi, u, heads, f, e, cos_ab, sin_ab, np.not_equal, e)
     return plus_a, plus_b, det_a, det_b
 
 
 def _chunks(a, bs, n: int, rng, mode: str):
-    """Yield (j, masks, draws) chunk by chunk for the setting pairs (a, b),
-    b = bs[j], of one run: for each setting still short of n, the _masks
-    of the candidates the chunk drew at that setting, and the chunk's
-    buffers draws = (z, phi, u), all valid until the next yield.
+    """Yield (j, masks, sums, draws) chunk by chunk for the setting pairs
+    (a, b), b = bs[j], of one run: for each setting still short of n, the
+    _masks of the candidates the chunk drew at that setting, their _sums,
+    and the chunk's buffers draws = (z, phi, u), all valid until the next
+    yield.
 
     The settings lie in one half-plane through a (planar(deg) for deg in
     [0, 180] against planar(0) do), so every candidate is one direction
-    e, with e.b from the same z and phi at every b. Chunk c reads its own
+    e, with e.b from the same z and w at every b. Chunk c reads its own
     Philox block: rng's key with its counter advanced by c * 2**64 (see
-    _fill_draws). Its fill, _setting_free and wing a run once; each
-    unfinished setting adds its own wing b and cut. Every mode runs the
-    same candidates. flat and pearle-reject stop at the n-th candidate; in
-    s3 each setting stops at its own n-th detected at both wings, its last
-    chunk's masks cut just after it, and the run draws at most
-    _MAX_BATCHES * max(1024, n) candidates. rng is left at the first chunk
-    that no setting used.
+    _fill_draws). Its fill, _setting_free, wing a and wing a's counts run
+    once; each unfinished setting adds its own e.b, wing b and six counts.
+    Every mode runs the same candidates. flat and pearle-reject stop at
+    the n-th candidate; in s3 each setting stops at its own n-th detected
+    at both wings, its last chunk's masks cut just after it and counted
+    again, and the run draws at most _MAX_BATCHES * max(1024, n)
+    candidates. rng is left at the first chunk that no setting used.
     """
     settings = []
     for b in bs:
         cos_ab = float(np.clip(a @ b, -1.0, 1.0))
         settings.append((cos_ab, float(np.sqrt(1.0 - cos_ab * cos_ab))))
     key, base = _position(rng)
-    z, phi, u, cos_phi, root, f, eb, tmp = (np.empty(CHUNK, dtype=np.float32) for _ in range(8))
+    z, phi, u, w, f, eb, tmp = (np.empty(CHUNK, dtype=np.float32) for _ in range(7))
     budget = _MAX_BATCHES * max(1024, n) if mode == "s3" else n
     got = [0] * len(settings)
     drawn = chunk = 0
@@ -239,25 +250,27 @@ def _chunks(a, bs, n: int, rng, mode: str):
                                f"within {_MAX_BATCHES} batches")
         z_k, phi_k, u_k = z[:k], phi[:k], None if mode == "flat" else u[:k]
         heads = _fill_draws(rng, key, base + (chunk << 64), z_k, phi_k, u_k)
-        cos_k, root_k, f_k, eb_k, tmp_k = (x[:k] for x in (cos_phi, root, f, eb, tmp))
-        _setting_free(z_k, phi_k, u_k, cos_k, root_k, f_k, tmp_k)
+        w_k, f_k, eb_k, tmp_k = (x[:k] for x in (w, f, eb, tmp))
+        _setting_free(z_k, phi_k, u_k, w_k, f_k, tmp_k)
         plus_a, det_a = _wing(z_k, phi_k, u_k, heads, f_k, z_k, 1.0, 0.0, np.equal, tmp_k)
+        pos_a = plus_a & det_a
+        sums_a = (k, np.count_nonzero(det_a), np.count_nonzero(pos_a))
         chunk += 1
         drawn += k
         for j, (cos_ab, sin_ab) in enumerate(settings):
             if got[j] >= n:
                 continue
-            e = _project(z_k, cos_k, root_k, cos_ab, sin_ab, eb_k, tmp_k)
+            e = _project(z_k, w_k, cos_ab, sin_ab, eb_k, tmp_k)
             plus_b, det_b = _wing(z_k, phi_k, u_k, heads, f_k, e, cos_ab, sin_ab, np.not_equal, e)
             masks = (plus_a, plus_b, det_a, det_b)
-            if mode == "s3":  # count the coincidences; cut just after the n-th
-                both = det_a & det_b
-                hits = np.count_nonzero(both)
-                if got[j] + hits >= n:
-                    used = np.flatnonzero(both)[n - got[j] - 1] + 1
-                    masks = tuple(x[:used] for x in masks)
-            got[j] += hits if mode == "s3" else k
-            yield j, masks, (z, phi, u)
+            both = det_a & det_b
+            sums = sums_a + _setting_sums(pos_a, det_a, plus_b, det_b, both)
+            if mode == "s3" and got[j] + sums[5] >= n:  # cut just after the n-th coincidence
+                used = np.flatnonzero(both)[n - got[j] - 1] + 1
+                masks = tuple(x[:used] for x in masks)
+                sums = _sums(*masks)
+            got[j] += sums[5] if mode == "s3" else k  # sums[5] counts the coincidences
+            yield j, masks, sums, (z, phi, u)
     _seek(rng, key, base + (chunk << 64))
 
 
@@ -271,15 +284,35 @@ def _outcomes(plus_a, plus_b, det_a, det_b, mode: str | None = None):
     return rows, A, B
 
 
-def _mask_counts(plus_a, plus_b, det_a, det_b) -> np.ndarray:
-    """3x3 int64 table: entry [i, j] counts the pairs with A = i - 1 and
-    B = j - 1, from bool masks of A = +1, B = +1 and detection at each wing,
-    by inclusion-exclusion over count_nonzero of the masks' ANDs."""
+def _setting_sums(pos_a, det_a, plus_b, det_b, both) -> tuple:
+    """The six counts of _sums that wing b changes, with pos_a = plus_a &
+    det_a and both = det_a & det_b: (n_b, pos_b, both, pp, pa, pb)."""
     count = np.count_nonzero
-    pos_a, pos_b = plus_a & det_a, plus_b & det_b  # A = +1, B = +1
-    k, n_a, n_b, both = plus_a.size, count(det_a), count(det_b), count(det_a & det_b)
-    pp, pa, pb = count(pos_a & pos_b), count(pos_a & det_b), count(det_a & pos_b)
-    p0, zp = count(pos_a) - pa, count(pos_b) - pb  # A = +1 with B undetected; mirrored
+    pos_b = plus_b & det_b  # B = +1
+    return (count(det_b), count(pos_b), count(both),
+            count(pos_a & pos_b), count(pos_a & det_b), count(det_a & pos_b))
+
+
+def _sums(plus_a, plus_b, det_a, det_b) -> tuple:
+    """The nine counts _table reads, of bool masks of A = +1, B = +1 and
+    detection at each wing: the candidates k, then n_a and pos_a (detected
+    at a, and with A = +1), then _setting_sums. Each is a count of pairs,
+    so a run's sums are the sums of its chunks'."""
+    pos_a = plus_a & det_a  # A = +1
+    return ((plus_a.size, np.count_nonzero(det_a), np.count_nonzero(pos_a))
+            + _setting_sums(pos_a, det_a, plus_b, det_b, det_a & det_b))
+
+
+def _table(k, n_a, pos_a, n_b, pos_b, both, pp, pa, pb) -> np.ndarray:
+    """3x3 int64 table of _sums: entry [i, j] counts the pairs with A = i - 1
+    and B = j - 1, by inclusion-exclusion."""
+    p0, zp = pos_a - pa, pos_b - pb  # A = +1 with B undetected; mirrored
     return np.array([[both - pa - pb + pp, n_a - both - p0, pb - pp],
                      [n_b - both - zp, k - n_a - n_b + both, zp],
                      [pa - pp, p0, pp]], dtype=np.int64)
+
+
+def _mask_counts(plus_a, plus_b, det_a, det_b) -> np.ndarray:
+    """The 3x3 _table of bool masks of A = +1, B = +1 and detection at each
+    wing."""
+    return _table(*_sums(plus_a, plus_b, det_a, det_b))

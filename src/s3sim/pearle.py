@@ -34,7 +34,7 @@ import numpy as np
 
 from .algebra import _angle, _require_choice, _require_in, _require_int, _require_unit, planar
 from .curves import CorrelationCurve, CurvePoint, format_grid, parse_grid
-from .kernel import (MODES, SAMPLER_VERSION, _chunks, _mask_counts, _outcomes, _pair_setup,
+from .kernel import (MODES, SAMPLER_VERSION, _chunks, _outcomes, _pair_setup, _table,
                      _threshold)
 from .rng import substream
 from .singlet import CorrelationEstimate, _count, _estimate
@@ -208,7 +208,7 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3") -> EnsembleRun:
     a, bs, rng = _pair_setup(a, (b,), n, rng_or_seed, mode)
     A, B = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     got = n_candidates = 0
-    for _, masks, _ in _chunks(a, bs, n, rng, mode):
+    for _, masks, _, _ in _chunks(a, bs, n, rng, mode):
         _, chunk_A, chunk_B = _outcomes(*masks, mode)
         A[got:got + chunk_A.size], B[got:got + chunk_A.size] = chunk_A, chunk_B
         got += chunk_A.size
@@ -218,9 +218,10 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3") -> EnsembleRun:
 
 def candidate_counts(a, b, n: int, rng_or_seed, mode: str = "s3") -> np.ndarray:
     """The count table, laid out as outcome_counts, of every candidate that
-    run_pair(a, b, n, rng_or_seed, mode) draws, summed from the kernel's
-    masks chunk by chunk. It sums to n_candidates, and in s3 mode equals
-    pearle-reject's table at n = n_candidates on the same stream."""
+    run_pair(a, b, n, rng_or_seed, mode) draws, built from the kernel's
+    counts of its masks, summed chunk by chunk. It sums to n_candidates,
+    and in s3 mode equals pearle-reject's table at n = n_candidates on
+    the same stream."""
     return _candidate_tables(a, (b,), n, rng_or_seed, mode)[0]
 
 
@@ -237,10 +238,10 @@ def _candidate_tables(a, bs, n: int, rng_or_seed, mode: str) -> list:
     """candidate_counts(a, b, n, rng_or_seed, mode) for each b of bs, which
     lie in one half-plane through a, from one pass over the chunks."""
     a, bs, rng = _pair_setup(a, bs, n, rng_or_seed, mode)
-    tables = [np.zeros((3, 3), dtype=np.int64) for _ in bs]
-    for j, masks, _ in _chunks(a, bs, n, rng, mode):
-        tables[j] += _mask_counts(*masks)
-    return tables
+    sums = np.zeros((len(bs), 9), dtype=np.int64)
+    for j, _, chunk_sums, _ in _chunks(a, bs, n, rng, mode):
+        sums[j] += chunk_sums
+    return [_table(*row) for row in sums]
 
 
 def _outcome_tables(a, bs, n: int, rng_or_seed, mode: str) -> list:
@@ -276,7 +277,7 @@ def _admitted_states(a, b, n: int, seed: int, kappa: int):
     kappa = _require_int(kappa, "kappa", 1)
     a, (b,), rng = _pair_setup(a, (b,), n, seed, "s3")
     chunks = []
-    for _, masks, (z, phi, u) in _chunks(a, (b,), n, rng, "s3"):
+    for _, masks, _, (z, phi, u) in _chunks(a, (b,), n, rng, "s3"):
         rows, A, B = _outcomes(*masks, "s3")
         chunks.append((z[rows], phi[rows], u[rows], A, B))
     z, phi, u, A, B = (np.concatenate(c) for c in zip(*chunks))

@@ -306,6 +306,24 @@ def test_artifact_bytes_are_pinned(tmp_path, experiment, model, fmt):
             data.replace(one, three)
 
 
+# sha256 of CSV artifacts at seed 6151, n 20000 and grid 0:180:1: 181
+# settings over two chunks each (s3 over three or more), where the table
+# above has five settings in one chunk
+FINE_PINNED = {
+    ("curve", "s3"): "5ed08128614f58eb44560644dedb9138875f7b98873bf268a63828882ae9a30b",
+    ("probabilities", "pearle-reject"):
+        "32f348691052f04fa4fd2bf5706d4210a584e5f5c70d6c22e02a4d32deca31c9",
+    ("probabilities", "flat"): "928daee2f5dfc88e4d3ca46fd59f5c5b2d00e5a197b8298032470f29de7faf88",
+}
+
+
+@pytest.mark.parametrize("experiment, model", sorted(FINE_PINNED))
+def test_fine_grid_bytes_are_pinned(tmp_path, experiment, model):
+    config = ExperimentConfig(experiment, seed=6151, model=model, n_per_point=20_000,
+                              grid="0:180:1", workers=1, format="csv", out=str(tmp_path / "a.csv"))
+    assert hashlib.sha256(run(config).read_bytes()).hexdigest() == FINE_PINNED[experiment, model]
+
+
 # ---------------------------------------------------------------------------
 # bytes across numpy's CPU dispatch levels
 

@@ -665,6 +665,25 @@ def test_cli_config_file_is_utf8_in_any_locale(tmp_path, cli_env):
     assert read_curve_csv(out).meta["seed"] == "5"
 
 
+def test_artifact_bytes_do_not_depend_on_the_locale(tmp_path, cli_env):
+    # parse_grid reads Arabic-Indic digits through float() and the grid is
+    # recorded verbatim; an ASCII locale failed to encode it and left an
+    # empty artifact behind
+    cfg_file = tmp_path / "g.cfg"
+    cfg_file.write_text("grid=0,٣٠\nn=100\n", encoding="utf-8")
+    outputs = []
+    for name, locale in (("utf8", {"PYTHONUTF8": "1"}),
+                         ("ascii", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"})):
+        out = tmp_path / f"{name}.csv"
+        res = subprocess.run([sys.executable, "-m", "s3sim", "curve", "--seed", "1", "--config",
+                              str(cfg_file), "--out", str(out)], capture_output=True, text=True,
+                             env={**cli_env, **locale}, timeout=120)
+        assert res.returncode == 0, res.stderr
+        outputs.append(out.read_bytes())
+    assert "# grid=0,٣٠\n".encode() in outputs[0]
+    assert outputs[1] == outputs[0]
+
+
 def test_cli_bounds_json(tmp_path, run_cli):
     out = tmp_path / "bounds.json"
     res = run_cli("bounds", "--seed", "1", "--format", "json", "--out", str(out))

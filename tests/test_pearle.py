@@ -15,7 +15,7 @@ from s3sim.algebra import X_AXIS, Y_AXIS, Z_AXIS
 from s3sim.bounds import canonical_quad
 from s3sim.experiments import _pair_counts
 from s3sim.kernel import (CHUNK, MODES, _SCREEN, _fill_draws, _mask_counts, _masks, _outcomes,
-                          _project, _project_b, _setting_free, _threshold, _wing)
+                          _project, _setting_free, _wing)
 from s3sim.kernel import _position as position
 from s3sim.pearle import (InitialState, NumericError, PearleMapping, admissible,
                           candidate_counts, correlation_curve, correlation_from_probabilities,
@@ -598,10 +598,11 @@ def test_screen_error_bound_holds(deg):
     # here, before any outcome drifts
     n, eta = 1_000_000, np.radians(deg)
     z, phi, u = _drawn(substream(76, int(deg)), n)
-    scratch = np.empty(n, dtype=np.float32), np.empty(n, dtype=np.float32)
-    eb = _project_b(z, np.cos(phi), float(np.cos(eta)), float(np.sin(eta)), *scratch)
+    w, f, eb, tmp = (np.empty(n, dtype=np.float32) for _ in range(4))
+    _setting_free(z, phi, u, w, f, tmp)
+    _project(z, w, float(np.cos(eta)), float(np.sin(eta)), eb, tmp)
     gap_eb = np.max(np.abs(eb - _eb64(z, phi, eta)))
-    gap_f = np.max(np.abs(_threshold(u, np.empty_like(u)) - _f64(u)))
+    gap_f = np.max(np.abs(f - _f64(u)))
     assert eb.dtype == np.float32
     assert 0.0 < gap_eb and 0.0 < gap_f and gap_eb + gap_f < _SCREEN / 4
 
@@ -719,11 +720,11 @@ def test_the_pole_is_an_ordinary_setting():
     # z itself, and with np.not_equal the opposite sign and the same cut
     rng = substream(4242, 0)
     key, base = position(rng)
-    z, phi, u, cos_phi, root, f, e, tmp = (np.empty(CHUNK, dtype=np.float32) for _ in range(8))
+    z, phi, u, w, f, e, tmp = (np.empty(CHUNK, dtype=np.float32) for _ in range(7))
     for c in range(50):
         heads = _fill_draws(rng, key, base + (c << 64), z, phi, u)
-        _setting_free(z, phi, u, cos_phi, root, f, tmp)
-        _project(z, cos_phi, root, 1.0, 0.0, e, tmp)
+        _setting_free(z, phi, u, w, f, tmp)
+        _project(z, w, 1.0, 0.0, e, tmp)
         assert np.array_equal(e.view(np.uint32), z.view(np.uint32))
         for wing_u in (u, None):
             plus, det = _wing(z, phi, wing_u, heads, f, z, 1.0, 0.0, np.equal, tmp)
@@ -764,6 +765,62 @@ def test_mask_table_counts_the_redone_decisions(deg):
     assert np.array_equal(_mask_table(z, phi, u, heads, eta), _cell_counts(*reject))
     # flat: the same signs with every wing detecting
     assert np.array_equal(_mask_table(z, phi, None, heads, eta), _cell_counts(*flat))
+
+
+def _sign_band_draws(rng, n, eta):
+    """(z, phi, u) on the grids of drawn values, with f < _SCREEN / 2 and
+    float64 e.a = z and e.b in (f, _SCREEN) or (-_SCREEN, -f): each wing
+    detects with its sign in the band |e| < _SCREEN. Half are built with
+    f < 1e-7 and |e.b| - f < 2e-7, where a float32 sign or cut can flip.
+    Returns (z, phi, u, heads) and the float64 (A, B) of n draws or more."""
+    m = 2**24 - rng.integers(1, 80, 3 * n)  # u = m * 2**-24 near 1, f < 1.8e-6
+    m[:3 * n // 2] = 2**24 - rng.integers(1, 4, 3 * n // 2)
+    u = (m * 2.0**-24).astype(np.float32)
+    f = _f64(u)
+    # z = i * 2**-23 of a draw, in [1.9e-6, 3.9e-6]
+    z = (rng.choice([-1, 1], 3 * n) * rng.integers(16, 34, 3 * n) * 2.0**-23).astype(np.float32)
+    gap = rng.uniform(0.05, 0.95, 3 * n) * np.where(m > 2**24 - 4, 2e-7, _SCREEN - f)
+    target = rng.choice([-1.0, 1.0], 3 * n) * (f + gap)
+    z64 = z.astype(np.float64)
+    cos_phi = (target - z64 * np.cos(eta)) / (np.sqrt(1.0 - z64 * z64) * np.sin(eta))
+    scale = np.float32(np.pi * 2.0**-24)  # phi = m * scale in float32
+    phi = np.round(np.arccos(cos_phi) / float(scale)).astype(np.float32) * scale
+    eb = _eb64(z, phi, eta)
+    keep = (f < np.abs(eb)) & (np.abs(eb) < _SCREEN) & (f < np.abs(z64))
+    assert np.count_nonzero(keep[:3 * n // 2]) >= n // 2 and np.count_nonzero(keep) >= n
+    z, phi, u, eb = z[keep], phi[keep], u[keep], eb[keep]
+    heads = rng.random(z.size) < 0.5
+    lam = np.where(heads, 1, -1)
+    return (z, phi, u, heads), (lam * np.where(z >= 0, 1, -1), -lam * np.where(eb >= 0, 1, -1))
+
+
+@pytest.mark.parametrize("deg", [1.0, 45.0, 90.0, 135.0])
+def test_signs_in_the_band_equal_float64_where_the_wings_detect(monkeypatch, deg):
+    # a cut admits e with f <= |e| < _SCREEN only for u near 1; there the
+    # sign decides the outcome and lies within _SCREEN of flipping
+    eta = np.radians(deg)
+    (z, phi, u, heads), expected = _sign_band_draws(substream(79, int(deg)), 2_000, eta)
+    A, B = _decided(z, phi, u, heads, eta)
+    assert np.array_equal(A, expected[0]) and np.array_equal(B, expected[1])
+    # the grid pass, with b at 0, eta and 180 degrees (e.b = z, e.b, -z),
+    # on chunks filled with these draws over and over
+    def fill(rng, key, start, z_k, phi_k, u_k=None):
+        for x, draws in ((z_k, z), (phi_k, phi), (u_k, u)):
+            if x is not None:
+                x[...] = np.resize(draws, x.size)
+        return np.resize(heads, z_k.size)
+
+    monkeypatch.setattr(kernel, "_fill_draws", fill)
+    A = np.resize(expected[0], CHUNK)
+    B = {0.0: -A, deg: np.resize(expected[1], CHUNK), 180.0: A}
+    for mode, n in (("pearle-reject", CHUNK), ("s3", CHUNK - 7), ("flat", CHUNK)):
+        tables = pearle._candidate_tables(planar(0.0), [planar(x) for x in B], n, 79, mode)
+        for (x, B_x), table in zip(B.items(), tables):
+            assert np.array_equal(table, _cell_counts(A[:n], B_x[:n])), (mode, x)
+    # without the band some float32 sign or cut differs from float64
+    monkeypatch.setattr(kernel, "_SCREEN", -1.0)
+    A, B = _decided(z, phi, u, heads, eta)
+    assert not (np.array_equal(A, expected[0]) and np.array_equal(B, expected[1]))
 
 
 def _float64_reference(deg, n, rng_or_seed, mode):
