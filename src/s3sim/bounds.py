@@ -147,12 +147,13 @@ def boole_check(rows) -> BooleReport:
 
     rows: iterable of (A_a, A_ap, B_b, B_bp) with entries in {-1, +1}; the
     violation count is necessarily zero for well-formed input, which is the
-    point being verified.
+    point being verified. A bool entry is not a +/-1 value: np.isin reads
+    True as 1.
     """
     data = np.asarray(list(rows) if not isinstance(rows, np.ndarray) else rows)
     if data.ndim != 2 or data.shape[1] != 4 or data.shape[0] == 0:
         raise ValueError("rows must be a nonempty sequence of 4 binary values each")
-    if not np.all(np.isin(data, (-1, 1))):
+    if data.dtype == bool or not np.all(np.isin(data, (-1, 1))):
         raise ValueError("row entries must be -1 or +1")
     vals = data[:, 0] * (data[:, 2] + data[:, 3]) + data[:, 1] * (data[:, 2] - data[:, 3])
     violations = int(np.sum(np.abs(vals) > 2))
@@ -199,7 +200,11 @@ def chsh(curve_source: Callable, quad: SettingsQuad) -> CHSHResult:
 def chsh_from_estimates(estimates) -> CHSHResult:
     """S, its standard error (the four added in quadrature) and its regime
     from the correlations at the four SettingsQuad.pairs(), each a float or
-    a CorrelationEstimate."""
+    a CorrelationEstimate; ValueError for any other number of them."""
+    estimates = list(estimates)
+    if len(estimates) != 4:
+        raise ValueError(f"estimates must be four, one per SettingsQuad pair, "
+                         f"got {len(estimates)}")
     es = [e.e_hat if isinstance(e, CorrelationEstimate) else float(e) for e in estimates]
     errs = [e.stderr if isinstance(e, CorrelationEstimate) else 0.0 for e in estimates]
     s = es[0] + es[1] + es[2] - es[3]

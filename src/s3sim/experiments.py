@@ -132,13 +132,13 @@ def _pool_size(workers: int, tasks: int) -> int:
 
 
 def _pair_counts(task) -> list:
-    """The pool task: the 3x3 outcome-count table of each setting pair
-    (a, b), b in bs, from one pass over substream (seed, index). A task is
-    (a, bs, n, seed, index, mode) of plain floats, ints and strings: kappa
-    changes no outcome, and settings cross as float tuples, which pickle
-    ~20 times faster than ndarrays."""
-    a, bs, n, seed, index, mode = task
-    return pearle._outcome_tables(a, bs, n, substream(seed, index), mode)
+    """The pool task: the 3x3 outcome-count table of each setting pair, from
+    one pass over substream (seed, index). A task is (settings, n, seed,
+    index, mode), each setting a pair's kernel _setting (cos eta, sin eta):
+    plain floats, ints and strings, as kappa changes no outcome, and float
+    tuples pickle ~20 times faster than ndarrays."""
+    settings, n, seed, index, mode = task
+    return pearle._outcome_tables(settings, n, substream(seed, index), mode)
 
 
 def _share_counts(share) -> list:
@@ -176,9 +176,9 @@ def _tables(tasks, workers: int) -> list:
 
 
 def _pair_tables(pairs, n: int, seed: int, mode: str, workers: int) -> list:
-    """The count table of each setting pair (a, b), pair i in its own task
-    on substream (seed, i)."""
-    return _tables([(tuple(a.tolist()), (tuple(b.tolist()),), n, seed, i, mode)
+    """The count table of each setting pair (a, b) of unit vectors, pair i
+    in its own task on substream (seed, i)."""
+    return _tables([((kernel._setting(a @ b),), n, seed, i, mode)
                     for i, (a, b) in enumerate(pairs)], workers)
 
 
@@ -187,10 +187,10 @@ def _grid_tables(config: ExperimentConfig) -> tuple[np.ndarray, list]:
     degrees, and every point reads substream (seed, 0), so its table does
     not depend on how the grid splits into _pool_size(workers, len(grid))
     contiguous shares, one task each (see _split)."""
-    grid, a, bs = pearle._grid_settings(config.grid_degrees())
-    shares = _split([tuple(b.tolist()) for b in bs], _pool_size(config.workers, len(bs)))
-    return grid, _tables([(tuple(a.tolist()), tuple(share), config.n_per_point, config.seed,
-                           0, config.model) for share in shares], config.workers)
+    grid, settings = pearle._grid_settings(config.grid_degrees())
+    shares = _split(settings, _pool_size(config.workers, len(settings)))
+    return grid, _tables([(tuple(share), config.n_per_point, config.seed, 0, config.model)
+                          for share in shares], config.workers)
 
 
 # ---------------------------------------------------------------------------

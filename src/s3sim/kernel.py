@@ -3,12 +3,13 @@
 A run's candidates are drawn in chunks of CHUNK. Chunk c reads its own
 Philox block (Salmon et al., SC'11): the run generator's key with its
 counter advanced by c * 2**64, so a chunk's draws depend only on the
-stream and c. Each candidate is (z = e.a, phi, u) and a fair coin. One run
-serves every setting b of a half-plane through a: _wing decides a chunk's
-a-wing once and each setting's b-wing, every cut, and every sign where
-its wing detects, equal to its float64 evaluation on the drawn values, as
-four bool masks per setting. _chunks counts them as it goes: wing a once
-per chunk, six counts per setting, summed into the one 3x3 _table.
+stream and c. Each candidate is (z = e.a, phi, u) and a fair coin. A
+setting b is read only as its angle eta from a, _setting's (cos eta, sin
+eta), and one run serves a tuple of them: _wing decides a chunk's a-wing
+once and each setting's b-wing, every cut, and every sign where its wing
+detects, equal to its float64 evaluation on the drawn values, as four
+bool masks per setting. _chunks counts them as it goes: wing a once per
+chunk, six counts per setting, summed into the one 3x3 _table.
 _outcomes reads the masks as int8 outcomes. Version 3 keeps version 2's
 stream of a single pair byte for byte; a grid of settings now reads one
 stream for all of its points.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import _require_choice, _require_int, _require_unit
+from .algebra import _require_choice, _require_int
 from .rng import substream
 
 MODES = ("s3", "pearle-reject", "flat")
@@ -63,17 +64,22 @@ def _seek(rng: np.random.Generator, key, counter: int) -> None:
         "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
-def _pair_setup(a, bs, n: int, rng_or_seed, mode: str):
-    """Validated (a, bs, rng) for a run of the setting pairs (a, b), b in
-    bs; TypeError unless rng draws from Philox."""
-    a = _require_unit(a, "a", 3)
-    bs = tuple(_require_unit(b, "b", 3) for b in bs)
+def _setting(cos_eta) -> tuple[float, float]:
+    """The setting at angle eta from a, as the kernel reads it: (cos eta,
+    sin eta >= 0) from cos eta = a.b, clipped into [-1, 1]."""
+    c = float(np.clip(cos_eta, -1.0, 1.0))
+    return c, float(np.sqrt(1.0 - c * c))
+
+
+def _pair_setup(n: int, rng_or_seed, mode: str):
+    """The validated rng of a run of n pairs in mode; TypeError unless it
+    draws from Philox."""
     _require_int(n, "n", 1)
     _require_choice(mode, "mode", MODES)
     rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) else substream(rng_or_seed)
     if not isinstance(rng.bit_generator, np.random.Philox):
         raise TypeError(f"expected a Philox Generator, got {type(rng.bit_generator).__name__}")
-    return a, bs, rng
+    return rng
 
 
 def _fill_draws(rng, key, start: int, z, phi, u=None):
@@ -116,51 +122,31 @@ def _threshold(u, f):
     return f
 
 
-def _root(z, out, tmp):
-    """sqrt(1 - z^2) into out, as sqrt((1 - z)(1 + z)): exact factors for a
-    float32 z, and an exact product in float64; tmp is scratch of z's size
-    and dtype."""
-    np.subtract(1.0, z, out=out)
-    np.add(1.0, z, out=tmp)
-    out *= tmp
-    return np.sqrt(out, out=out)
-
-
 def _project(z, w, cos_ab: float, sin_ab: float, out, tmp):
     """e.b for directions with e.a = z and w = cos(phi)*sqrt(1 - z^2), into
-    out: w*sin(eta_ab) plus z*cos(eta_ab), in the precision of z. At the
-    pole, (cos, sin) = (1, 0), it is z bit for bit. tmp is scratch of z's
-    size and dtype."""
+    out: w*sin(eta_ab) plus z*cos(eta_ab) in the precision of z, the one
+    e.n formula of the float32 kernel and of _wing's float64 redo.
+
+    With a at the pole, e.a = z ~ U(-1, 1) (Archimedes' theorem) and e.b =
+    z*cos(eta_ab) + sqrt(1 - z^2)*sin(eta_ab)*cos(phi), b at azimuth 0; only
+    cos(phi) enters, so phi ~ U(0, pi) suffices. At the pole, (cos, sin) =
+    (1, 0), it is z bit for bit. tmp is scratch of z's size and dtype.
+    """
     np.multiply(w, sin_ab, out=out)
     np.multiply(z, cos_ab, out=tmp)
     out += tmp
     return out
 
 
-def _project_b(z, cos_phi, cos_ab: float, sin_ab: float, tmp, tmp2):
-    """e.b for directions with e.a = z and azimuth phi, in place in cos_phi.
-
-    With a at the pole, e.a = z ~ U(-1, 1) (Archimedes' theorem) and
-    e.b = z*cos(eta_ab) + sqrt(1 - z^2)*sin(eta_ab)*cos(phi); the azimuth
-    enters only through cos(phi), so phi ~ U(0, pi) suffices. It is
-    cos(phi)*sin(eta_ab), then times _root(z), then plus z*cos(eta_ab):
-    _wing's float64 redo and the tests call it. The float32 kernel forms w
-    = cos(phi)*_root(z) once per chunk instead (_setting_free, _project),
-    so its e.b may differ from this order's in the last bit. tmp and tmp2
-    are scratch of z's size and dtype.
-    """
-    root = _root(z, tmp, tmp2)
-    cos_phi *= sin_ab
-    cos_phi *= root
-    np.multiply(z, cos_ab, out=tmp2)
-    cos_phi += tmp2
-    return cos_phi
-
-
 def _setting_free(z, phi, u, w, f, tmp):
-    """A chunk's work that no setting changes: w = cos(phi)*sqrt(1 - z^2)
-    and, with u, f into the float32 arrays w and f; tmp is scratch."""
-    _root(z, tmp, w)
+    """A chunk's work that no setting changes, in the precision of z: w =
+    cos(phi)*sqrt(1 - z^2), the root as sqrt((1 - z)(1 + z)) (exact
+    factors for a float32 z, an exact product in float64), and, with u, f
+    into w and f; tmp is scratch."""
+    np.subtract(1.0, z, out=tmp)
+    np.add(1.0, z, out=w)
+    tmp *= w
+    np.sqrt(tmp, out=tmp)
     np.cos(phi, out=w)
     w *= tmp
     if u is not None:  # flat's f = 0
@@ -176,8 +162,9 @@ def _wing(z, phi, u, heads, f, e, cos_t: float, sin_t: float, plus_if, out):
     is np.not_equal: B = -lam*sign(e.b).
 
     Where a decision is within _SCREEN of flipping, e and f are redone in
-    float64 (e through _project_b at (cos_t, sin_t)), so det, and plus
-    wherever det, equal their float64 evaluation on the drawn values. With
+    float64 (_setting_free and _project at (cos_t, sin_t) on float64
+    copies of the band's draws), so det, and plus wherever det, equal
+    their float64 evaluation on the drawn values. With
     a cut that is the band ||e| - f| < _SCREEN alone: a wing that may
     detect has |e| > f - _SCREEN, so its |e| < _SCREEN lies in that band
     too. Without u the band is |e| < _SCREEN. out is float32 scratch of
@@ -191,14 +178,18 @@ def _wing(z, phi, u, heads, f, e, cos_t: float, sin_t: float, plus_if, out):
         margin -= f
         det = margin >= 0.0
         np.abs(margin, out=margin)
-    if margin.min() < _SCREEN:  # the band is almost always empty
+    # rare per candidate, not per call: the seed-23 default curves redo in 56
+    # of 452 calls in s3, 28 of 266 in pearle-reject and 16 of 266 in flat
+    if margin.min() < _SCREEN:
         redo = np.flatnonzero(margin < _SCREEN)
-        e64 = _project_b(z[redo].astype(np.float64), np.cos(phi[redo], dtype=np.float64),
-                         cos_t, sin_t, np.empty(redo.size), np.empty(redo.size))
+        z64, phi64, u64 = (None if x is None else x[redo].astype(np.float64)
+                           for x in (z, phi, u))
+        w64, f64, e64, tmp = (np.empty(redo.size) for _ in range(4))
+        _setting_free(z64, phi64, u64, w64, f64, tmp)
+        _project(z64, w64, cos_t, sin_t, e64, tmp)
         plus[redo] = plus_if(heads[redo], e64 >= 0.0)
         if u is not None:
-            det[redo] = np.abs(e64) >= _threshold(u[redo].astype(np.float64),
-                                                  np.empty(redo.size))
+            det[redo] = np.abs(e64) >= f64
     return plus, det
 
 
@@ -215,16 +206,15 @@ def _masks(z, phi, u, heads, cos_ab: float, sin_ab: float, scratch):
     return plus_a, plus_b, det_a, det_b
 
 
-def _chunks(a, bs, n: int, rng, mode: str):
-    """Yield (j, masks, sums, draws) chunk by chunk for the setting pairs
-    (a, b), b = bs[j], of one run: for each setting still short of n, the
-    _masks of the candidates the chunk drew at that setting, their _sums,
-    and the chunk's buffers draws = (z, phi, u), all valid until the next
-    yield.
+def _chunks(settings, n: int, rng, mode: str):
+    """Yield (j, masks, sums, draws) chunk by chunk for the settings of one
+    run, setting j the _setting (cos, sin) of its angle from a: for each
+    setting still short of n, the _masks of the candidates the chunk drew
+    at that setting, their _sums, and the chunk's buffers draws = (z, phi,
+    u), all valid until the next yield.
 
-    The settings lie in one half-plane through a (planar(deg) for deg in
-    [0, 180] against planar(0) do), so every candidate is one direction
-    e, with e.b from the same z and w at every b. Chunk c reads its own
+    Every candidate is one direction e, with e.b from the same z and w at
+    every setting (each b at azimuth 0, see _project). Chunk c reads its own
     Philox block: rng's key with its counter advanced by c * 2**64 (see
     _fill_draws). Its fill, _setting_free, wing a and wing a's counts run
     once; each unfinished setting adds its own e.b, wing b and six counts.
@@ -234,10 +224,6 @@ def _chunks(a, bs, n: int, rng, mode: str):
     again, and the run draws at most _MAX_BATCHES * max(1024, n)
     candidates. rng is left at the first chunk that no setting used.
     """
-    settings = []
-    for b in bs:
-        cos_ab = float(np.clip(a @ b, -1.0, 1.0))
-        settings.append((cos_ab, float(np.sqrt(1.0 - cos_ab * cos_ab))))
     key, base = _position(rng)
     z, phi, u, w, f, eb, tmp = (np.empty(CHUNK, dtype=np.float32) for _ in range(7))
     budget = _MAX_BATCHES * max(1024, n) if mode == "s3" else n

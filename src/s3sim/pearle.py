@@ -34,8 +34,8 @@ import numpy as np
 
 from .algebra import _angle, _require_choice, _require_in, _require_int, _require_unit, planar
 from .curves import CorrelationCurve, CurvePoint, format_grid, parse_grid
-from .kernel import (MODES, SAMPLER_VERSION, _chunks, _outcomes, _pair_setup, _table,
-                     _threshold)
+from .kernel import (MODES, SAMPLER_VERSION, _chunks, _outcomes, _pair_setup, _setting,
+                     _table, _threshold)
 from .rng import substream
 from .singlet import CorrelationEstimate, _count, _estimate
 
@@ -205,15 +205,21 @@ def run_pair(a, b, n: int, rng_or_seed, mode: str = "s3") -> EnsembleRun:
     only those are drawn. Every mode draws in chunks of CHUNK (see _chunks);
     in s3 mode at most _MAX_BATCHES * max(1024, n) candidates in all.
     """
-    a, bs, rng = _pair_setup(a, (b,), n, rng_or_seed, mode)
+    settings = (_pair_setting(a, b),)
+    rng = _pair_setup(n, rng_or_seed, mode)
     A, B = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     got = n_candidates = 0
-    for _, masks, _, _ in _chunks(a, bs, n, rng, mode):
+    for _, masks, _, _ in _chunks(settings, n, rng, mode):
         _, chunk_A, chunk_B = _outcomes(*masks, mode)
         A[got:got + chunk_A.size], B[got:got + chunk_A.size] = chunk_A, chunk_B
         got += chunk_A.size
         n_candidates += masks[0].size
     return EnsembleRun(A=A, B=B, n_candidates=n_candidates)
+
+
+def _pair_setting(a, b) -> tuple[float, float]:
+    """The kernel's _setting of the unit settings a and b: their angle."""
+    return _setting(_require_unit(a, "a", 3) @ _require_unit(b, "b", 3))
 
 
 def candidate_counts(a, b, n: int, rng_or_seed, mode: str = "s3") -> np.ndarray:
@@ -222,7 +228,7 @@ def candidate_counts(a, b, n: int, rng_or_seed, mode: str = "s3") -> np.ndarray:
     counts of its masks, summed chunk by chunk. It sums to n_candidates,
     and in s3 mode equals pearle-reject's table at n = n_candidates on
     the same stream."""
-    return _candidate_tables(a, (b,), n, rng_or_seed, mode)[0]
+    return _candidate_tables((_pair_setting(a, b),), n, rng_or_seed, mode)[0]
 
 
 def outcome_counts(a, b, n: int, rng_or_seed, mode: str = "s3") -> np.ndarray:
@@ -231,23 +237,23 @@ def outcome_counts(a, b, n: int, rng_or_seed, mode: str = "s3") -> np.ndarray:
     with A = i - 1 and B = j - 1. Every estimate, table and fraction of a
     setting pair is a function of it. It is candidate_counts with s3's
     cells where a wing does not detect set to 0: s3 keeps its admitted pairs."""
-    return _outcome_tables(a, (b,), n, rng_or_seed, mode)[0]
+    return _outcome_tables((_pair_setting(a, b),), n, rng_or_seed, mode)[0]
 
 
-def _candidate_tables(a, bs, n: int, rng_or_seed, mode: str) -> list:
-    """candidate_counts(a, b, n, rng_or_seed, mode) for each b of bs, which
-    lie in one half-plane through a, from one pass over the chunks."""
-    a, bs, rng = _pair_setup(a, bs, n, rng_or_seed, mode)
-    sums = np.zeros((len(bs), 9), dtype=np.int64)
-    for j, _, chunk_sums, _ in _chunks(a, bs, n, rng, mode):
+def _candidate_tables(settings, n: int, rng_or_seed, mode: str) -> list:
+    """candidate_counts(a, b, n, rng_or_seed, mode) for each pair's kernel
+    _setting in settings, from one pass over the chunks."""
+    rng = _pair_setup(n, rng_or_seed, mode)
+    sums = np.zeros((len(settings), 9), dtype=np.int64)
+    for j, _, chunk_sums, _ in _chunks(settings, n, rng, mode):
         sums[j] += chunk_sums
     return [_table(*row) for row in sums]
 
 
-def _outcome_tables(a, bs, n: int, rng_or_seed, mode: str) -> list:
-    """outcome_counts(a, b, n, rng_or_seed, mode) for each b of bs, which
-    lie in one half-plane through a, from one pass over the chunks."""
-    tables = _candidate_tables(a, bs, n, rng_or_seed, mode)
+def _outcome_tables(settings, n: int, rng_or_seed, mode: str) -> list:
+    """outcome_counts(a, b, n, rng_or_seed, mode) for each pair's kernel
+    _setting in settings, from one pass over the chunks."""
+    tables = _candidate_tables(settings, n, rng_or_seed, mode)
     if mode == "s3":
         for counts in tables:
             counts[1, :] = counts[:, 1] = 0
@@ -275,9 +281,10 @@ def _admitted_states(a, b, n: int, seed: int, kappa: int):
     substream(seed, 1) draws what no outcome depends on: s_o's azimuth, then
     the sign."""
     kappa = _require_int(kappa, "kappa", 1)
-    a, (b,), rng = _pair_setup(a, (b,), n, seed, "s3")
+    a, b = _require_unit(a, "a", 3), _require_unit(b, "b", 3)
+    rng = _pair_setup(n, seed, "s3")
     chunks = []
-    for _, masks, _, (z, phi, u) in _chunks(a, (b,), n, rng, "s3"):
+    for _, masks, _, (z, phi, u) in _chunks((_setting(a @ b),), n, rng, "s3"):
         rows, A, B = _outcomes(*masks, "s3")
         chunks.append((z[rows], phi[rows], u[rows], A, B))
     z, phi, u, A, B = (np.concatenate(c) for c in zip(*chunks))
@@ -400,11 +407,11 @@ def _pair_estimate(a, b, mode: str, counts, index: int | None = None) -> Correla
 
 
 def _grid_settings(grid_deg):
-    """(grid, a, bs) of a grid of setting angles in degrees: the grid read
-    by parse_grid, a tuple as its points, a = planar(0) and b = planar(deg)
-    for each angle, so every b lies in one half-plane through a."""
+    """(grid, settings) of a grid of setting angles in degrees: the grid
+    read by parse_grid, a tuple as its points, and the kernel _setting of
+    each angle, whose cosine is planar(0) @ planar(deg) bit for bit."""
     grid = parse_grid(list(grid_deg) if isinstance(grid_deg, tuple) else grid_deg)
-    return grid, planar(0.0), [planar(deg) for deg in grid]
+    return grid, [_setting(np.cos(np.radians(deg))) for deg in grid]
 
 
 def _curve(mode: str, grid, tables, meta: dict) -> CorrelationCurve:
@@ -428,8 +435,8 @@ def correlation_curve(mode: str, grid_deg, n_per_angle: int, seed: int,
     the meta; a point with no coincident detections is a NumericError."""
     _require_choice(mode, "mode", MODES)
     kappa = _require_int(kappa, "kappa", 1)
-    grid, a, bs = _grid_settings(grid_deg)
-    tables = _outcome_tables(a, bs, n_per_angle, substream(seed, 0), mode)
+    grid, settings = _grid_settings(grid_deg)
+    tables = _outcome_tables(settings, n_per_angle, substream(seed, 0), mode)
     meta = {"model": mode, "n": str(n_per_angle), "seed": str(seed), "grid": format_grid(grid),
             "kappa": str(kappa), "sampler": str(SAMPLER_VERSION)}
     return _curve(mode, grid, tables, meta)

@@ -229,13 +229,12 @@ def test_every_sampled_experiment_maps_the_one_pair_task(experiment, monkeypatch
     runners[experiment](cfg(experiment=experiment, n_per_point=200, grid="0:90:45"))
     settings = {"curve": [3], "chsh": [1] * 4, "probabilities": [3],
                 "flat-vs-s3": [1] * 8 + [3] * 2}[experiment]
-    assert sorted(len(task[1]) for task, _ in seen) == settings
+    assert sorted(len(task[0]) for task, _ in seen) == settings
     for task, tables in seen:
-        a, bs, *rest = task
-        assert all(type(x) is float for x in a) and len(a) == 3
-        assert all(type(x) is float for b in bs for x in b) and {len(b) for b in bs} == {3}
+        pairs, *rest = task
+        assert all(type(x) is float for s in pairs for x in s) and {len(s) for s in pairs} == {2}
         assert all(type(x) in (int, str) for x in rest)
-        assert len(tables) == len(bs)
+        assert len(tables) == len(pairs)
         assert all(t.shape == (3, 3) and t.dtype == np.int64 for t in tables)
 
 
@@ -563,19 +562,19 @@ _PID_LOG = {}
 
 def _logged_pair_counts(task):
     # one file per process, one line per setting pair of a task: its
-    # substream index and the angle of b in degrees. The sleep outlasts a
+    # substream index and its angle eta in degrees. The sleep outlasts a
     # pool process's start, so no process can finish its share and take
     # another before every process has taken one.
     with open(_PID_LOG["dir"] / str(os.getpid()), "a") as f:
-        for b in task[1]:
-            f.write(f"{task[4]}:{round(float(np.degrees(np.arctan2(b[1], b[0]))))}\n")
+        for cos_eta, sin_eta in task[0]:
+            f.write(f"{task[3]}:{round(float(np.degrees(np.arctan2(sin_eta, cos_eta))))}\n")
     time.sleep(0.05)
     return _real_pair_counts(task)
 
 
 # the setting pairs of each run below in order, as _logged_pair_counts logs them
 _RUN_PAIRS = {"probabilities": [f"0:{deg}" for deg in range(0, 181, 5)],
-              "chsh": ["0:45", "1:-45", "2:45", "3:-45"]}
+              "chsh": ["0:45", "1:45", "2:45", "3:135"]}
 
 
 @pytest.mark.parametrize("experiment, model, shares", [

@@ -14,7 +14,7 @@ from s3sim.algebra import (IDENTITY, X_AXIS, Y_AXIS, Z_AXIS, Bivector, _require_
                            _require_in, _require_int, _safe_arccos, composite_axis,
                            geodesic_sweep, planar, quat_from_axis_angle, quat_from_half_angle,
                            spinorial_sign)
-from s3sim.bounds import canonical_quad, chsh_from_estimates
+from s3sim.bounds import boole_check, canonical_quad, chsh_from_estimates
 from s3sim.curves import parse_grid
 from s3sim.experiments import ExperimentConfig, chsh_monte_carlo
 from s3sim.oracle import acceptance, expected_table
@@ -41,6 +41,12 @@ PROBES = {
     "spinorial_sign(q, nan)": (lambda: spinorial_sign(IDENTITY, nan), "kappa"),
     "spinorial_sign(q, 1.5)": (lambda: spinorial_sign(IDENTITY, 1.5), "kappa"),
     "chsh_from_estimates([nan] * 4)": (lambda: chsh_from_estimates([nan] * 4), "abs_s"),
+    # three estimates raised IndexError; five gave S from the first four and
+    # an s_stderr that counted the fifth
+    **{f"chsh_from_estimates([0.5] * {k})": (lambda k=k: chsh_from_estimates([0.5] * k),
+                                              "estimates") for k in (3, 5)},
+    # np.isin reads True as 1, and numpy's bool subtract then raised TypeError
+    "boole_check([[True] * 4])": (lambda: boole_check([[True] * 4]), "row entries"),
     "measure_alice(eta=nan)": (lambda: measure_alice(X_AXIS, HV, nan), "eta"),
     "measure_alice(kappa=nan)": (lambda: measure_alice(X_AXIS, HV, kappa=nan), "kappa"),
     "measure_bob(eta=inf)": (lambda: measure_bob(X_AXIS, HV, inf), "eta"),

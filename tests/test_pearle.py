@@ -15,7 +15,7 @@ from s3sim.algebra import X_AXIS, Y_AXIS, Z_AXIS
 from s3sim.bounds import canonical_quad
 from s3sim.experiments import _pair_counts
 from s3sim.kernel import (CHUNK, MODES, _SCREEN, _fill_draws, _mask_counts, _masks, _outcomes,
-                          _project, _setting_free, _wing)
+                          _project, _setting, _setting_free, _wing)
 from s3sim.kernel import _position as position
 from s3sim.pearle import (InitialState, NumericError, PearleMapping, admissible,
                           candidate_counts, correlation_curve, correlation_from_probabilities,
@@ -413,7 +413,7 @@ def test_count_table_reductions_match_outcome_arrays(mode, deg, n):
     eta = np.radians(deg)
     reference = _reference_table(eta, A, B)
     assert probabilities_from_outcomes(eta, A, B).to_dict() == reference
-    task = (tuple(planar(0.0).tolist()), (tuple(planar(deg).tolist()),), n, seed, index, mode)
+    task = ((_setting(planar(0.0) @ planar(deg)),), n, seed, index, mode)
     assert _table_from_counts(eta, _pair_counts(task)[0]).to_dict() == reference
 
 
@@ -582,7 +582,8 @@ def _drawn(rng, n):
 
 
 def _eb64(z, phi, eta):
-    """The float64 e.b of drawn values, written out independently of _project_b."""
+    """The float64 e.b of drawn values, written out independently of the
+    kernel's _setting_free and _project."""
     z, phi = z.astype(np.float64), phi.astype(np.float64)
     return np.cos(phi) * np.sin(eta) * np.sqrt(1.0 - z * z) + z * np.cos(eta)
 
@@ -814,7 +815,8 @@ def test_signs_in_the_band_equal_float64_where_the_wings_detect(monkeypatch, deg
     A = np.resize(expected[0], CHUNK)
     B = {0.0: -A, deg: np.resize(expected[1], CHUNK), 180.0: A}
     for mode, n in (("pearle-reject", CHUNK), ("s3", CHUNK - 7), ("flat", CHUNK)):
-        tables = pearle._candidate_tables(planar(0.0), [planar(x) for x in B], n, 79, mode)
+        tables = pearle._candidate_tables([_setting(planar(0.0) @ planar(x)) for x in B], n, 79,
+                                          mode)
         for (x, B_x), table in zip(B.items(), tables):
             assert np.array_equal(table, _cell_counts(A[:n], B_x[:n])), (mode, x)
     # without the band some float32 sign or cut differs from float64
@@ -971,8 +973,7 @@ GRID_ANGLES = [0.0, 1e-3, 5.0, 45.0, 90.0, 135.0, 179.999, 180.0]
 
 def _grid_task(grid, n, seed, mode):
     """The pool task of a grid share: a at 0 and b at each angle."""
-    return (tuple(planar(0.0).tolist()), tuple(tuple(planar(deg).tolist()) for deg in grid),
-            n, seed, 0, mode)
+    return tuple(_setting(planar(0.0) @ planar(deg)) for deg in grid), n, seed, 0, mode
 
 
 @pytest.mark.parametrize("n", [1, 7, 5000, CHUNK - 1, CHUNK + 3, 100_000])
@@ -1038,12 +1039,16 @@ def test_shares_of_a_grid_do_not_change_a_table(mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_curve_and_chsh_share_the_pair_at_45_degrees(mode):
-    # a curve's 45-degree point and chsh's pair (0, 45) read substream (seed, 0)
+    # chsh pair i runs as its angle on substream (seed, i): (90, -45) as
+    # 135 degrees. Pair 0, (0, 45), is a curve's 45-degree point on (seed, 0)
     quad, n, seed = canonical_quad(), 5000, 98
     assert np.array_equal(quad.a, planar(0.0)) and np.array_equal(quad.b, planar(45.0))
-    chsh_table = experiments._pair_tables(quad.pairs(), n, seed, mode, 1)[0]
+    chsh_tables = experiments._pair_tables(quad.pairs(), n, seed, mode, 1)
+    for pair, eta in enumerate([45.0, 45.0, 45.0, 135.0]):
+        pair_table = outcome_counts(planar(0.0), planar(eta), n, substream(seed, pair), mode)
+        assert np.array_equal(chsh_tables[pair], pair_table), pair
     curve_table = _pair_counts(_grid_task([0.0, 45.0, 90.0], n, seed, mode))[1]
-    assert np.array_equal(chsh_table, curve_table)
+    assert np.array_equal(chsh_tables[0], curve_table)
 
 
 @pytest.mark.parametrize("mode", MODES)
