@@ -70,9 +70,22 @@ def _require_int(x, name: str, lo: int, hi: float = np.inf) -> int:
 
 
 def _require_choice(x, name: str, choices: tuple) -> None:
-    """ValueError unless x is one of choices."""
-    if x not in choices:
+    """ValueError unless x is one of choices and not a bool: True in (-1, 1)."""
+    if isinstance(x, (bool, np.bool_)) or x not in choices:
         raise ValueError(f"{name} must be one of {choices}, got {x!r}")
+
+
+def _require_values(x, name: str, values: tuple) -> np.ndarray:
+    """x as an array; ValueError unless every entry is one of values and no
+    bool: np.isin reads True as 1, and np.asarray makes a list that mixes
+    bools with integers an integer array, so a list or an object array is
+    read entry by entry."""
+    data = np.asarray(x)
+    mixed = (data.dtype == object or not isinstance(x, np.ndarray)) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat)
+    if data.dtype == bool or mixed or not np.all(np.isin(data, values)):
+        raise ValueError(f"{name} must each be one of {values}, and not a bool")
+    return data
 
 
 def planar(deg: float) -> np.ndarray:

@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import _require_choice, _require_in, _require_unit, _safe_arccos, planar
+from .algebra import (_require_choice, _require_in, _require_unit, _require_values, _safe_arccos,
+                      planar)
 from .singlet import CorrelationEstimate
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -147,14 +148,12 @@ def boole_check(rows) -> BooleReport:
 
     rows: iterable of (A_a, A_ap, B_b, B_bp) with entries in {-1, +1}; the
     violation count is necessarily zero for well-formed input, which is the
-    point being verified. A bool entry is not a +/-1 value: np.isin reads
-    True as 1.
+    point being verified. A bool entry is not a +/-1 value.
     """
-    data = np.asarray(list(rows) if not isinstance(rows, np.ndarray) else rows)
+    data = _require_values(rows if isinstance(rows, np.ndarray) else list(rows), "row entries",
+                           (-1, 1))
     if data.ndim != 2 or data.shape[1] != 4 or data.shape[0] == 0:
         raise ValueError("rows must be a nonempty sequence of 4 binary values each")
-    if data.dtype == bool or not np.all(np.isin(data, (-1, 1))):
-        raise ValueError("row entries must be -1 or +1")
     vals = data[:, 0] * (data[:, 2] + data[:, 3]) + data[:, 1] * (data[:, 2] - data[:, 3])
     violations = int(np.sum(np.abs(vals) > 2))
     return BooleReport(n_rows=int(data.shape[0]), mean=float(vals.mean()),

@@ -133,7 +133,15 @@ def write_curve_json(curve: CorrelationCurve, path) -> None:
 
 
 def read_curve_json(path) -> CorrelationCurve:
+    """Parse a write_curve_json file; a ValueError names a missing key."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    for key in ("meta", "points"):
+        if key not in data:
+            raise ValueError(f"curve JSON has no {key!r}")
+    for i, point in enumerate(data["points"]):
+        for key in CSV_COLUMNS:
+            if key not in point:
+                raise ValueError(f"curve JSON has no {key!r} in point {i}")
     return CorrelationCurve(points=tuple(map(_point, data["points"])), meta=data["meta"])
 
 

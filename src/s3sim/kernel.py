@@ -5,14 +5,14 @@ Philox block (Salmon et al., SC'11): the run generator's key with its
 counter advanced by c * 2**64, so a chunk's draws depend only on the
 stream and c. Each candidate is (z = e.a, phi, u) and a fair coin. A
 setting b is read only as its angle eta from a, _setting's (cos eta, sin
-eta), and one run serves a tuple of them: _wing decides a chunk's a-wing
-once and each setting's b-wing, every cut, and every sign where its wing
+eta), and one run serves a tuple of them. _chunks fills the chunks and
+stops each setting at its n. Its chunk step _decide runs _wing at a once
+and at each setting's b: every cut, and every sign where its wing
 detects, equal to its float64 evaluation on the drawn values, as four
-bool masks per setting. _chunks counts them as it goes: wing a once per
-chunk, six counts per setting, summed into the one 3x3 _table.
-_outcomes reads the masks as int8 outcomes. Version 3 keeps version 2's
-stream of a single pair byte for byte; a grid of settings now reads one
-stream for all of its points.
+bool masks per setting, counted as it goes (wing a once per chunk, six
+counts per setting) for the one 3x3 _table. _outcomes reads the masks as
+int8 outcomes. Version 3 keeps version 2's stream of a single pair byte
+for byte; a grid of settings now reads one stream for all of its points.
 """
 from __future__ import annotations
 
@@ -193,66 +193,56 @@ def _wing(z, phi, u, heads, f, e, cos_t: float, sin_t: float, plus_if, out):
     return plus, det
 
 
-def _masks(z, phi, u, heads, cos_ab: float, sin_ab: float, scratch):
-    """Bool masks (plus_a, plus_b, det_a, det_b) of a chunk's candidates at
-    one setting pair: _setting_free, then _wing at a and at b, as _chunks
-    runs them; this one-pair composition is what the tests check against
-    float64. scratch holds four float32 arrays of at least z.size."""
+def _decide(z, phi, u, heads, settings, scratch):
+    """The chunk step: _setting_free, wing a and its three counts once, then
+    for each (j, (cos_ab, sin_ab)) in settings, read one per yield, that
+    setting's e.b and wing b. Yields (j, masks, sums): the bool masks
+    (plus_a, plus_b, det_a, det_b) and their nine _sums, valid until the
+    next yield. scratch holds four float32 arrays of at least z.size."""
     w, f, eb, tmp = (x[:z.size] for x in scratch)
     _setting_free(z, phi, u, w, f, tmp)
     plus_a, det_a = _wing(z, phi, u, heads, f, z, 1.0, 0.0, np.equal, tmp)
-    e = _project(z, w, cos_ab, sin_ab, eb, tmp)
-    plus_b, det_b = _wing(z, phi, u, heads, f, e, cos_ab, sin_ab, np.not_equal, e)
-    return plus_a, plus_b, det_a, det_b
+    pos_a = plus_a & det_a
+    sums_a = (z.size, np.count_nonzero(det_a), np.count_nonzero(pos_a))
+    for j, (cos_ab, sin_ab) in settings:
+        e = _project(z, w, cos_ab, sin_ab, eb, tmp)
+        plus_b, det_b = _wing(z, phi, u, heads, f, e, cos_ab, sin_ab, np.not_equal, e)
+        yield j, (plus_a, plus_b, det_a, det_b), sums_a + _setting_sums(pos_a, det_a, plus_b, det_b)
 
 
 def _chunks(settings, n: int, rng, mode: str):
     """Yield (j, masks, sums, draws) chunk by chunk for the settings of one
-    run, setting j the _setting (cos, sin) of its angle from a: for each
-    setting still short of n, the _masks of the candidates the chunk drew
-    at that setting, their _sums, and the chunk's buffers draws = (z, phi,
-    u), all valid until the next yield.
+    run, setting j the _setting (cos, sin) of its angle from a: the masks
+    and sums of the _decide step at each setting still short of n, and the
+    chunk's buffers draws = (z, phi, u), all valid until the next yield.
 
     Every candidate is one direction e, with e.b from the same z and w at
     every setting (each b at azimuth 0, see _project). Chunk c reads its own
     Philox block: rng's key with its counter advanced by c * 2**64 (see
-    _fill_draws). Its fill, _setting_free, wing a and wing a's counts run
-    once; each unfinished setting adds its own e.b, wing b and six counts.
-    Every mode runs the same candidates. flat and pearle-reject stop at
-    the n-th candidate; in s3 each setting stops at its own n-th detected
-    at both wings, its last chunk's masks cut just after it and counted
-    again, and the run draws at most _MAX_BATCHES * max(1024, n)
-    candidates. rng is left at the first chunk that no setting used.
+    _fill_draws). Every mode runs the same candidates. flat and
+    pearle-reject stop at the n-th candidate; in s3 each setting stops at
+    its own n-th detected at both wings, its last chunk's masks cut just
+    after it and counted again, and the run draws at most _MAX_BATCHES *
+    max(1024, n) candidates. Only a run's last chunk is short. rng is left
+    at the first chunk that no setting used.
     """
     key, base = _position(rng)
-    z, phi, u, w, f, eb, tmp = (np.empty(CHUNK, dtype=np.float32) for _ in range(7))
+    z, phi, u, *scratch = (np.empty(CHUNK, dtype=np.float32) for _ in range(7))
     budget = _MAX_BATCHES * max(1024, n) if mode == "s3" else n
-    got = [0] * len(settings)
-    drawn = chunk = 0
+    got, chunk = [0] * len(settings), 0
     while min(got) < n:
-        k = min(CHUNK, budget - drawn)
+        k = min(CHUNK, budget - chunk * CHUNK)
         if k <= 0:
             raise RuntimeError(f"rejection sampling did not yield {n} admissible states "
                                f"within {_MAX_BATCHES} batches")
         z_k, phi_k, u_k = z[:k], phi[:k], None if mode == "flat" else u[:k]
         heads = _fill_draws(rng, key, base + (chunk << 64), z_k, phi_k, u_k)
-        w_k, f_k, eb_k, tmp_k = (x[:k] for x in (w, f, eb, tmp))
-        _setting_free(z_k, phi_k, u_k, w_k, f_k, tmp_k)
-        plus_a, det_a = _wing(z_k, phi_k, u_k, heads, f_k, z_k, 1.0, 0.0, np.equal, tmp_k)
-        pos_a = plus_a & det_a
-        sums_a = (k, np.count_nonzero(det_a), np.count_nonzero(pos_a))
         chunk += 1
-        drawn += k
-        for j, (cos_ab, sin_ab) in enumerate(settings):
-            if got[j] >= n:
-                continue
-            e = _project(z_k, w_k, cos_ab, sin_ab, eb_k, tmp_k)
-            plus_b, det_b = _wing(z_k, phi_k, u_k, heads, f_k, e, cos_ab, sin_ab, np.not_equal, e)
-            masks = (plus_a, plus_b, det_a, det_b)
-            both = det_a & det_b
-            sums = sums_a + _setting_sums(pos_a, det_a, plus_b, det_b, both)
+        # a setting's got changes only after its own yield, so a lazy filter is safe
+        unfinished = ((j, s) for j, s in enumerate(settings) if got[j] < n)
+        for j, masks, sums in _decide(z_k, phi_k, u_k, heads, unfinished, scratch):
             if mode == "s3" and got[j] + sums[5] >= n:  # cut just after the n-th coincidence
-                used = np.flatnonzero(both)[n - got[j] - 1] + 1
+                used = np.flatnonzero(masks[2] & masks[3])[n - got[j] - 1] + 1
                 masks = tuple(x[:used] for x in masks)
                 sums = _sums(*masks)
             got[j] += sums[5] if mode == "s3" else k  # sums[5] counts the coincidences
@@ -261,21 +251,21 @@ def _chunks(settings, n: int, rng, mode: str):
 
 
 def _outcomes(plus_a, plus_b, det_a, det_b, mode: str | None = None):
-    """(rows, A, B) of a chunk's _masks: the int8 outcomes, 0 at a wing that
-    does not detect, of the pairs run_pair keeps: every candidate or, in s3
-    mode, the rows detected at both wings."""
+    """(rows, A, B) of a chunk's masks (see _decide): the int8 outcomes, 0
+    at a wing that does not detect, of the pairs run_pair keeps: every
+    candidate or, in s3 mode, the rows detected at both wings."""
     rows = np.flatnonzero(det_a & det_b) if mode == "s3" else slice(None)
     A, B = ((2 * plus[rows].view(np.int8) - 1) * det[rows]
             for plus, det in ((plus_a, det_a), (plus_b, det_b)))
     return rows, A, B
 
 
-def _setting_sums(pos_a, det_a, plus_b, det_b, both) -> tuple:
+def _setting_sums(pos_a, det_a, plus_b, det_b) -> tuple:
     """The six counts of _sums that wing b changes, with pos_a = plus_a &
-    det_a and both = det_a & det_b: (n_b, pos_b, both, pp, pa, pb)."""
+    det_a: (n_b, pos_b, both, pp, pa, pb), both detected at both wings."""
     count = np.count_nonzero
     pos_b = plus_b & det_b  # B = +1
-    return (count(det_b), count(pos_b), count(both),
+    return (count(det_b), count(pos_b), count(det_a & det_b),
             count(pos_a & pos_b), count(pos_a & det_b), count(det_a & pos_b))
 
 
@@ -286,7 +276,7 @@ def _sums(plus_a, plus_b, det_a, det_b) -> tuple:
     so a run's sums are the sums of its chunks'."""
     pos_a = plus_a & det_a  # A = +1
     return ((plus_a.size, np.count_nonzero(det_a), np.count_nonzero(pos_a))
-            + _setting_sums(pos_a, det_a, plus_b, det_b, det_a & det_b))
+            + _setting_sums(pos_a, det_a, plus_b, det_b))
 
 
 def _table(k, n_a, pos_a, n_b, pos_b, both, pp, pa, pb) -> np.ndarray:
@@ -296,9 +286,3 @@ def _table(k, n_a, pos_a, n_b, pos_b, both, pp, pa, pb) -> np.ndarray:
     return np.array([[both - pa - pb + pp, n_a - both - p0, pb - pp],
                      [n_b - both - zp, k - n_a - n_b + both, zp],
                      [pa - pp, p0, pp]], dtype=np.int64)
-
-
-def _mask_counts(plus_a, plus_b, det_a, det_b) -> np.ndarray:
-    """The 3x3 _table of bool masks of A = +1, B = +1 and detection at each
-    wing."""
-    return _table(*_sums(plus_a, plus_b, det_a, det_b))

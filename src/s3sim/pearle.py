@@ -32,7 +32,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .algebra import _angle, _require_choice, _require_in, _require_int, _require_unit, planar
+from .algebra import (_angle, _require_choice, _require_in, _require_int, _require_unit,
+                      _require_values, planar)
 from .curves import CorrelationCurve, CurvePoint, format_grid, parse_grid
 from .kernel import (MODES, SAMPLER_VERSION, _chunks, _outcomes, _pair_setup, _setting,
                      _table, _threshold)
@@ -316,12 +317,9 @@ def pair_records(a, b, n: int, seed: int, kappa: int = 1) -> list[PairRecord]:
 def probabilities_from_outcomes(eta: float, A, B) -> ProbabilityTable:
     """Empirical probability table from outcome arrays (0 = no detection)."""
     _require_in(eta, "eta", 0.0, np.pi)
-    A = np.asarray(A)
-    B = np.asarray(B)
+    A, B = (_require_values(x, "outcomes", (-1, 0, 1)) for x in (A, B))
     if A.size == 0 or A.shape != B.shape:
         raise ValueError("outcome arrays must be nonempty and congruent")
-    if not (np.isin(A, (-1, 0, 1)).all() and np.isin(B, (-1, 0, 1)).all()):
-        raise ValueError("outcomes must be -1, 0 or +1")
     return _table_from_counts(eta, _count(A, B))
 
 

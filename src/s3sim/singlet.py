@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import _angle, _require_choice, _require_in, _require_int, _require_unit
 from .curves import csv_text
-from .kernel import _mask_counts
+from .kernel import _sums, _table
 from .rng import fair_coin, substream, uniform_sphere
 
 WINDING_RULES = ("zero", "random-parity", "angle-threshold")
@@ -61,8 +61,8 @@ class CorrelationEstimate:
 
 
 def _count(A, B) -> np.ndarray:
-    """The _mask_counts table of outcome arrays A and B (0 = no detection)."""
-    return _mask_counts(A > 0, B > 0, A != 0, B != 0)
+    """The 3x3 _table of outcome arrays A and B (0 = no detection)."""
+    return _table(*_sums(A > 0, B > 0, A != 0, B != 0))
 
 
 def _estimate(counts, e_analytic: float) -> CorrelationEstimate:

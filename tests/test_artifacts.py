@@ -50,6 +50,22 @@ def test_read_curve_csv_rejects_a_wrong_header(tmp_path, header, rows):
         read_curve_csv(path)
 
 
+POINT = {c: 1 for c in CSV_COLUMNS}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"meta": {}}, "no 'points'"),
+    ({"meta": {}, "points": [POINT, {c: 1 for c in CSV_COLUMNS if c != "e_hat"}]},
+     "no 'e_hat' in point 1"),
+])
+def test_read_curve_json_names_a_missing_key(tmp_path, payload, message):
+    # a KeyError named neither the file's problem nor the point
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message):
+        read_curve_json(path)
+
+
 def test_readers_require_a_header(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("# seed=1\n\n")

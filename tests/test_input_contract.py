@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from s3sim.algebra import (IDENTITY, X_AXIS, Y_AXIS, Z_AXIS, Bivector, _require_choice,
                            _require_in, _require_int, _safe_arccos, composite_axis,
                            geodesic_sweep, planar, quat_from_axis_angle, quat_from_half_angle,
-                           spinorial_sign)
-from s3sim.bounds import boole_check, canonical_quad, chsh_from_estimates
+                           spin_bivector, spinorial_sign)
+from s3sim.bounds import BinaryAssignment, boole_check, canonical_quad, chsh_from_estimates
 from s3sim.curves import parse_grid
 from s3sim.experiments import ExperimentConfig, chsh_monte_carlo
 from s3sim.oracle import acceptance, expected_table
@@ -47,6 +47,18 @@ PROBES = {
                                               "estimates") for k in (3, 5)},
     # np.isin reads True as 1, and numpy's bool subtract then raised TypeError
     "boole_check([[True] * 4])": (lambda: boole_check([[True] * 4]), "row entries"),
+    # True in (-1, 1), and a list that mixes bools with integers becomes an
+    # integer array: these ran, boole_check with mean 2.0, and True read as
+    # +1 and False as no detection
+    "boole_check([[True, -1, 1, 1]])": (lambda: boole_check([[True, -1, 1, 1]]), "row entries"),
+    "boole_check(object array with True)":
+        (lambda: boole_check(np.array([[True, -1, 1, 1]], dtype=object)), "row entries"),
+    "probabilities_from_outcomes([True], [False])":
+        (lambda: probabilities_from_outcomes(0.5, [True], [False]), "outcomes"),
+    "BinaryAssignment(True, 1, 1, 1)": (lambda: BinaryAssignment(True, 1, 1, 1), "A_a"),
+    "HiddenVariable(lam=True)": (lambda: HiddenVariable(lam=True, s1=Y_AXIS, s2=Y_AXIS), "lam"),
+    "spin_bivector(n, np.True_)": (lambda: spin_bivector(Z_AXIS, np.True_), "lam"),
+    "Bivector(orientation=True)": (lambda: Bivector(axis=Z_AXIS, orientation=True), "orientation"),
     "measure_alice(eta=nan)": (lambda: measure_alice(X_AXIS, HV, nan), "eta"),
     "measure_alice(kappa=nan)": (lambda: measure_alice(X_AXIS, HV, kappa=nan), "kappa"),
     "measure_bob(eta=inf)": (lambda: measure_bob(X_AXIS, HV, inf), "eta"),

@@ -14,8 +14,8 @@ from s3sim import experiments, kernel, pearle
 from s3sim.algebra import X_AXIS, Y_AXIS, Z_AXIS
 from s3sim.bounds import canonical_quad
 from s3sim.experiments import _pair_counts
-from s3sim.kernel import (CHUNK, MODES, _SCREEN, _fill_draws, _mask_counts, _masks, _outcomes,
-                          _project, _setting, _setting_free, _wing)
+from s3sim.kernel import (CHUNK, MODES, _SCREEN, _decide, _fill_draws, _outcomes, _project,
+                          _setting, _setting_free, _sums, _table, _wing)
 from s3sim.kernel import _position as position
 from s3sim.pearle import (InitialState, NumericError, PearleMapping, admissible,
                           candidate_counts, correlation_curve, correlation_from_probabilities,
@@ -608,10 +608,17 @@ def test_screen_error_bound_holds(deg):
     assert 0.0 < gap_eb and 0.0 < gap_f and gap_eb + gap_f < _SCREEN / 4
 
 
+def _step(z, phi, u, heads, eta):
+    """The (masks, sums) of the kernel's chunk step at one setting."""
+    scratch = [np.empty(z.size, dtype=np.float32) for _ in range(4)]
+    setting = (float(np.cos(eta)), float(np.sin(eta)))
+    ((_, masks, sums),) = _decide(z, phi, u, heads, [(0, setting)], scratch)
+    return masks, sums
+
+
 def _decided(z, phi, u, heads, eta):
     """The int8 (A, B) the kernel decides for drawn values."""
-    scratch = [np.empty(z.size, dtype=np.float32) for _ in range(4)]
-    return _outcomes(*_masks(z, phi, u, heads, float(np.cos(eta)), float(np.sin(eta)), scratch))[1:]
+    return _outcomes(*_step(z, phi, u, heads, eta)[0])[1:]
 
 
 def _boundary_draws(rng, n, eta):
@@ -658,8 +665,9 @@ def test_screen_redoes_decisions_at_the_boundaries(monkeypatch, deg):
 BOUNDARY_DEGREES = [1.0, 45.0, 90.0, 135.0]
 
 # prints the dispatch targets numpy enabled, then how many outcomes that
-# _masks (_wing at a, then at b) decides on the saved boundary draws differ
-# from float64: with the kernel's band, and with none (_SCREEN = -1)
+# the kernel's chunk step _decide (_wing at a, then at b) decides on the
+# saved boundary draws differ from float64: with the kernel's band, and
+# with none (_SCREEN = -1)
 _MASK_CHILD = """
 import json, sys
 import numpy as np
@@ -675,7 +683,8 @@ for screen in (kernel._SCREEN, -1.0):
         cos_ab, sin_ab = float(np.cos(np.radians(deg))), float(np.sin(np.radians(deg)))
         scratch = [np.empty(z.size, dtype=np.float32) for _ in range(4)]
         for mode, wing_u in (("reject", u), ("flat", None)):
-            masks = kernel._masks(z, phi, wing_u, heads, cos_ab, sin_ab, scratch)
+            ((_, masks, _),) = kernel._decide(z, phi, wing_u, heads, [(0, (cos_ab, sin_ab))],
+                                              scratch)
             _, A, B = kernel._outcomes(*masks)
             bad += int(np.count_nonzero(A != cases[f"{mode}_A{i}"]))
             bad += int(np.count_nonzero(B != cases[f"{mode}_B{i}"]))
@@ -736,8 +745,7 @@ def test_the_pole_is_an_ordinary_setting():
 
 
 def _mask_table(z, phi, u, heads, eta):
-    scratch = [np.empty(z.size, dtype=np.float32) for _ in range(4)]
-    return _mask_counts(*_masks(z, phi, u, heads, float(np.cos(eta)), float(np.sin(eta)), scratch))
+    return _table(*_step(z, phi, u, heads, eta)[1])
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -755,6 +763,26 @@ def test_mask_table_counts_the_decided_outcomes(mode, deg, k):
     table = _mask_table(z, phi, u, heads, eta)
     assert table.dtype == np.int64 and table.sum() == k
     assert np.array_equal(table, _cell_counts(*_decided(z, phi, u, heads, eta)))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("k", [1, 63, CHUNK])
+def test_step_sums_count_its_masks(mode, k):
+    # the step counts wing a once and each setting's wing b apart; the sums
+    # it yields equal a recount of the masks it yields, setting by setting
+    rng = substream(9402, k)
+    key, start = position(rng)
+    z, phi, u = (np.empty(k, dtype=np.float32) for _ in range(3))
+    u = None if mode == "flat" else u
+    heads = _fill_draws(rng, key, start, z, phi, u)
+    scratch = [np.empty(k, dtype=np.float32) for _ in range(4)]
+    settings = [(j, _setting(np.cos(np.radians(deg)))) for j, deg in enumerate((0.0, 70.0, 180.0))]
+    seen = []
+    for j, masks, sums in _decide(z, phi, u, heads, settings, scratch):
+        assert tuple(sums) == _sums(*masks)
+        assert all(x.size == k for x in masks)
+        seen.append(j)
+    assert seen == [0, 1, 2]
 
 
 @pytest.mark.parametrize("deg", [1.0, 45.0, 90.0, 135.0])
