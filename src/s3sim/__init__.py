@@ -8,8 +8,9 @@ Library layout:
                exact correlation estimator, winding diagnostics
 * kernel       sampler v3: the Philox block layout, the one rejection loop
                over a run's settings, the decision masks of every pair mode,
-               their counts and the one count-table formula, and the int8
-               outcomes
+               their counts, the one count-table formula and the candidate
+               tables it returns, the one reading of s3's kept cells, and
+               the int8 outcomes
 * pearle       the unit-ball state-space bridge: threshold mapping,
                pre-selected ensembles, probability tables, flat baseline
 * bounds       exhaustive CHSH-type bound enumeration, Boole row checks,

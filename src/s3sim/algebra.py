@@ -44,7 +44,7 @@ def normalize(v) -> np.ndarray:
 
 def _require_unit(v, name: str, dim: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.shape[-1] != dim:
+    if v.ndim == 0 or v.shape[-1] != dim:
         raise ValueError(f"{name} must have {dim} components, got shape {v.shape}")
     gap = np.abs(np.linalg.norm(v, axis=-1) - 1.0)
     if not np.all(gap <= UNIT_TOL):  # a nan norm fails too

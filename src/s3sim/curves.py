@@ -133,12 +133,19 @@ def write_curve_json(curve: CorrelationCurve, path) -> None:
 
 
 def read_curve_json(path) -> CorrelationCurve:
-    """Parse a write_curve_json file; a ValueError names a missing key."""
+    """Parse a write_curve_json file; a ValueError names a missing or
+    mistyped key, or the index of a malformed point."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    for key in ("meta", "points"):
+    if not isinstance(data, dict):
+        raise ValueError("curve JSON is not an object")
+    for key, kind, what in (("meta", dict, "an object"), ("points", list, "a list")):
         if key not in data:
             raise ValueError(f"curve JSON has no {key!r}")
+        if not isinstance(data[key], kind):
+            raise ValueError(f"curve JSON {key!r} is not {what}")
     for i, point in enumerate(data["points"]):
+        if not isinstance(point, dict):
+            raise ValueError(f"curve JSON point {i} is not an object")
         for key in CSV_COLUMNS:
             if key not in point:
                 raise ValueError(f"curve JSON has no {key!r} in point {i}")

@@ -132,13 +132,13 @@ def _pool_size(workers: int, tasks: int) -> int:
 
 
 def _pair_counts(task) -> list:
-    """The pool task: the 3x3 outcome-count table of each setting pair, from
+    """The pool task: the 3x3 candidate table of each setting pair, from
     one pass over substream (seed, index). A task is (settings, n, seed,
     index, mode), each setting a pair's kernel _setting (cos eta, sin eta):
     plain floats, ints and strings, as kappa changes no outcome, and float
     tuples pickle ~20 times faster than ndarrays."""
     settings, n, seed, index, mode = task
-    return pearle._outcome_tables(settings, n, substream(seed, index), mode)
+    return kernel._candidate_tables(settings, n, substream(seed, index), mode)
 
 
 def _share_counts(share) -> list:
@@ -176,9 +176,9 @@ def _tables(tasks, workers: int) -> list:
 
 
 def _pair_tables(pairs, n: int, seed: int, mode: str, workers: int) -> list:
-    """The count table of each setting pair (a, b) of unit vectors, pair i
-    in its own task on substream (seed, i)."""
-    return _tables([((kernel._setting(a @ b),), n, seed, i, mode)
+    """The candidate table of each setting pair (a, b) of unit vectors, pair
+    i in its own task on substream (seed, i)."""
+    return _tables([((pearle._pair_setting(a, b),), n, seed, i, mode)
                     for i, (a, b) in enumerate(pairs)], workers)
 
 
@@ -257,9 +257,9 @@ def run_bounds(config: ExperimentConfig) -> dict:
 def run_probabilities(config: ExperimentConfig) -> dict:
     """Per-angle joint/single/zero-event probability tables."""
     grid, counts = _grid_tables(config)
-    tables = [pearle._table_from_counts(np.radians(deg), c).to_dict()
-              for deg, c in zip(grid, counts)]
-    return {"meta": config.sampled_meta(), "tables": tables}
+    return {"meta": config.sampled_meta(), "tables": [
+        pearle._table_from_counts(np.radians(deg), kernel._kept(c, config.model)).to_dict()
+        for deg, c in zip(grid, counts)]}
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ stops each setting at its n. Its chunk step _decide runs _wing at a once
 and at each setting's b: every cut, and every sign where its wing
 detects, equal to its float64 evaluation on the drawn values, as four
 bool masks per setting, counted as it goes (wing a once per chunk, six
-counts per setting) for the one 3x3 _table. _outcomes reads the masks as
-int8 outcomes. Version 3 keeps version 2's stream of a single pair byte
-for byte; a grid of settings now reads one stream for all of its points.
+counts per setting) for the one table that leaves the kernel, the 3x3
+_table of every candidate; _kept reads a run's kept pairs from it,
+_outcomes its masks as int8 outcomes. Version 3 keeps version 2's stream
+of one pair byte for byte; a grid reads one stream for all its points.
 """
 from __future__ import annotations
 
@@ -248,6 +249,26 @@ def _chunks(settings, n: int, rng, mode: str):
             got[j] += sums[5] if mode == "s3" else k  # sums[5] counts the coincidences
             yield j, masks, sums, (z, phi, u)
     _seek(rng, key, base + (chunk << 64))
+
+
+def _candidate_tables(settings, n: int, rng_or_seed, mode: str) -> list:
+    """The _table of every candidate drawn at each _setting in settings,
+    from one pass over the chunks of a run of n pairs (see _chunks)."""
+    rng = _pair_setup(n, rng_or_seed, mode)
+    sums = np.zeros((len(settings), 9), dtype=np.int64)
+    for j, _, chunk_sums, _ in _chunks(settings, n, rng, mode):
+        sums[j] += chunk_sums
+    return [_table(*row) for row in sums]
+
+
+def _kept(counts, mode: str) -> np.ndarray:
+    """The table of the pairs a run keeps, of its candidate table: in s3
+    mode, which keeps the pairs detected at both wings, a copy with every
+    cell where a wing does not detect set to 0; the table itself otherwise."""
+    if mode == "s3":
+        counts = counts.copy()
+        counts[1, :] = counts[:, 1] = 0
+    return counts
 
 
 def _outcomes(plus_a, plus_b, det_a, det_b, mode: str | None = None):

@@ -35,8 +35,8 @@ import numpy as np
 from .algebra import (_angle, _require_choice, _require_in, _require_int, _require_unit,
                       _require_values, planar)
 from .curves import CorrelationCurve, CurvePoint, format_grid, parse_grid
-from .kernel import (MODES, SAMPLER_VERSION, _chunks, _outcomes, _pair_setup, _setting,
-                     _table, _threshold)
+from .kernel import (MODES, SAMPLER_VERSION, _candidate_tables, _chunks, _kept, _outcomes,
+                     _pair_setup, _setting, _threshold)
 from .rng import substream
 from .singlet import CorrelationEstimate, _count, _estimate
 
@@ -236,29 +236,8 @@ def outcome_counts(a, b, n: int, rng_or_seed, mode: str = "s3") -> np.ndarray:
     """The outcome-count table of run_pair(a, b, n, rng_or_seed, mode), for
     every kappa, in O(CHUNK) memory for any n: entry [i, j] counts the pairs
     with A = i - 1 and B = j - 1. Every estimate, table and fraction of a
-    setting pair is a function of it. It is candidate_counts with s3's
-    cells where a wing does not detect set to 0: s3 keeps its admitted pairs."""
-    return _outcome_tables((_pair_setting(a, b),), n, rng_or_seed, mode)[0]
-
-
-def _candidate_tables(settings, n: int, rng_or_seed, mode: str) -> list:
-    """candidate_counts(a, b, n, rng_or_seed, mode) for each pair's kernel
-    _setting in settings, from one pass over the chunks."""
-    rng = _pair_setup(n, rng_or_seed, mode)
-    sums = np.zeros((len(settings), 9), dtype=np.int64)
-    for j, _, chunk_sums, _ in _chunks(settings, n, rng, mode):
-        sums[j] += chunk_sums
-    return [_table(*row) for row in sums]
-
-
-def _outcome_tables(settings, n: int, rng_or_seed, mode: str) -> list:
-    """outcome_counts(a, b, n, rng_or_seed, mode) for each pair's kernel
-    _setting in settings, from one pass over the chunks."""
-    tables = _candidate_tables(settings, n, rng_or_seed, mode)
-    if mode == "s3":
-        for counts in tables:
-            counts[1, :] = counts[:, 1] = 0
-    return tables
+    setting pair is a function of it, the kernel's _kept candidate_counts."""
+    return _kept(candidate_counts(a, b, n, rng_or_seed, mode), mode)
 
 
 def _frame(a, b):
@@ -285,7 +264,7 @@ def _admitted_states(a, b, n: int, seed: int, kappa: int):
     a, b = _require_unit(a, "a", 3), _require_unit(b, "b", 3)
     rng = _pair_setup(n, seed, "s3")
     chunks = []
-    for _, masks, _, (z, phi, u) in _chunks((_setting(a @ b),), n, rng, "s3"):
+    for _, masks, _, (z, phi, u) in _chunks((_pair_setting(a, b),), n, rng, "s3"):
         rows, A, B = _outcomes(*masks, "s3")
         chunks.append((z[rows], phi[rows], u[rows], A, B))
     z, phi, u, A, B = (np.concatenate(c) for c in zip(*chunks))
@@ -318,7 +297,7 @@ def probabilities_from_outcomes(eta: float, A, B) -> ProbabilityTable:
     """Empirical probability table from outcome arrays (0 = no detection)."""
     _require_in(eta, "eta", 0.0, np.pi)
     A, B = (_require_values(x, "outcomes", (-1, 0, 1)) for x in (A, B))
-    if A.size == 0 or A.shape != B.shape:
+    if A.ndim == 0 or A.size == 0 or A.shape != B.shape:
         raise ValueError("outcome arrays must be nonempty and congruent")
     return _table_from_counts(eta, _count(A, B))
 
@@ -383,7 +362,7 @@ def estimate_pair(a, b, n: int, rng_or_seed, mode: str = "s3") -> CorrelationEst
     the sphere modes and the saw-tooth for flat. A pair with no coincident
     detections is a NumericError.
     """
-    return _pair_estimate(a, b, mode, outcome_counts(a, b, n, rng_or_seed, mode))
+    return _pair_estimate(a, b, mode, candidate_counts(a, b, n, rng_or_seed, mode))
 
 
 def _coincident(n, eta_deg: float, index: int | None = None) -> None:
@@ -396,7 +375,7 @@ def _coincident(n, eta_deg: float, index: int | None = None) -> None:
 
 
 def _pair_estimate(a, b, mode: str, counts, index: int | None = None) -> CorrelationEstimate:
-    """The correlation estimate of the count table of setting pair (a, b),
+    """The correlation estimate of setting pair (a, b)'s candidate table,
     pair index of a run if given; NumericError if no pair was detected."""
     eta = _angle(a, b)
     est = _estimate(counts, _analytic(eta, mode))
@@ -413,7 +392,7 @@ def _grid_settings(grid_deg):
 
 
 def _curve(mode: str, grid, tables, meta: dict) -> CorrelationCurve:
-    """The curve of the count table of each grid angle; NumericError naming
+    """The curve of the candidate table of each grid angle; NumericError naming
     the first point with no coincident detections."""
     points = [_point_from_counts(mode, float(deg), counts) for deg, counts in zip(grid, tables)]
     for i, point in enumerate(points):
@@ -434,7 +413,7 @@ def correlation_curve(mode: str, grid_deg, n_per_angle: int, seed: int,
     _require_choice(mode, "mode", MODES)
     kappa = _require_int(kappa, "kappa", 1)
     grid, settings = _grid_settings(grid_deg)
-    tables = _outcome_tables(settings, n_per_angle, substream(seed, 0), mode)
+    tables = _candidate_tables(settings, n_per_angle, substream(seed, 0), mode)
     meta = {"model": mode, "n": str(n_per_angle), "seed": str(seed), "grid": format_grid(grid),
             "kappa": str(kappa), "sampler": str(SAMPLER_VERSION)}
     return _curve(mode, grid, tables, meta)
@@ -445,16 +424,16 @@ def curve_point(mode: str, deg: float, n: int, seed: int, index: int) -> CurvePo
     e_hat is nan when no pair was detected. A grid reads index 0 at every
     point, so its point at deg is curve_point(mode, deg, n, seed, 0)."""
     _require_in(deg, "deg", 0.0, 180.0)
-    counts = outcome_counts(planar(0.0), planar(deg), n, substream(seed, index), mode)
+    counts = candidate_counts(planar(0.0), planar(deg), n, substream(seed, index), mode)
     return _point_from_counts(mode, deg, counts)
 
 
 def _point_from_counts(mode: str, deg: float, counts) -> CurvePoint:
-    """The curve point at deg of a count table. g is the detected fraction
-    of the table's pairs: the emitted pairs (s3: the admitted ones)."""
+    """The curve point at deg of a candidate table. g is the detected
+    fraction of its _kept pairs: the emitted pairs (s3: the admitted ones)."""
     est = _estimate(counts, _analytic(np.radians(deg), mode))
     return CurvePoint(eta_deg=float(deg), e_hat=est.e_hat, e_analytic=est.e_analytic,
-                      stderr=est.stderr, g=est.n / int(counts.sum()), n=est.n)
+                      stderr=est.stderr, g=est.n / int(_kept(counts, mode).sum()), n=est.n)
 
 
 def flat_mode_curve(n_per_angle: int, grid_deg, seed: int) -> CorrelationCurve:

@@ -239,9 +239,14 @@ def correlation(a, b, n: int, seed: int, conservation: bool = True) -> Correlati
 
     Under conservation every run contributes -a.b, so the estimate equals
     -cos(eta_ab) to machine precision and the sample spread is floating-point
-    noise only; without conservation every run contributes -1.
+    noise only; without conservation every run contributes -1. That is the
+    joint of simulate_outcomes, which no draw changes, so none is made; the
+    arguments are checked as simulate_outcomes checks them.
     """
-    values = simulate_outcomes(a, b, n, seed, conservation).joint
+    a, b = _require_unit(a, "a", 3), _require_unit(b, "b", 3)
+    _require_int(n, "n", 1)
+    _require_int(seed, "seed", 0)
+    values = np.full(n, -float(np.dot(a, b)) if conservation else -1.0)
     e_hat = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return CorrelationEstimate(e_hat=e_hat, stderr=stderr, n=n,

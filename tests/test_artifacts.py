@@ -57,6 +57,11 @@ POINT = {c: 1 for c in CSV_COLUMNS}
     ({"meta": {}}, "no 'points'"),
     ({"meta": {}, "points": [POINT, {c: 1 for c in CSV_COLUMNS if c != "e_hat"}]},
      "no 'e_hat' in point 1"),
+    # a meta of 3 gave a curve; the other three raised TypeError
+    (3, "curve JSON is not an object"),
+    ({"meta": 3, "points": []}, "'meta' is not an object"),
+    ({"meta": {}, "points": 3}, "'points' is not a list"),
+    ({"meta": {}, "points": [POINT, 3]}, "point 1 is not an object"),
 ])
 def test_read_curve_json_names_a_missing_key(tmp_path, payload, message):
     # a KeyError named neither the file's problem nor the point

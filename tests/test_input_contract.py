@@ -11,16 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from s3sim.algebra import (IDENTITY, X_AXIS, Y_AXIS, Z_AXIS, Bivector, _require_choice,
-                           _require_in, _require_int, _safe_arccos, composite_axis,
-                           geodesic_sweep, planar, quat_from_axis_angle, quat_from_half_angle,
-                           spin_bivector, spinorial_sign)
-from s3sim.bounds import BinaryAssignment, boole_check, canonical_quad, chsh_from_estimates
+                           _require_in, _require_int, _safe_arccos, composite_axis, dist_so3,
+                           dist_su2, geodesic_sweep, planar, quat_from_axis_angle,
+                           quat_from_half_angle, rotation_matrix, spin_bivector, spinorial_sign)
+from s3sim.bounds import (BinaryAssignment, boole_check, canonical_quad, chsh_from_estimates,
+                          cosine_correlation, sawtooth_correlation)
 from s3sim.curves import parse_grid
 from s3sim.experiments import ExperimentConfig, chsh_monte_carlo
 from s3sim.oracle import acceptance, expected_table
 from s3sim.pearle import (PearleMapping, admissible, correlation_curve, curve_point,
-                          detection_fraction, detection_fraction_branches, pearle_f,
-                          pearle_f_complement, probabilities_from_outcomes, run_pair)
+                          detection_fraction, detection_fraction_branches, estimate_pair,
+                          outcome_counts, pearle_f, pearle_f_complement,
+                          probabilities_from_outcomes, run_pair)
 from s3sim.singlet import (HiddenVariable, measure_alice, measure_bob, sign_product_diagnostic,
                            simulate_outcomes, simulate_runs)
 
@@ -125,6 +127,18 @@ PROBES = {
     **{f"{fn.__name__}(winding_rule='bad')":
        (lambda fn=fn: fn(X_AXIS, Y_AXIS, 10, 1, winding_rule="bad"), "winding_rule")
        for fn in (simulate_outcomes, simulate_runs, sign_product_diagnostic)},
+    # a 0-d vector raised IndexError: the shape check read v.shape[-1] first
+    "run_pair(1.5, Y)": (lambda: run_pair(1.5, Y_AXIS, 10, 1), "a"),
+    "outcome_counts(1.5, Y)": (lambda: outcome_counts(1.5, Y_AXIS, 10, 1), "a"),
+    "estimate_pair(X, nan)": (lambda: estimate_pair(X_AXIS, nan, 10, 1), "b"),
+    "dist_su2(nan, q)": (lambda: dist_su2(nan, IDENTITY), "p"),
+    "dist_so3(p, 1.5)": (lambda: dist_so3(IDENTITY, 1.5), "q"),
+    "rotation_matrix(1.5)": (lambda: rotation_matrix(1.5), "q"),
+    "cosine_correlation(1.5, X)": (lambda: cosine_correlation(1.5, X_AXIS), "x"),
+    "sawtooth_correlation(X, 1.5)": (lambda: sawtooth_correlation(X_AXIS, 1.5), "y"),
+    # 0-d outcomes passed the size and shape check: a table with n = 1
+    "probabilities_from_outcomes(0.5, 1, 1)":
+        (lambda: probabilities_from_outcomes(0.5, 1, 1), "outcome arrays"),
 }
 
 

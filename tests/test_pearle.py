@@ -413,8 +413,13 @@ def test_count_table_reductions_match_outcome_arrays(mode, deg, n):
     eta = np.radians(deg)
     reference = _reference_table(eta, A, B)
     assert probabilities_from_outcomes(eta, A, B).to_dict() == reference
+    # the pool task returns the candidate table, s3's non-admitted cells
+    # included, and the parent reads the kept pairs through kernel._kept
     task = ((_setting(planar(0.0) @ planar(deg)),), n, seed, index, mode)
-    assert _table_from_counts(eta, _pair_counts(task)[0]).to_dict() == reference
+    pooled = _pair_counts(task)[0]
+    candidates = candidate_counts(planar(0.0), planar(deg), n, substream(seed, index), mode)
+    assert np.array_equal(pooled, candidates)
+    assert _table_from_counts(eta, kernel._kept(pooled, mode)).to_dict() == reference
 
 
 def test_correlation_curve_names_a_pair_without_coincidences():
@@ -843,7 +848,7 @@ def test_signs_in_the_band_equal_float64_where_the_wings_detect(monkeypatch, deg
     A = np.resize(expected[0], CHUNK)
     B = {0.0: -A, deg: np.resize(expected[1], CHUNK), 180.0: A}
     for mode, n in (("pearle-reject", CHUNK), ("s3", CHUNK - 7), ("flat", CHUNK)):
-        tables = pearle._candidate_tables([_setting(planar(0.0) @ planar(x)) for x in B], n, 79,
+        tables = kernel._candidate_tables([_setting(planar(0.0) @ planar(x)) for x in B], n, 79,
                                           mode)
         for (x, B_x), table in zip(B.items(), tables):
             assert np.array_equal(table, _cell_counts(A[:n], B_x[:n])), (mode, x)
@@ -1007,13 +1012,16 @@ def _grid_task(grid, n, seed, mode):
 @pytest.mark.parametrize("n", [1, 7, 5000, CHUNK - 1, CHUNK + 3, 100_000])
 @pytest.mark.parametrize("mode", MODES)
 def test_grid_tables_are_the_pair_tables_on_the_grid_stream(mode, n):
-    # one pass over a grid gives each point the table of its setting pair
-    # run alone on substream (seed, 0), the per-pair stream pinned above
+    # one pass over a grid gives each point the candidate table of its
+    # setting pair run alone on substream (seed, 0), the per-pair stream
+    # pinned above, and its kept pairs are that pair's outcome table
     tables = _pair_counts(_grid_task(GRID_ANGLES, n, 23, mode))
     assert len(tables) == len(GRID_ANGLES)
     for deg, counts in zip(GRID_ANGLES, tables):
-        pair = outcome_counts(planar(0.0), planar(deg), n, substream(23, 0), mode)
+        pair = candidate_counts(planar(0.0), planar(deg), n, substream(23, 0), mode)
         assert np.array_equal(counts, pair), deg
+        pair = outcome_counts(planar(0.0), planar(deg), n, substream(23, 0), mode)
+        assert np.array_equal(kernel._kept(counts, mode), pair), deg
 
 
 def _count_fills(monkeypatch) -> list:
@@ -1073,8 +1081,10 @@ def test_curve_and_chsh_share_the_pair_at_45_degrees(mode):
     assert np.array_equal(quad.a, planar(0.0)) and np.array_equal(quad.b, planar(45.0))
     chsh_tables = experiments._pair_tables(quad.pairs(), n, seed, mode, 1)
     for pair, eta in enumerate([45.0, 45.0, 45.0, 135.0]):
+        candidates = candidate_counts(planar(0.0), planar(eta), n, substream(seed, pair), mode)
+        assert np.array_equal(chsh_tables[pair], candidates), pair
         pair_table = outcome_counts(planar(0.0), planar(eta), n, substream(seed, pair), mode)
-        assert np.array_equal(chsh_tables[pair], pair_table), pair
+        assert np.array_equal(kernel._kept(chsh_tables[pair], mode), pair_table), pair
     curve_table = _pair_counts(_grid_task([0.0, 45.0, 90.0], n, seed, mode))[1]
     assert np.array_equal(chsh_tables[0], curve_table)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from s3sim import singlet
 from s3sim.algebra import X_AXIS, Y_AXIS, planar, quat_norm
 from s3sim.curves import read_rows_csv
 from s3sim.singlet import (HiddenVariable, WINDING_RULES, correlation,
@@ -136,6 +137,34 @@ def test_correlation_landmark_angles():
 def test_correlation_without_conservation_is_flat_minus_one():
     est = correlation(X_AXIS, Y_AXIS, 5_000, seed=9, conservation=False)
     assert est.e_hat == -1.0
+
+
+@pytest.mark.parametrize("deg, n, seed, conservation", [
+    (0.0, 10_000, 1, True), (60.0, 10_000, 2, True), (180.0, 10_000, 3, True),
+    (90.0, 5_000, 9, False), *((deg, 2000, 7 + deg, True) for deg in (0, 1, 37, 90, 179, 180))])
+def test_correlation_averages_the_joint_without_drawing(monkeypatch, deg, n, seed, conservation):
+    # the mean and spread of simulate_outcomes' joint, bit for bit, at the
+    # seeds above, with the sphere and coin draws patched to raise
+    b = planar(deg)
+    joint = simulate_outcomes(X_AXIS, b, n, seed, conservation).joint
+    expected = (float(joint.mean()), float(joint.std(ddof=1) / np.sqrt(n)))
+
+    def no_draw(*args):
+        raise AssertionError("correlation drew")
+
+    monkeypatch.setattr(singlet, "uniform_sphere", no_draw)
+    monkeypatch.setattr(singlet, "fair_coin", no_draw)
+    est = correlation(X_AXIS, b, n, seed, conservation)
+    assert (est.e_hat, est.stderr, est.n) == (*expected, n)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((1.5, Y_AXIS, 10, 1), "a"), ((X_AXIS, 2 * Y_AXIS, 10, 1), "b"),
+    ((X_AXIS, Y_AXIS, 2.5, 1), "n"), ((X_AXIS, Y_AXIS, 10, -1), "seed")])
+def test_correlation_checks_its_arguments_as_simulate_outcomes_does(args, name):
+    for fn in (correlation, simulate_outcomes):
+        with pytest.raises(ValueError, match=f"^{name} must|^{name} is not unit"):
+            fn(*args)
 
 
 def test_correlation_requires_runs():
