@@ -41,8 +41,8 @@ CONFIG_KEYS = {
     "grid": ("grid", str, None, "angle grid start:stop:step or a comma list, in degrees"),
     "kappa": ("kappa", int, None, "winding index (default {})"),
     "steps": ("steps", int, None, "geodesic sweep steps (default {})"),
-    "workers": ("workers", int, None, "processes that compute the grid points or CHSH "
-                "setting pairs, the parent included (default {})"),
+    "workers": ("workers", int, None, "at most N processes, the parent included; a pool "
+                "starts only when the work pays (default {})"),
     "out": ("out", str, None, "output path (default <experiment>.<format>)"),
     "format": ("format", str, FORMATS, "artifact format (default {})"),
 }
@@ -124,11 +124,25 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def _pool_size(workers: int, tasks: int) -> int:
-    """Processes that compute, the parent included: never more than the
-    tasks or the CPUs this process may run on. A pool starts one fewer."""
+# kernel work (see _work): a chunk's fill, _setting_free and wing a, in
+# settings, and the work that pays for one more process (see _pool_size)
+_FILL_WORK, _POOL_WORK = 6, 1000
+
+
+def _work(tasks) -> int:
+    """Chunk-setting passes: per chunk of a task (settings, n, ...), its settings + _FILL_WORK."""
+    return sum(-(-_require_int(n, "n", 1) // kernel.CHUNK) * (_FILL_WORK + len(settings))
+               for settings, n, *_ in tasks)
+
+
+def _pool_size(workers: int, tasks: int, work: int) -> int:
+    """Processes that compute, the parent included: at most the tasks, the
+    CPUs this process may run on and 1 + work // _POOL_WORK; a pool starts
+    one fewer. On 2 vCPUs a chunk-setting pass took 36-45 us (s3: 84), and
+    two processes broke even at 40-60 ms of serial kernel work, ~1000 passes:
+    below it, a pool's start and each share's re-fill of every chunk cost more."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(_require_int(workers, "workers", 1), tasks, cpus)
+    return min(_require_int(workers, "workers", 1), tasks, cpus, 1 + work // _POOL_WORK)
 
 
 def _pair_counts(task) -> list:
@@ -156,13 +170,14 @@ def _split(items, parts: int) -> list:
 
 def _tables(tasks, workers: int) -> list:
     """The count tables of every task, in order, on _pool_size(workers,
-    len(tasks)) processes with a contiguous share of the tasks each (see
-    _split). A task names its substream: no split moves a table. The parent
-    computes the first share while a pool with one process per other share
-    computes the rest, one share per pool task, so no pool process starts
-    idle. A serial run never imports the pool module. A pool process that
-    dies breaks the pool: that is an OSError."""
-    first, *rest = _split(tasks, _pool_size(workers, len(tasks)))
+    len(tasks), _work(tasks)) processes, one per _POOL_WORK of kernel work
+    (the measured break-even), with a contiguous share of the tasks each
+    (see _split). A task names its substream: no split moves a table. The
+    parent computes the first share while a pool with one process per other
+    share computes the rest, one share per pool task, so no pool process
+    starts idle. A serial run never imports the pool module. A pool process
+    that dies breaks the pool: that is an OSError."""
+    first, *rest = _split(tasks, _pool_size(workers, len(tasks), _work(tasks)))
     if not rest:
         return _share_counts(first)
     from concurrent.futures import ProcessPoolExecutor
@@ -185,12 +200,12 @@ def _pair_tables(pairs, n: int, seed: int, mode: str, workers: int) -> list:
 def _grid_tables(config: ExperimentConfig) -> tuple[np.ndarray, list]:
     """The grid and its count tables: point i has a at 0 and b at grid[i]
     degrees, and every point reads substream (seed, 0), so its table does
-    not depend on how the grid splits into _pool_size(workers, len(grid))
-    contiguous shares, one task each (see _split)."""
+    not depend on how the grid splits into _pool_size(workers, len(grid),
+    its _work) contiguous shares, one task each (see _split)."""
     grid, settings = pearle._grid_settings(config.grid_degrees())
-    shares = _split(settings, _pool_size(config.workers, len(settings)))
-    return grid, _tables([(tuple(share), config.n_per_point, config.seed, 0, config.model)
-                          for share in shares], config.workers)
+    tail = (config.n_per_point, config.seed, 0, config.model)
+    shares = _split(settings, _pool_size(config.workers, len(settings), _work([(settings, *tail)])))
+    return grid, _tables([(tuple(share), *tail) for share in shares], config.workers)
 
 
 # ---------------------------------------------------------------------------

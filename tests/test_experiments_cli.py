@@ -13,10 +13,9 @@ from s3sim import cli, experiments, kernel
 from s3sim.bounds import TSIRELSON, canonical_quad
 from s3sim.curves import (MAX_POINTS, CorrelationCurve, CurvePoint, parse_grid,
                           read_curve_csv, read_curve_json, write_curve_csv, write_curve_json)
-from s3sim.experiments import (CONFIG_KEYS, ConfigError, ExperimentConfig, _pool_size,
-                               chsh_monte_carlo,
-                               compare_models, parse_config_file, read_rows_csv, run,
-                               run_bounds, run_chsh, run_curve, run_geodesic,
+from s3sim.experiments import (COMPARED_MODELS, CONFIG_KEYS, ConfigError, ExperimentConfig,
+                               _pool_size, chsh_monte_carlo, compare_models, parse_config_file,
+                               read_rows_csv, run, run_bounds, run_chsh, run_curve, run_geodesic,
                                run_probabilities)
 from s3sim.pearle import correlation_curve
 
@@ -116,12 +115,17 @@ def _usable_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+# kernel work that pays for any pool, for the _pool_size tests of the other caps
+_PAYS = 10**9
+
+
 @pytest.mark.parametrize("mode", ["s3", "pearle-reject", "flat"])
 def test_api_curve_is_the_cli_curve_for_every_grid_form(mode, monkeypatch):
     # correlation_curve and run_curve read a grid through parse_grid and
     # build the curve with one builder, whatever the grid's form or the
     # worker count
     _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(experiments, "_POOL_WORK", 1)  # any work pays for a pool
     forms = ([0.0, 45.0, 90.0, 135.0, 180.0], (0.0, 45.0, 90.0, 135.0, 180.0),
              np.arange(0.0, 181.0, 45.0), range(0, 181, 45))
     n, seed = 3000, 17
@@ -196,20 +200,89 @@ def test_pool_size_never_exceeds_tasks_or_cpus(monkeypatch):
     # taskset -c 0, os.cpu_count() still counts every CPU
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     _usable_cpus(monkeypatch, 2)
-    assert _pool_size(1, 37) == 1
-    assert _pool_size(100_000, 37) == 2
-    assert _pool_size(8, 1) == 1
+    assert _pool_size(1, 37, _PAYS) == 1
+    assert _pool_size(100_000, 37, _PAYS) == 2
+    assert _pool_size(8, 1, _PAYS) == 1
     _usable_cpus(monkeypatch, 64)
-    assert _pool_size(100_000, 37) == 37
+    assert _pool_size(100_000, 37, _PAYS) == 37
 
 
 def test_pool_size_falls_back_to_cpu_count(monkeypatch):
     # a platform without sched_getaffinity caps at os.cpu_count(), or 1
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert _pool_size(100_000, 37) == 2
+    assert _pool_size(100_000, 37, _PAYS) == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _pool_size(4, 37) == 1
+    assert _pool_size(4, 37, _PAYS) == 1
+
+
+def _grid_decision(grid, n, mode):
+    # the decision _grid_tables makes at --workers 2: one task holds the grid
+    settings = [kernel._setting(np.cos(np.radians(deg))) for deg in parse_grid(grid)]
+    return _pool_size(2, len(settings), experiments._work([(settings, n, 23, 0, mode)]))
+
+
+def _chsh_decision(n, mode):
+    # the decision _tables makes for chsh at --workers 2: one task per pair
+    tasks = [((kernel._setting(0.5),), n, 23, i, mode) for i in range(4)]
+    return _pool_size(2, len(tasks), experiments._work(tasks))
+
+
+def test_pool_starts_only_when_the_work_pays(monkeypatch):
+    # on 2 CPUs, two workers slowed every default-size run below and sped up
+    # the n = 1e6 ones; nothing runs here
+    _usable_cpus(monkeypatch, 2)
+    serial = [_grid_decision("0:180:5", 100_000, "pearle-reject"),
+              _chsh_decision(100_000, "s3"),
+              _grid_decision("0:180:1", 20_000, "s3"),
+              *(_grid_decision("0:180:5", 100_000, model) for model in COMPARED_MODELS),
+              *(_chsh_decision(100_000, model) for model in COMPARED_MODELS),
+              _grid_decision("0:180:5", 100_000, "s3")]
+    assert serial == [1] * 8
+    assert [_chsh_decision(1_000_000, "s3"), _chsh_decision(1_000_000, "pearle-reject"),
+            _grid_decision("0:180:5", 1_000_000, "s3")] == [2, 2, 2]
+
+
+# Runs s3sim's CLI on 2 usable CPUs, then prints the pool modules it loaded.
+_WORK_CAP_PROBE = ("import os, sys\n"
+                   "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                   "from s3sim import cli\n"
+                   "code = cli.main(sys.argv[1:])\n"
+                   "print('pool modules:', [m for m in ('concurrent.futures', 'multiprocessing')"
+                   " if m in sys.modules])\n"
+                   "sys.exit(code)\n")
+
+
+def test_cli_default_run_at_two_workers_loads_no_process_pool(tmp_path, cli_env):
+    # the default pearle-reject tables are below one extra process's work,
+    # so --workers 2 computes them serially, as --workers 1 does
+    out = tmp_path / "x.csv"
+    res = subprocess.run([sys.executable, "-c", _WORK_CAP_PROBE, "probabilities", "--model",
+                          "pearle-reject", "--workers", "2", "--seed", "5", "--out", str(out)],
+                         capture_output=True, text=True, env=cli_env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert out.exists()
+    assert res.stdout.splitlines()[-1] == "pool modules: []"
+
+
+@pytest.mark.parametrize("experiment", ["curve", "chsh", "probabilities", "flat-vs-s3"])
+def test_cli_bytes_hold_at_every_pool_size(experiment, tmp_path, monkeypatch):
+    # the subprocess worker-count tests run at n = 2000, which the work cap
+    # computes serially: here any work pays, so the pool starts at 4 and 8
+    _usable_cpus(monkeypatch, 8)
+    monkeypatch.setattr(experiments, "_POOL_WORK", 1)  # any work pays for a pool
+    parts, split = [], experiments._split
+    monkeypatch.setattr(experiments, "_split",
+                        lambda items, n: parts.append(n) or split(items, n))
+    outputs = []
+    for workers in (1, 4, 8):
+        out = tmp_path / f"w{workers}.json"
+        assert cli.main([experiment, "--n", "2000", "--grid", "0:180:45", "--seed", "77",
+                         "--workers", str(workers), "--format", "json", "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+        assert max(parts) == min(workers, 5 if experiment != "chsh" else 4), workers
+        parts.clear()
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize("experiment", ["curve", "chsh", "probabilities", "flat-vs-s3"])
@@ -546,6 +619,7 @@ def test_cli_dead_worker_is_io_error(tmp_path, monkeypatch, capsys):
     # a worker process that exits mid-task breaks the pool: an I/O error,
     # not a numeric failure, and no artifact
     _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(experiments, "_POOL_WORK", 1)  # any work pays for a pool
     monkeypatch.setattr(experiments, "_pair_counts", _die)
     out = tmp_path / "x.csv"
     code = cli.main(["probabilities", "--model", "flat", "--n", "100", "--grid", "0:90:45",
@@ -586,6 +660,7 @@ def test_pool_processes_take_one_share_each(experiment, model, shares, tmp_path,
     # on a contiguous share: a grid's share is one task on substream
     # (seed, 0), chsh's one task per pair. The artifact equals the serial one
     _usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(experiments, "_POOL_WORK", 1)  # any work pays for a pool
     outputs = []
     for workers in (1, 3):
         if workers == 3:
