@@ -22,18 +22,19 @@ EXIT_NUMERIC = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", help="flat key=value config file; flags override")
+    for key, (field, type_, choices, help_) in CONFIG_KEYS.items():
+        flags.add_argument(f"--{key}", type=type_, choices=choices,
+                           help=help_.format(defaults[field]))
     parser = argparse.ArgumentParser(
         prog="s3sim",
         description="Seeded, reproducible singlet-correlation experiments "
                     "(CSV/JSON artifacts).")
     sub = parser.add_subparsers(dest="experiment", metavar="EXPERIMENT")
-    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", help="flat key=value config file; flags override")
-        for key, (field, type_, choices, help_) in CONFIG_KEYS.items():
-            p.add_argument(f"--{key}", type=type_, choices=choices,
-                           help=help_.format(defaults[field]))
+        sub.add_parser(name, help=f"run the {name} experiment", parents=[flags])
     return parser
 
 

@@ -73,7 +73,7 @@ def _parse_csv(path) -> tuple[dict, list[str], list[dict]]:
     meta: dict = {}
     rows: list[dict] = []
     columns: list[str] | None = None
-    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -135,7 +135,7 @@ def write_curve_json(curve: CorrelationCurve, path) -> None:
 def read_curve_json(path) -> CorrelationCurve:
     """Parse a write_curve_json file; a ValueError names a missing or
     mistyped key, or the index of a malformed point."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if not isinstance(data, dict):
         raise ValueError("curve JSON is not an object")
     for key, kind, what in (("meta", dict, "an object"), ("points", list, "a list")):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +42,8 @@ CONFIG_KEYS = {
     "grid": ("grid", str, None, "angle grid start:stop:step or a comma list, in degrees"),
     "kappa": ("kappa", int, None, "winding index (default {})"),
     "steps": ("steps", int, None, "geodesic sweep steps (default {})"),
-    "workers": ("workers", int, None, "at most N processes, the parent included; a pool "
-                "starts only when the work pays (default {})"),
+    "workers": ("workers", int, None, "at most WORKERS processes, the parent included; a "
+                "pool starts only when the work pays (default {})"),
     "out": ("out", str, None, "output path (default <experiment>.<format>)"),
     "format": ("format", str, FORMATS, "artifact format (default {})"),
 }
@@ -124,40 +125,31 @@ def parse_config_file(path) -> dict:
     return out
 
 
-# kernel work (see _work): a chunk's fill, _setting_free and wing a, in
+# kernel work (see _tables): a chunk's fill, _setting_free and wing a, in
 # settings, and the work that pays for one more process (see _pool_size)
 _FILL_WORK, _POOL_WORK = 6, 1000
 
 
-def _work(tasks) -> int:
-    """Chunk-setting passes: per chunk of a task (settings, n, ...), its settings + _FILL_WORK."""
-    return sum(-(-_require_int(n, "n", 1) // kernel.CHUNK) * (_FILL_WORK + len(settings))
-               for settings, n, *_ in tasks)
-
-
-def _pool_size(workers: int, tasks: int, work: int) -> int:
-    """Processes that compute, the parent included: at most the tasks, the
+def _pool_size(workers: int, pairs: int, work: int) -> int:
+    """Processes that compute, the parent included: at most the pairs, the
     CPUs this process may run on and 1 + work // _POOL_WORK; a pool starts
     one fewer. On 2 vCPUs a chunk-setting pass took 36-45 us (s3: 84), and
     two processes broke even at 40-60 ms of serial kernel work, ~1000 passes:
     below it, a pool's start and each share's re-fill of every chunk cost more."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(_require_int(workers, "workers", 1), tasks, cpus, 1 + work // _POOL_WORK)
+    return min(_require_int(workers, "workers", 1), pairs, cpus, 1 + work // _POOL_WORK)
 
 
-def _pair_counts(task) -> list:
-    """The pool task: the 3x3 candidate table of each setting pair, from
-    one pass over substream (seed, index). A task is (settings, n, seed,
-    index, mode), each setting a pair's kernel _setting (cos eta, sin eta):
-    plain floats, ints and strings, as kappa changes no outcome, and float
-    tuples pickle ~20 times faster than ndarrays."""
-    settings, n, seed, index, mode = task
-    return kernel._candidate_tables(settings, n, substream(seed, index), mode)
-
-
-def _share_counts(share) -> list:
-    """The count tables of a share of pool tasks, in order."""
-    return [counts for task in share for counts in _pair_counts(task)]
+def _share_tables(share) -> list:
+    """The pool task: the candidate table of each (index, setting) pair of a
+    share (pairs, n, seed, mode), in order, one pass over substream (seed,
+    index) per stretch of one index. A setting is a kernel _setting (cos eta,
+    sin eta), so a share is plain floats, ints and strings, as kappa changes
+    no outcome, and float tuples pickle ~20 times faster than ndarrays."""
+    pairs, n, seed, mode = share
+    return [counts for index, stretch in groupby(pairs, key=lambda pair: pair[0])
+            for counts in kernel._candidate_tables([setting for _, setting in stretch], n,
+                                                   substream(seed, index), mode)]
 
 
 def _split(items, parts: int) -> list:
@@ -168,44 +160,38 @@ def _split(items, parts: int) -> list:
             for i in range(parts)]
 
 
-def _tables(tasks, workers: int) -> list:
-    """The count tables of every task, in order, on _pool_size(workers,
-    len(tasks), _work(tasks)) processes, one per _POOL_WORK of kernel work
-    (the measured break-even), with a contiguous share of the tasks each
-    (see _split). A task names its substream: no split moves a table. The
-    parent computes the first share while a pool with one process per other
-    share computes the rest, one share per pool task, so no pool process
-    starts idle. A serial run never imports the pool module. A pool process
-    that dies breaks the pool: that is an OSError."""
-    first, *rest = _split(tasks, _pool_size(workers, len(tasks), _work(tasks)))
+def _tables(runs, n: int, seed: int, mode: str, workers: int) -> list:
+    """The one fan-out: the candidate table of every setting of every run
+    (index, settings), in order, each run on substream (seed, index). The
+    kernel work is ceil(n / CHUNK) * sum(_FILL_WORK + settings) over the runs,
+    and the (index, setting) pairs split into _pool_size(workers, pairs, work)
+    contiguous shares (see _split): a pair names its substream, so no split
+    moves a table. The parent computes the first share while a pool of one
+    process per other share computes the rest, so none starts idle. A serial
+    run never imports the pool module; a pool process that dies breaks the
+    pool, an OSError."""
+    pairs = [(index, setting) for index, settings in runs for setting in settings]
+    work = -(-_require_int(n, "n", 1) // kernel.CHUNK) * sum(_FILL_WORK + len(s) for _, s in runs)
+    first, *rest = [(share, n, seed, mode)
+                    for share in _split(pairs, _pool_size(workers, len(pairs), work))]
     if not rest:
-        return _share_counts(first)
+        return _share_tables(first)
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     try:
         with ProcessPoolExecutor(max_workers=len(rest)) as pool:
-            pooled = pool.map(_share_counts, rest)  # submitted before the parent's share
-            return _share_counts(first) + [t for share in pooled for t in share]
+            pooled = pool.map(_share_tables, rest)  # submitted before the parent's share
+            return _share_tables(first) + [t for share in pooled for t in share]
     except BrokenProcessPool as exc:
         raise OSError(f"a worker process died: {exc}") from exc
 
 
-def _pair_tables(pairs, n: int, seed: int, mode: str, workers: int) -> list:
-    """The candidate table of each setting pair (a, b) of unit vectors, pair
-    i in its own task on substream (seed, i)."""
-    return _tables([((pearle._pair_setting(a, b),), n, seed, i, mode)
-                    for i, (a, b) in enumerate(pairs)], workers)
-
-
 def _grid_tables(config: ExperimentConfig) -> tuple[np.ndarray, list]:
     """The grid and its count tables: point i has a at 0 and b at grid[i]
-    degrees, and every point reads substream (seed, 0), so its table does
-    not depend on how the grid splits into _pool_size(workers, len(grid),
-    its _work) contiguous shares, one task each (see _split)."""
+    degrees, one run on substream (seed, 0)."""
     grid, settings = pearle._grid_settings(config.grid_degrees())
-    tail = (config.n_per_point, config.seed, 0, config.model)
-    shares = _split(settings, _pool_size(config.workers, len(settings), _work([(settings, *tail)])))
-    return grid, _tables([(tuple(share), *tail) for share in shares], config.workers)
+    return grid, _tables([(0, settings)], config.n_per_point, config.seed, config.model,
+                         config.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +211,8 @@ def chsh_monte_carlo(quad: SettingsQuad, n: int, seed: int, mode: str = "s3", *,
     """CHSH from per-pair Monte Carlo estimates on substreams (seed, pair);
     the four pairs run on up to `workers` processes."""
     pairs = quad.pairs()
-    tables = _pair_tables(pairs, n, seed, mode, workers)
+    tables = _tables([(i, (pearle._pair_setting(a, b),)) for i, (a, b) in enumerate(pairs)],
+                     n, seed, mode, workers)
     ests = [pearle._pair_estimate(x, y, mode, counts, i)
             for i, ((x, y), counts) in enumerate(zip(pairs, tables))]
     return chsh_from_estimates(ests)

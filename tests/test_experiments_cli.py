@@ -18,6 +18,7 @@ from s3sim.experiments import (COMPARED_MODELS, CONFIG_KEYS, ConfigError, Experi
                                read_rows_csv, run, run_bounds, run_chsh, run_curve, run_geodesic,
                                run_probabilities)
 from s3sim.pearle import correlation_curve
+from s3sim.rng import substream
 
 
 def cfg(**kw):
@@ -181,6 +182,15 @@ def test_config_keys_map_each_field_once():
         assert flags == {"-h", "--help", "--config", *(f"--{key}" for key in CONFIG_KEYS)}, name
 
 
+def test_workers_help_names_its_metavar(capsys):
+    # the help said "at most N processes" beside the flag's WORKERS metavar
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["curve", "--help"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--workers WORKERS at most WORKERS processes, the parent included; " in text
+
+
 def test_every_config_key_is_a_file_key_and_all_but_two_are_meta(tmp_path):
     text = {"model": "flat", "n": "7", "seed": "3", "grid": "0:90:45", "kappa": "2",
             "steps": "9", "workers": "2", "out": "x.csv", "format": "json"}
@@ -216,31 +226,40 @@ def test_pool_size_falls_back_to_cpu_count(monkeypatch):
     assert _pool_size(4, 37, _PAYS) == 1
 
 
-def _grid_decision(grid, n, mode):
-    # the decision _grid_tables makes at --workers 2: one task holds the grid
+def _decision(runs, n, mode, monkeypatch):
+    # the processes _tables decides on at --workers 2; its shares compute nothing
+    parts = []
+    monkeypatch.setattr(experiments, "_split", lambda items, k: parts.append(k) or [items])
+    monkeypatch.setattr(experiments, "_share_tables", lambda share: [None] * len(share[0]))
+    experiments._tables(runs, n, 23, mode, 2)
+    return parts[0]
+
+
+def _grid_decision(grid, n, mode, monkeypatch):
+    # the decision _grid_tables makes at --workers 2: one run holds the grid
     settings = [kernel._setting(np.cos(np.radians(deg))) for deg in parse_grid(grid)]
-    return _pool_size(2, len(settings), experiments._work([(settings, n, 23, 0, mode)]))
+    return _decision([(0, settings)], n, mode, monkeypatch)
 
 
-def _chsh_decision(n, mode):
-    # the decision _tables makes for chsh at --workers 2: one task per pair
-    tasks = [((kernel._setting(0.5),), n, 23, i, mode) for i in range(4)]
-    return _pool_size(2, len(tasks), experiments._work(tasks))
+def _chsh_decision(n, mode, monkeypatch):
+    # the decision chsh_monte_carlo makes at --workers 2: one run per pair
+    return _decision([(i, (kernel._setting(0.5),)) for i in range(4)], n, mode, monkeypatch)
 
 
 def test_pool_starts_only_when_the_work_pays(monkeypatch):
     # on 2 CPUs, two workers slowed every default-size run below and sped up
     # the n = 1e6 ones; nothing runs here
     _usable_cpus(monkeypatch, 2)
-    serial = [_grid_decision("0:180:5", 100_000, "pearle-reject"),
-              _chsh_decision(100_000, "s3"),
-              _grid_decision("0:180:1", 20_000, "s3"),
-              *(_grid_decision("0:180:5", 100_000, model) for model in COMPARED_MODELS),
-              *(_chsh_decision(100_000, model) for model in COMPARED_MODELS),
-              _grid_decision("0:180:5", 100_000, "s3")]
+    mp = monkeypatch
+    serial = [_grid_decision("0:180:5", 100_000, "pearle-reject", mp),
+              _chsh_decision(100_000, "s3", mp),
+              _grid_decision("0:180:1", 20_000, "s3", mp),
+              *(_grid_decision("0:180:5", 100_000, model, mp) for model in COMPARED_MODELS),
+              *(_chsh_decision(100_000, model, mp) for model in COMPARED_MODELS),
+              _grid_decision("0:180:5", 100_000, "s3", mp)]
     assert serial == [1] * 8
-    assert [_chsh_decision(1_000_000, "s3"), _chsh_decision(1_000_000, "pearle-reject"),
-            _grid_decision("0:180:5", 1_000_000, "s3")] == [2, 2, 2]
+    assert [_chsh_decision(1_000_000, "s3", mp), _chsh_decision(1_000_000, "pearle-reject", mp),
+            _grid_decision("0:180:5", 1_000_000, "s3", mp)] == [2, 2, 2]
 
 
 # Runs s3sim's CLI on 2 usable CPUs, then prints the pool modules it loaded.
@@ -287,28 +306,60 @@ def test_cli_bytes_hold_at_every_pool_size(experiment, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("experiment", ["curve", "chsh", "probabilities", "flat-vs-s3"])
 def test_every_sampled_experiment_maps_the_one_pair_task(experiment, monkeypatch):
-    # tasks hold plain numbers, which pickle cheaply, and return one count
-    # table per setting b: a serial grid is one task, chsh one per pair
-    seen = []
+    # shares hold plain numbers, which pickle cheaply, and return one count
+    # table per setting b, one kernel pass per substream: a serial grid is
+    # one pass on (seed, 0), chsh one per pair on (seed, pair)
+    seen, passes = [], []
 
-    def spy(task):
-        seen.append((task, real(task)))
+    def spy(share):
+        seen.append((share, real(share)))
         return seen[-1][1]
 
-    real = experiments._pair_counts
-    monkeypatch.setattr(experiments, "_pair_counts", spy)
+    def count_pass(settings, *args):
+        passes.append(len(settings))
+        return candidate_tables(settings, *args)
+
+    real, candidate_tables = experiments._share_tables, kernel._candidate_tables
+    monkeypatch.setattr(experiments, "_share_tables", spy)
+    monkeypatch.setattr(kernel, "_candidate_tables", count_pass)
     runners = {"curve": run_curve, "chsh": run_chsh, "probabilities": run_probabilities,
                "flat-vs-s3": compare_models}
     runners[experiment](cfg(experiment=experiment, n_per_point=200, grid="0:90:45"))
     settings = {"curve": [3], "chsh": [1] * 4, "probabilities": [3],
                 "flat-vs-s3": [1] * 8 + [3] * 2}[experiment]
-    assert sorted(len(task[0]) for task, _ in seen) == settings
-    for task, tables in seen:
-        pairs, *rest = task
-        assert all(type(x) is float for s in pairs for x in s) and {len(s) for s in pairs} == {2}
+    assert sorted(passes) == settings
+    indices = {"curve": [0] * 3, "chsh": [0, 1, 2, 3], "probabilities": [0] * 3,
+               "flat-vs-s3": [0] * 6 + [0, 1, 2, 3] * 2}[experiment]
+    assert [index for share, _ in seen for index, _ in share[0]] == indices
+    for share, tables in seen:
+        pairs, *rest = share
+        assert all(type(i) is int and type(x) is float for i, s in pairs for x in s)
+        assert {len(s) for _, s in pairs} == {2}
         assert all(type(x) in (int, str) for x in rest)
         assert len(tables) == len(pairs)
         assert all(t.shape == (3, 3) and t.dtype == np.int64 for t in tables)
+
+
+@pytest.mark.parametrize("mode", kernel.MODES)
+def test_tables_over_several_substreams_are_each_runs_kernel_tables(mode, monkeypatch):
+    # two grids and two pairs, each run on its own substream, give each
+    # run's kernel tables in order whether 1, 2, 3 or 4 processes compute
+    _usable_cpus(monkeypatch, 4)
+    monkeypatch.setattr(experiments, "_POOL_WORK", 1)  # any work pays for a pool
+    parts, split = [], experiments._split
+    monkeypatch.setattr(experiments, "_split",
+                        lambda items, n: parts.append(n) or split(items, n))
+    grid = [kernel._setting(np.cos(np.radians(deg))) for deg in (0.0, 60.0, 135.0)]
+    runs = [(0, grid), (3, (kernel._setting(0.5),)), (1, grid[1:]),
+            (5, (kernel._setting(-0.25),))]
+    n, seed = kernel.CHUNK + 3, 61
+    expected = [table for index, settings in runs
+                for table in kernel._candidate_tables(settings, n, substream(seed, index), mode)]
+    for workers in (1, 2, 3, 4):
+        tables = experiments._tables(runs, n, seed, mode, workers)
+        assert len(tables) == len(expected) == 7
+        assert all(np.array_equal(x, y) for x, y in zip(tables, expected)), workers
+    assert parts == [1, 2, 3, 4]
 
 
 def test_parse_config_file(tmp_path):
@@ -605,14 +656,14 @@ def test_cli_memory_error_is_usage_error(tmp_path, monkeypatch, capsys):
 
 
 _PARENT = os.getpid()
-_real_pair_counts = experiments._pair_counts
+_real_share_tables = experiments._share_tables
 
 
-def _die(task):
+def _die(share):
     # the parent computes a share too: only a pool process exits
     if os.getpid() != _PARENT:
         os._exit(1)
-    return _real_pair_counts(task)
+    return _real_share_tables(share)
 
 
 def test_cli_dead_worker_is_io_error(tmp_path, monkeypatch, capsys):
@@ -620,7 +671,7 @@ def test_cli_dead_worker_is_io_error(tmp_path, monkeypatch, capsys):
     # not a numeric failure, and no artifact
     _usable_cpus(monkeypatch, 2)
     monkeypatch.setattr(experiments, "_POOL_WORK", 1)  # any work pays for a pool
-    monkeypatch.setattr(experiments, "_pair_counts", _die)
+    monkeypatch.setattr(experiments, "_share_tables", _die)
     out = tmp_path / "x.csv"
     code = cli.main(["probabilities", "--model", "flat", "--n", "100", "--grid", "0:90:45",
                      "--seed", "1", "--workers", "2", "--out", str(out)])
@@ -634,19 +685,19 @@ def test_cli_dead_worker_is_io_error(tmp_path, monkeypatch, capsys):
 _PID_LOG = {}
 
 
-def _logged_pair_counts(task):
-    # one file per process, one line per setting pair of a task: its
+def _logged_share_tables(share):
+    # one file per process, one line per setting pair of a share: its
     # substream index and its angle eta in degrees. The sleep outlasts a
     # pool process's start, so no process can finish its share and take
     # another before every process has taken one.
     with open(_PID_LOG["dir"] / str(os.getpid()), "a") as f:
-        for cos_eta, sin_eta in task[0]:
-            f.write(f"{task[3]}:{round(float(np.degrees(np.arctan2(sin_eta, cos_eta))))}\n")
+        for index, (cos_eta, sin_eta) in share[0]:
+            f.write(f"{index}:{round(float(np.degrees(np.arctan2(sin_eta, cos_eta))))}\n")
     time.sleep(0.05)
-    return _real_pair_counts(task)
+    return _real_share_tables(share)
 
 
-# the setting pairs of each run below in order, as _logged_pair_counts logs them
+# the setting pairs of each run below in order, as _logged_share_tables logs them
 _RUN_PAIRS = {"probabilities": [f"0:{deg}" for deg in range(0, 181, 5)],
               "chsh": ["0:45", "1:45", "2:45", "3:135"]}
 
@@ -657,15 +708,16 @@ _RUN_PAIRS = {"probabilities": [f"0:{deg}" for deg in range(0, 181, 5)],
 ])
 def test_pool_processes_take_one_share_each(experiment, model, shares, tmp_path, monkeypatch):
     # --workers 3 is three processes computing, the parent included, each
-    # on a contiguous share: a grid's share is one task on substream
-    # (seed, 0), chsh's one task per pair. The artifact equals the serial one
+    # on a contiguous share of (index, setting) pairs: a grid's pairs all
+    # read substream (seed, 0), chsh's pair i (seed, i). The artifact
+    # equals the serial one
     _usable_cpus(monkeypatch, 3)
     monkeypatch.setattr(experiments, "_POOL_WORK", 1)  # any work pays for a pool
     outputs = []
     for workers in (1, 3):
         if workers == 3:
             monkeypatch.setitem(_PID_LOG, "dir", tmp_path / "pids")
-            monkeypatch.setattr(experiments, "_pair_counts", _logged_pair_counts)
+            monkeypatch.setattr(experiments, "_share_tables", _logged_share_tables)
             (tmp_path / "pids").mkdir()
         out = tmp_path / f"w{workers}.csv"
         run(cfg(experiment=experiment, model=model, grid="0:180:5", workers=workers,
@@ -690,6 +742,21 @@ def test_cli_config_file_with_flag_override(tmp_path, run_cli):
     curve = read_curve_csv(out)
     assert curve.meta["model"] == "s3"  # flag overrides file
     assert curve.meta["seed"] == "5"
+
+
+def test_artifacts_with_a_bom_read_as_the_plain_files(tmp_path):
+    # an editor's BOM failed the CSV readers ("CSV line 10: 6 cells, 1
+    # columns") and read_curve_json ("Unexpected UTF-8 BOM")
+    curve = run_curve(cfg(model="flat", n_per_point=200, grid="0:90:45"))
+    for write, read, name in ((write_curve_csv, read_curve_csv, "c.csv"),
+                              (write_curve_json, read_curve_json, "c.json")):
+        plain, bom = tmp_path / name, tmp_path / f"bom_{name}"
+        write(curve, plain)
+        bom.write_text(plain.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert read(bom) == read(plain)
+    assert read_curve_json(tmp_path / "bom_c.json") == curve
+    assert read_rows_csv(tmp_path / "bom_c.csv") == read_rows_csv(tmp_path / "c.csv")
 
 
 def test_config_file_with_a_bom_is_the_plain_file(tmp_path):

@@ -13,7 +13,7 @@ from scipy import integrate
 from s3sim import experiments, kernel, pearle
 from s3sim.algebra import X_AXIS, Y_AXIS, Z_AXIS
 from s3sim.bounds import canonical_quad
-from s3sim.experiments import _pair_counts
+from s3sim.experiments import _share_tables
 from s3sim.kernel import (CHUNK, MODES, _SCREEN, _decide, _fill_draws, _outcomes, _project,
                           _setting, _setting_free, _sums, _table, _wing)
 from s3sim.kernel import _position as position
@@ -415,8 +415,8 @@ def test_count_table_reductions_match_outcome_arrays(mode, deg, n):
     assert probabilities_from_outcomes(eta, A, B).to_dict() == reference
     # the pool task returns the candidate table, s3's non-admitted cells
     # included, and the parent reads the kept pairs through kernel._kept
-    task = ((_setting(planar(0.0) @ planar(deg)),), n, seed, index, mode)
-    pooled = _pair_counts(task)[0]
+    share = ([(index, _setting(planar(0.0) @ planar(deg)))], n, seed, mode)
+    pooled = _share_tables(share)[0]
     candidates = candidate_counts(planar(0.0), planar(deg), n, substream(seed, index), mode)
     assert np.array_equal(pooled, candidates)
     assert _table_from_counts(eta, kernel._kept(pooled, mode)).to_dict() == reference
@@ -1005,8 +1005,8 @@ GRID_ANGLES = [0.0, 1e-3, 5.0, 45.0, 90.0, 135.0, 179.999, 180.0]
 
 
 def _grid_task(grid, n, seed, mode):
-    """The pool task of a grid share: a at 0 and b at each angle."""
-    return tuple(_setting(planar(0.0) @ planar(deg)) for deg in grid), n, seed, 0, mode
+    """The pool task of a grid share: a at 0 and b at each angle, on (seed, 0)."""
+    return [(0, _setting(planar(0.0) @ planar(deg))) for deg in grid], n, seed, mode
 
 
 @pytest.mark.parametrize("n", [1, 7, 5000, CHUNK - 1, CHUNK + 3, 100_000])
@@ -1015,7 +1015,7 @@ def test_grid_tables_are_the_pair_tables_on_the_grid_stream(mode, n):
     # one pass over a grid gives each point the candidate table of its
     # setting pair run alone on substream (seed, 0), the per-pair stream
     # pinned above, and its kept pairs are that pair's outcome table
-    tables = _pair_counts(_grid_task(GRID_ANGLES, n, 23, mode))
+    tables = _share_tables(_grid_task(GRID_ANGLES, n, 23, mode))
     assert len(tables) == len(GRID_ANGLES)
     for deg, counts in zip(GRID_ANGLES, tables):
         pair = candidate_counts(planar(0.0), planar(deg), n, substream(23, 0), mode)
@@ -1060,11 +1060,11 @@ def test_shares_of_a_grid_do_not_change_a_table(mode):
     # every contiguous split of a grid into 1 to 7 shares, one task each,
     # gives the one-pass tables
     grid, n, seed = [0.0, 30.0, 60.0, 90.0, 120.0, 150.0, 180.0], CHUNK + 3, 97
-    whole = _pair_counts(_grid_task(grid, n, seed, mode))
+    whole = _share_tables(_grid_task(grid, n, seed, mode))
     for cuts in range(2 ** (len(grid) - 1)):
         ends = [0, *(i for i in range(1, len(grid)) if cuts >> (i - 1) & 1), len(grid)]
         split = [counts for lo, hi in zip(ends, ends[1:])
-                 for counts in _pair_counts(_grid_task(grid[lo:hi], n, seed, mode))]
+                 for counts in _share_tables(_grid_task(grid[lo:hi], n, seed, mode))]
         assert len(split) == len(whole)
         assert all(np.array_equal(x, y) for x, y in zip(split, whole)), ends
     # the API curve is the CLI's
@@ -1079,13 +1079,14 @@ def test_curve_and_chsh_share_the_pair_at_45_degrees(mode):
     # 135 degrees. Pair 0, (0, 45), is a curve's 45-degree point on (seed, 0)
     quad, n, seed = canonical_quad(), 5000, 98
     assert np.array_equal(quad.a, planar(0.0)) and np.array_equal(quad.b, planar(45.0))
-    chsh_tables = experiments._pair_tables(quad.pairs(), n, seed, mode, 1)
+    chsh_tables = experiments._tables([(i, (pearle._pair_setting(a, b),))
+                                       for i, (a, b) in enumerate(quad.pairs())], n, seed, mode, 1)
     for pair, eta in enumerate([45.0, 45.0, 45.0, 135.0]):
         candidates = candidate_counts(planar(0.0), planar(eta), n, substream(seed, pair), mode)
         assert np.array_equal(chsh_tables[pair], candidates), pair
         pair_table = outcome_counts(planar(0.0), planar(eta), n, substream(seed, pair), mode)
         assert np.array_equal(kernel._kept(chsh_tables[pair], mode), pair_table), pair
-    curve_table = _pair_counts(_grid_task([0.0, 45.0, 90.0], n, seed, mode))[1]
+    curve_table = _share_tables(_grid_task([0.0, 45.0, 90.0], n, seed, mode))[1]
     assert np.array_equal(chsh_tables[0], curve_table)
 
 
